@@ -219,6 +219,14 @@ def load_group(source: str) -> GroupDefinition:
     return builtin(source)
 
 
+def level(text: str) -> int:
+    """argparse type for a tree level: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"level must be non-negative, got {value}")
+    return value
+
+
 # -- subcommands -----------------------------------------------------------
 
 
@@ -257,7 +265,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("quotient", help="finite level quotient invariants")
     p.add_argument("group")
-    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--level", type=level, required=True)
     p.add_argument("--order", action="store_true")
     p.add_argument("--ranks", type=int, metavar="KMAX")
     p.add_argument("--derived", type=int, metavar="KMAX")
@@ -267,7 +275,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("schreier", help="Schreier graph of the level action")
     p.add_argument("group")
-    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--level", type=level, required=True)
     p.add_argument("--dot", metavar="PATH")
     p.add_argument("--growth", action="store_true")
     p.add_argument("--diameter", action="store_true")
@@ -276,7 +284,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("spectrum", help="spectrum of the Hecke-Laplace operator")
     p.add_argument("group")
-    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--level", type=level, required=True)
     p.add_argument("--csv", metavar="PATH")
     p.add_argument("--closed-form", action="store_true")
 

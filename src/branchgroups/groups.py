@@ -203,6 +203,7 @@ class GroupDefinition:
         self.a_perms: List[Perm] = []
         self._memo_trivial: Dict = {}
         self._memo_order: Dict = {}
+        self._quotients: Dict = {}  # level -> LevelQuotient, see level_quotient
         self._directed_states: Dict = {}
 
     # -- ring plumbing --

@@ -40,14 +40,27 @@ def free_inverse(word: Sequence[Tuple[str, int]]) -> FreeWord:
     return tuple((s, -e) for s, e in reversed(word))
 
 
-def parse_free_word(text: str) -> FreeWord:
-    """Parse words like "a c' (d^a)^2 [x,y]" over single-letter symbols.
+def parse_free_word(text: str, alphabet: Sequence[str] = ()) -> FreeWord:
+    """Parse words like "a c' (d^a)^2 [x,y]".
 
     Supports juxtaposition, ' for inverses, ^int for powers, ^word for
     conjugation (x^w = w' x w), parentheses, and [x,y] commutators.
+    Symbols are single letters, or, when an alphabet is given, its
+    symbols read by longest match ("tau^2" over tau, mu); a symbol
+    outside the alphabet is a ValueError.
     """
     pos = 0
     n = len(text)
+
+    def symbol() -> str:
+        nonlocal pos
+        sym = text[pos]
+        if alphabet:
+            sym = max((s for s in alphabet if text.startswith(s, pos)), key=len, default="")
+            if not sym:
+                raise ValueError(f"symbol outside the alphabet at column {pos + 1}")
+        pos += len(sym)
+        return sym
 
     def parse_seq(closers) -> List[FreeWord]:
         nonlocal pos
@@ -83,14 +96,7 @@ def parse_free_word(text: str) -> FreeWord:
                 pos += 1
                 seq.append(())
             elif ch.isalnum() or ch == "_":
-                start = pos
-                pos += 1
-                while pos < n and (text[pos].isalnum() or text[pos] == "_") and text[pos] != "1":
-                    # multi-letter symbols are allowed when separated by spaces;
-                    # stop at an alphabet boundary heuristically: single letters
-                    break
-                sym = text[start:pos]
-                seq.append(suffix(((sym, 1),)))
+                seq.append(suffix(((symbol(), 1),)))
             else:
                 raise ValueError(f"unexpected {ch!r} at column {pos + 1}")
         return seq
@@ -122,9 +128,7 @@ def parse_free_word(text: str) -> FreeWord:
                     out = free_reduce(free_inverse(inner) + out + inner)
                 elif pos < n:
                     # single-symbol conjugation: x^a means a' x a
-                    sym = text[pos]
-                    pos += 1
-                    conj: FreeWord = ((sym, 1),)
+                    conj: FreeWord = ((symbol(), 1),)
                     while pos < n and text[pos] == "'":
                         conj = free_inverse(conj)
                         pos += 1
@@ -485,7 +489,7 @@ def parse_presentation_file(text: str):
             if "->" not in part:
                 raise ValueError(f"expected 's -> word' in {part!r}")
             sym, word = (x.strip() for x in part.split("->", 1))
-            images[sym] = parse_free_word(word)
+            images[sym] = parse_free_word(word, alphabet)
         return images
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -504,9 +508,9 @@ def parse_presentation_file(text: str):
                 sub = Substitution(sub_name.strip(), parse_images(body))
                 (substitutions if head == "substitution" else twists).append(sub)
             elif head == "fixed":
-                fixed.append(parse_free_word(rest))
+                fixed.append(parse_free_word(rest, alphabet))
             elif head == "iterated":
-                iterated.append(parse_free_word(rest))
+                iterated.append(parse_free_word(rest, alphabet))
             elif head == "map":
                 sym, _, target = rest.partition("->")
                 amap[sym.strip()] = target.strip()

@@ -6,7 +6,8 @@ deterministic Schreier-Sims stabilizer chain: base points are chosen as
 the first moved point (optionally prescribed), generators are processed
 in a fixed order, and all Schreier generators are sifted, so runs are
 reproducible bit for bit.  Permutations are numpy int arrays composed by
-fancy indexing; group orders are exact Python integers.
+fancy indexing; group orders are exact Python integers.  `level_quotient`
+keeps one quotient (and so one chain) per (group, level) on the group.
 """
 
 from __future__ import annotations
@@ -90,6 +91,8 @@ class StabilizerChain:
         self.identity = np.arange(degree, dtype=np.int32)
         self._id_bytes = self.identity.tobytes()
         self.levels: List[_Level] = []
+        # levels with unprocessed work are always the prefix [0, _dirty)
+        self._dirty = 0
         for b in base_prescription:
             self.levels.append(_Level(int(b), self.identity))
 
@@ -130,6 +133,7 @@ class StabilizerChain:
             lv.gens.append(perm)
             lv.orbit_cursor.append(0)
             lv.pair_cursor.append(0)
+        self._dirty = max(self._dirty, i + 1)
         return i
 
     def _extend_orbit(self, i: int) -> bool:
@@ -153,12 +157,6 @@ class StabilizerChain:
                         grew = True
                         changed = True
         return grew
-
-    def _pending(self, i: int) -> bool:
-        lv = self.levels[i]
-        return any(c < len(lv.points) for c in lv.orbit_cursor) or any(
-            c < len(lv.points) for c in lv.pair_cursor
-        )
 
     def _process_level(self, i: int) -> bool:
         """Expand the orbit, then sift unprocessed Schreier generators.
@@ -192,25 +190,21 @@ class StabilizerChain:
         return False
 
     def _run(self):
-        """Process pending work, deepest level first."""
-        while True:
-            target = -1
-            for i in range(len(self.levels) - 1, -1, -1):
-                if self._pending(i):
-                    target = i
-                    break
-            if target < 0:
-                return
-            self._process_level(target)
+        """Process pending work, deepest level first.  A level processed
+        without installing anything is done; an install at level i marks
+        levels 0..i pending (they all gain the generator)."""
+        while self._dirty:
+            if not self._process_level(self._dirty - 1):
+                self._dirty -= 1
 
-    def add_generator(self, perm: np.ndarray):
+    def add_generator(self, perm: np.ndarray) -> bool:
+        """Install `perm` unless it is already a member; True iff installed."""
         g = np.asarray(perm, dtype=np.int32)
-        if g.tobytes() == self._id_bytes:
-            return
         if self.sift(g) is None:
-            return
+            return False
         self._install(g)
         self._run()
+        return True
 
     def order(self) -> int:
         n = 1
@@ -282,38 +276,15 @@ class LevelQuotient:
     def perm_of_state(self, state: TreeAutomorphism) -> np.ndarray:
         return _state_images(state, self.level)
 
-    def brute_force_order(self, cap: int = 1 << 21) -> int:
-        """Breadth-first closure; only sensible for small degrees."""
-        seen = {self.identity_bytes()}
-        frontier = [np.arange(self.degree, dtype=np.int32)]
-        gens = list(self.gen_perms.values())
-        count = 1
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for g in gens:
-                    q = g[p]
-                    key = q.tobytes()
-                    if key not in seen:
-                        if count >= cap:
-                            raise ResourceBoundExceeded("closure cap hit")
-                        seen.add(key)
-                        count += 1
-                        nxt.append(q)
-            frontier = nxt
-        return count
-
-    def identity_bytes(self):
-        return np.arange(self.degree, dtype=np.int32).tobytes()
-
 
 class SubgroupHandle:
     """A subgroup of a LevelQuotient given by generating permutations."""
 
-    def __init__(self, parent: LevelQuotient, gens: Sequence[np.ndarray]):
+    def __init__(self, parent: LevelQuotient, gens: Sequence[np.ndarray],
+                 chain: Optional[StabilizerChain] = None):
         self.parent = parent
         self.gens = [np.asarray(g, dtype=np.int32) for g in gens]
-        self._chain: Optional[StabilizerChain] = None
+        self._chain = chain
 
     def chain(self) -> StabilizerChain:
         if self._chain is None:
@@ -331,11 +302,14 @@ class SubgroupHandle:
 
 
 def level_quotient(group: GroupDefinition, level: int) -> LevelQuotient:
-    return LevelQuotient(group, level)
-
-
-def group_order(q: LevelQuotient) -> int:
-    return q.order()
+    """The group's level quotient, built once and kept on the group; callers
+    share it and must treat it (and its chain) as read-only."""
+    if level < 0:
+        raise ValueError(f"level must be non-negative, got {level}")
+    q = group._quotients.get(level)
+    if q is None:
+        q = group._quotients[level] = LevelQuotient(group, level)
+    return q
 
 
 # -- normal closures, commutators, series -------------------------------
@@ -354,15 +328,12 @@ def normal_closure(q: LevelQuotient, seeds: Sequence[np.ndarray]) -> SubgroupHan
     conj = [(c, _pinv(c)) for c in q.gen_perms.values()]
     while work:
         g = work.pop()
-        if sub.contains(g):
+        if not sub.add_generator(g):
             continue
-        sub.add_generator(g)
         gens.append(g)
         for c, cinv in conj:
             work.append(c[g[cinv]])
-    handle = SubgroupHandle(q, gens)
-    handle._chain = sub
-    return handle
+    return SubgroupHandle(q, gens, sub)
 
 
 def commutator_subgroup(q: LevelQuotient, h1_gens: Sequence[np.ndarray],
@@ -388,7 +359,7 @@ def derived_series_orders(q: LevelQuotient, kmax: int) -> List[int]:
 def lower_central_series(q: LevelQuotient, kmax: int) -> List[SubgroupHandle]:
     """gamma_1 = G_n, gamma_{k+1} = <[gamma_k, G]>, as subgroup handles."""
     group_gens = list(q.gen_perms.values())
-    series = [SubgroupHandle(q, group_gens)]
+    series = [SubgroupHandle(q, group_gens, q.chain())]
     current = group_gens
     for _ in range(kmax):
         nxt = commutator_subgroup(q, current, group_gens)
@@ -479,14 +450,20 @@ def suborbit_profile(group: GroupDefinition, level: int,
     """Orbit sizes of the basepoint stabilizer on the level, sorted.
 
     The default basepoint is the rightmost vertex (m, m, ..., m), the
-    level-n stage of the spine ray.
+    level-n stage of the spine ray.  A basepoint in the orbit of the
+    chain's first base point has a stabilizer conjugate to that point's,
+    with the same orbit sizes, so the chain's level-1 generators serve.
     """
     q = level_quotient(group, level)
     verts = group.shape.vertices(level)
     if basepoint is None:
         basepoint = tuple(group.shape.branching(i) - 1 for i in range(level))
     pt = verts.index(tuple(basepoint))
-    stab = pointwise_stabilizer(q, [pt])
+    chain = q.chain()
+    if chain.levels and pt in chain.levels[0].transversal:
+        stab_gens = chain.stabilizer_generators(1)
+    else:
+        stab_gens = pointwise_stabilizer(q, [pt]).gens
 
     parent = list(range(q.degree))
 
@@ -496,7 +473,7 @@ def suborbit_profile(group: GroupDefinition, level: int,
             x = parent[x]
         return x
 
-    for g in stab.gens:
+    for g in stab_gens:
         for x in range(q.degree):
             rx, ry = find(x), find(int(g[x]))
             if rx != ry:

@@ -127,6 +127,14 @@ def test_cli_quotient(capsys):
     assert "2^12" in capsys.readouterr().out
 
 
+def test_cli_negative_level_is_usage_error(capsys):
+    for cmd in ("quotient", "schreier", "spectrum"):
+        assert main([cmd, "Gg", "--level", "-1"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "level must be non-negative" in err
+        assert "Traceback" not in err
+
+
 def test_cli_eval(capsys):
     assert main(["eval", "Gg", "abacadacabadac"]) == EXIT_OK
     out = capsys.readouterr().out

@@ -35,6 +35,21 @@ def test_parse_free_word():
         parse_free_word("a^")
 
 
+def test_parse_multi_letter_alphabet():
+    from branchgroups.presentations import parse_presentation_file
+
+    # free words keep exponents +-1, so tau^2 is two tau letters
+    pres, _, _ = parse_presentation_file("alphabet tau mu\niterated tau^2 mu'\n")
+    assert pres.iterated == ((("tau", 1), ("tau", 1), ("mu", -1)),)
+    assert parse_free_word("mu^tau", ("tau", "mu")) == (("tau", -1), ("mu", 1), ("tau", 1))
+    with pytest.raises(ValueError):
+        parse_free_word("tau nu", ("tau", "mu"))
+    with pytest.raises(ValueError):
+        parse_presentation_file("alphabet tau mu\nfixed mu^nu\n")
+    # without an alphabet, symbols stay single letters
+    assert parse_free_word("tau") == (("t", 1), ("a", 1), ("u", 1))
+
+
 def test_substitution_is_free_endomorphism():
     phi = Substitution.parse("phi", {"a": "aca", "c": "cd", "d": "c"})
     # composition is associative and respects inverses

@@ -1,6 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from branchgroups.cli import parse_group_file
+from branchgroups.errors import ResourceBoundExceeded
 from branchgroups.groups import builtin
 from branchgroups.quotients import (
     derived_series_orders,
@@ -12,6 +16,7 @@ from branchgroups.quotients import (
     lower_central_ranks,
     nilpotency_class,
     normal_closure,
+    pointwise_stabilizer,
     rigid_level_stabilizer,
     rigid_stabilizer,
     suborbit_profile,
@@ -31,6 +36,8 @@ def test_level_quotient_basics(gg):
     assert q3.degree == 27
     ident = level_quotient(gg, 4).perm_of_word("1")
     assert np.array_equal(ident, np.arange(16))
+    with pytest.raises(ValueError):
+        level_quotient(gg, -1)
 
 
 def test_orders_match_closed_forms(gg):
@@ -45,16 +52,73 @@ def test_orders_match_closed_forms(gg):
     assert level_quotient(bgg, 1).order() == 3 ** ((3 - 1) // 2)
 
 
+def test_level_quotient_is_cached_per_group_and_level(gg):
+    assert level_quotient(gg, 4) is level_quotient(gg, 4)
+    assert level_quotient(gg, 4) is not level_quotient(gg, 5)
+    # a parsed group is a new group with its own cache, even for the same
+    # generators as a built-in
+    parsed = parse_group_file(
+        "group Gg\narity 2\nrooted a = (1 2)\nrecursive b = (a, c)\n"
+        "recursive c = (a, d)\nrecursive d = (1, b)\n")
+    q = level_quotient(parsed, 4)
+    assert q is level_quotient(parsed, 4)
+    assert q is not level_quotient(gg, 4)
+    assert q.order() == level_quotient(gg, 4).order()
+
+
+def _brute_force_order(q, cap=1 << 21):
+    """Breadth-first closure of the generators; small degrees only."""
+    identity = np.arange(q.degree, dtype=np.int32)
+    seen = {identity.tobytes()}
+    frontier = [identity]
+    gens = list(q.gen_perms.values())
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                r = g[p]
+                key = r.tobytes()
+                if key not in seen:
+                    if len(seen) >= cap:
+                        raise ResourceBoundExceeded("closure cap hit")
+                    seen.add(key)
+                    nxt.append(r)
+        frontier = nxt
+    return len(seen)
+
+
 def test_chain_vs_brute_force():
     # exact agreement for degree <= 27
     q = level_quotient(builtin("Gg"), 3)
-    assert q.order() == q.brute_force_order() == 128
+    assert q.order() == _brute_force_order(q) == 128
     q = level_quotient(builtin("FGg"), 2)
-    assert q.order() == q.brute_force_order() == 81
+    assert q.order() == _brute_force_order(q) == 81
     q = level_quotient(builtin("BGg"), 3)
-    assert q.order() == q.brute_force_order() == 3**9
+    assert q.order() == _brute_force_order(q) == 3**9
     q = level_quotient(builtin("Dinf"), 3)
-    assert q.order() == q.brute_force_order()
+    assert q.order() == _brute_force_order(q)
+
+
+def _chain_digest(chain):
+    """sha1 of the base, each level's orbit points and the strong generators."""
+    h = hashlib.sha1()
+    for lv in chain.levels:
+        h.update(np.int32(lv.point).tobytes())
+        h.update(np.asarray(lv.points, dtype=np.int32).tobytes())
+    for g in chain.strong_generators():
+        h.update(g.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name, level, digest", [
+    ("Gg", 6, "c0a2b061cb4e13f72caac33f69dea6bafc006096"),
+    ("FGg", 4, "1c478ddcb6754f07db360d230e7d4c443b71a400"),
+    ("Sg", 5, "e111777e18606af6df35ee5c5ebc58b365dc67f6"),
+], ids=["Gg@6", "FGg@4", "Sg@5"])
+def test_chain_is_pinned(name, level, digest):
+    # the chain is deterministic: a change to its base, orbit order or
+    # strong generators changes these digests
+    assert _chain_digest(level_quotient(builtin(name), level).chain()) == digest
 
 
 def test_order_monotone_under_projection(gg):
@@ -238,6 +302,32 @@ def test_suborbits(gg):
         prof = suborbit_profile(fgg, n)
         assert len(prof) == 2 * n + 1
         assert sum(prof) == 3**n
+
+
+def _orbit_sizes(degree, gens):
+    """Sorted orbit sizes of <gens> on range(degree), by breadth-first search."""
+    seen, sizes = set(), []
+    for start in range(degree):
+        if start not in seen:
+            orbit, frontier = {start}, {start}
+            while frontier:
+                frontier = {int(g[x]) for x in frontier for g in gens} - orbit
+                orbit |= frontier
+            seen |= orbit
+            sizes.append(len(orbit))
+    return sorted(sizes)
+
+
+@pytest.mark.parametrize("name, level", [("Gg", 4), ("FGg", 3)])
+def test_suborbits_cached_chain_matches_pointwise_stabilizer(name, level):
+    # the profile reads a conjugate stabilizer off the cached chain; a chain
+    # based at the basepoint itself gives the same orbit sizes
+    g = builtin(name)
+    q = level_quotient(g, level)
+    for pt, vertex in enumerate(g.shape.vertices(level)):
+        assert pt in q.chain().levels[0].transversal  # the cached-chain path
+        stab = pointwise_stabilizer(q, [pt])
+        assert suborbit_profile(g, level, vertex) == _orbit_sizes(q.degree, stab.gens)
 
 
 def test_full_aut_quotient_rigid_equals_level_stabilizer():
