@@ -17,7 +17,9 @@ index 16 (then Stab(L_{n_K}) <= K, making K-membership exact).
 
 Recursion on pairs can cycle (sections need not shrink); the induced
 monotone set equations are solved by least-fixpoint iteration starting
-from empty sets.  The fixpoint table persists across queries.
+from empty sets.  The fixpoint table persists across queries; recipes are
+fixed at creation, so a query evaluates only the nodes it creates and their
+dependents.  Coset lookups are memoized (at most |G_{n_K+1}| entries).
 """
 
 from __future__ import annotations
@@ -86,11 +88,13 @@ class GgConjugacy:
         if self.quotient.order() // self.k_image.order() != 16:
             raise AssertionError("index of K image must stay 16 one level up")
         self._build_transversal()
+        self._coset_memo: Dict[bytes, int] = {}
         self._build_tables()
         # pair fixpoint state (persists across queries)
         self.values: Dict[Tuple, frozenset] = {}
         self.recipes: Dict[Tuple, list] = {}
         self.dependents: Dict[Tuple, set] = {}
+        self._created: List[Tuple] = []  # keys made by the running query
 
     # -- bootstrap ------------------------------------------------------
 
@@ -135,8 +139,12 @@ class GgConjugacy:
         return self.k_image.contains(qinv[p])
 
     def coset_of_perm(self, perm: np.ndarray) -> int:
+        key = perm.astype(np.int32, copy=False).tobytes()
+        if key in self._coset_memo:
+            return self._coset_memo[key]
         for i, t in enumerate(self.transversal):
             if self._same_coset(perm, t):
+                self._coset_memo[key] = i
                 return i
         raise AssertionError("permutation not in the group")
 
@@ -204,15 +212,16 @@ class GgConjugacy:
         Seeding these makes the least fixpoint exact: any witness f of
         length >= 2 has first-level sections of length <= (|f|+1)/2 < |f|,
         so induction on witness length reduces every solution coset to a
-        seeded one through the recombination steps.
+        seeded one through the recombination steps.  A candidate f is
+        tested only when the quotient permutations satisfy gf = fh.
         """
-        group = self.group
+        group, perm = self.group, self.quotient.perm_of_word
+        pg, ph = perm(Word(g, True)), perm(Word(h, True))
         seeds = set()
         for f in [()] + [(letter,) for letter in group.canonical_letters]:
-            conj = group.reduce(
-                group.inverse_word(f) + g + f + group.inverse_word(h)
-            )
-            if is_trivial(group, Word(conj, True)):
+            pf = perm(Word(f, True))
+            if np.array_equal(pf[pg], ph[pf]) and is_trivial(
+                    group, group.inverse_word(f) + g + f + group.inverse_word(h)):
                 seeds.add(self.coset_of_word(Word(f, True)))
         return frozenset(seeds)
 
@@ -221,6 +230,7 @@ class GgConjugacy:
         key = (g, h)
         if key in self.values:
             return key
+        self._created.append(key)
         self.values[key] = frozenset()
         self.dependents.setdefault(key, set())
         recipe = []
@@ -303,9 +313,9 @@ class GgConjugacy:
                                 if swapped else lifted)
         return frozenset(out)
 
-    def solve(self, key):
-        """Run the least-fixpoint iteration until nothing grows."""
-        work = set(self.values.keys())
+    def solve(self, keys):
+        """Run the least-fixpoint iteration from the new nodes until nothing grows."""
+        work = set(keys)
         while work:
             k = work.pop()
             new = self._evaluate(k)
@@ -318,8 +328,17 @@ class GgConjugacy:
         hl = self.group.reduce(h.letters if isinstance(h, Word) else h)
         gc, c_g = self._normalized(gl)
         hc, c_h = self._normalized(hl)
-        key = self.ensure(gc, hc)
-        self.solve(key)
+        created = self._created = []
+        try:
+            key = self.ensure(gc, hc)
+            self.solve(created)
+        except BaseException:  # drop half-built nodes: no wrong answer stays
+            for table in (self.values, self.recipes, self.dependents):
+                for k in created:
+                    table.pop(k, None)
+            for deps in self.dependents.values():
+                deps.difference_update(created)
+            raise
         base = self.values[key]
         ids = {self.mult[self.mult[c_g][z]][self.inv[c_h]] for z in base}
         return CosetSet(ids, self)

@@ -310,19 +310,12 @@ def ball(group: GroupDefinition, radius: int, level_hint: Optional[int] = None
     while group.shape.level_size(level) > degree_cap and level > 1:
         level -= 1
     verts = group.shape.vertices(level)
-    state_cache = {}
 
     def signature(letters):
-        images = []
-        for v in verts:
-            x = v
-            for letter in letters:
-                st = state_cache.get(letter)
-                if st is None:
-                    st = group.state_of_letter(letter)
-                    state_cache[letter] = st
-                x = st.act(x)
-            images.append(x)
+        images = verts
+        for letter in letters:
+            act = group.state_of_letter(letter).act
+            images = [act(x) for x in images]
         return tuple(images)
 
     # incremental BFS over reduced words

@@ -205,6 +205,7 @@ class GroupDefinition:
         self._memo_order: Dict = {}
         self._quotients: Dict = {}  # level -> LevelQuotient, see level_quotient
         self._directed_states: Dict = {}
+        self._letter_states: Dict = {}  # A and G letter -> state, built once
 
     # -- ring plumbing --
 
@@ -405,11 +406,13 @@ class GroupDefinition:
     # -- states --
 
     def state_of_letter(self, letter) -> TreeAutomorphism:
-        if letter[0] == "A":
-            return rooted_state(self.shape, letter[1])
         if letter[0] == "B":
             return self._directed_states[letter[1]]
-        return letter[1] if letter[2] == 1 else invert(letter[1])
+        if letter not in self._letter_states:
+            self._letter_states[letter] = (
+                rooted_state(self.shape, letter[1]) if letter[0] == "A"
+                else letter[1] if letter[2] == 1 else invert(letter[1]))
+        return self._letter_states[letter]
 
     def state_of_word(self, word) -> TreeAutomorphism:
         letters = word.letters if isinstance(word, Word) else tuple(word)
@@ -506,6 +509,8 @@ def _parse_word_text(group: GroupDefinition, text: str):
                     pos += 1
                 if sign == -1:
                     flat = [group.letter_inverse(x) for x in reversed(flat)]
+                if len(flat) == 1 and flat[0][0] in "AB":
+                    k %= group.letter_order(flat[0])
                 flat = flat * k
         return flat
 

@@ -40,15 +40,11 @@ def _random_stab3_word(group, rng, max_len=24) -> Tuple:
     verts = shape.vertices(3)
     while True:
         w = group.random_reduced_word(rng.randint(2, max_len), rng)
-        state_cache = {}
+        states = [group.state_of_letter(letter) for letter in w]
         ok = True
         for v in verts:
             x = v
-            for letter in w:
-                st = state_cache.get(letter)
-                if st is None:
-                    st = group.state_of_letter(letter)
-                    state_cache[letter] = st
+            for st in states:
                 x = st.act(x)
             if x != v:
                 ok = False

@@ -151,6 +151,13 @@ def test_cli_conj(capsys):
     assert main(["conj", "FGg", "a", "a"]) == EXIT_USAGE
 
 
+def test_cli_huge_letter_powers_are_reduced():
+    # a single A or B letter's exponent is taken modulo the letter's order
+    assert main(["conj", "Gg", "a^999999999", "a"]) == EXIT_OK
+    assert main(["trivial", "Gg", "a^-100000000000"]) == EXIT_OK
+    assert main(["trivial", "Gg", "b^7"]) == EXIT_FALSE
+
+
 def test_cli_schreier_and_spectrum(tmp_path, capsys):
     dot = tmp_path / "g.dot"
     assert main(["schreier", "Gg", "--level", "3", "--dot", str(dot),

@@ -217,3 +217,148 @@ def test_witness_soundness_logged(gg):
                 log.info("no short witness for coset %s of (%s, %s)",
                          rep, gg.format_word(g), gg.format_word(h))
     assert found > 0
+
+
+def _solve_everything(ctx):
+    """Test oracle: the former solve, which re-evaluated every table node
+    until nothing grew.  Returns the number of values it changed."""
+    changed = 0
+    work = set(ctx.values)
+    while work:
+        k = work.pop()
+        new = ctx._evaluate(k)
+        if new != ctx.values[k]:
+            ctx.values[k] = new
+            changed += 1
+            work.update(ctx.dependents.get(k, ()))
+    return changed
+
+
+def _query_stream(gg, count, seed):
+    """Seeded pairs, alternately conjugate by construction and independent."""
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < count:
+        g = gg.random_reduced_word(rng.randint(2, 16), rng)
+        f = gg.random_reduced_word(rng.randint(1, 8), rng)
+        pairs.append((g, gg.reduce(gg.inverse_word(f) + g + f)))
+        pairs.append((gg.random_reduced_word(rng.randint(2, 16), rng),
+                      gg.random_reduced_word(rng.randint(2, 16), rng)))
+    return [(Word(g, True), Word(h, True)) for g, h in pairs[:count]]
+
+
+@pytest.fixture(scope="module")
+def streamed(gg):
+    """A fresh context after a seeded stream of 200 queries, with answers."""
+    ctx = GgConjugacy()
+    pairs = _query_stream(gg, 200, seed=61)
+    answers = [ctx.q_set(g, h) for g, h in pairs]
+    return ctx, pairs, answers
+
+
+def test_incremental_solve_reaches_the_global_fixpoint(streamed):
+    ctx, _, _ = streamed
+    before = dict(ctx.values)
+    assert len(before) > 200
+    assert _solve_everything(ctx) == 0
+    assert ctx.values == before
+    # every dependents link points at a node of the table
+    assert all(d in ctx.values for deps in ctx.dependents.values() for d in deps)
+
+
+def test_query_order_does_not_change_answers(streamed):
+    _, pairs, answers = streamed
+    ctx = GgConjugacy()
+    reverse = [ctx.q_set(g, h) for g, h in reversed(pairs)]
+    assert [q.ids for q in reversed(reverse)] == [q.ids for q in answers]
+
+
+def test_filtered_witness_seeds_match_unfiltered(streamed):
+    from branchgroups.decision import is_trivial
+
+    ctx, _, _ = streamed
+    gg = ctx.group
+    candidates = [()] + [(x,) for x in gg.canonical_letters]
+    for g, h in list(ctx.values):
+        unfiltered = frozenset(
+            ctx.coset_of_word(Word(f, True)) for f in candidates
+            if is_trivial(gg, gg.inverse_word(f) + g + f + gg.inverse_word(h))
+        )
+        assert ctx._short_witness_seeds(g, h) == unfiltered, (g, h)
+
+
+def test_failed_query_leaves_no_node(gg, monkeypatch):
+    from branchgroups import conjugacy
+
+    real = conjugacy.is_trivial
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return real(*args, **kwargs)
+
+    ctx = GgConjugacy()
+    ctx.q_set(gg.word("b"), gg.word("aba"))
+    values = dict(ctx.values)
+    recipes = dict(ctx.recipes)
+    dependents = {k: set(v) for k, v in ctx.dependents.items()}
+    monkeypatch.setattr(conjugacy, "is_trivial", flaky)
+    with pytest.raises(KeyboardInterrupt):
+        ctx.q_set(gg.word("ab"), gg.word("ba"))
+    monkeypatch.setattr(conjugacy, "is_trivial", real)
+    assert ctx.values == values
+    assert ctx.recipes == recipes
+    assert ctx.dependents == dependents
+    retry = ctx.q_set(gg.word("ab"), gg.word("ba"))
+    assert retry == GgConjugacy().q_set(gg.word("ab"), gg.word("ba"))
+    assert retry.names() == ["a", "b"]
+
+
+def test_coset_memo_over_the_whole_quotient():
+    ctx = GgConjugacy()
+    q = ctx.quotient
+    # all of G_{n_K+1} by breadth-first search over the generators
+    ident = np.arange(q.degree, dtype=np.int32)
+    elements = {ident.tobytes(): ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for gen in q.gen_perms.values():
+                r = gen[p]
+                if r.tobytes() not in elements:
+                    elements[r.tobytes()] = r
+                    nxt.append(r)
+        frontier = nxt
+    assert len(elements) == q.order() == 4096
+    # the image of K by closure of its generators; coset i is t_i K
+    k_gens = ctx.k_image.gens
+    k_elems = {ident.tobytes(): ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for gen in k_gens:
+                r = gen[p]
+                if r.tobytes() not in k_elems:
+                    k_elems[r.tobytes()] = r
+                    nxt.append(r)
+        frontier = nxt
+    assert len(k_elems) == 4096 // 16
+    scan = {k[t].tobytes(): i for i, t in enumerate(ctx.transversal)
+            for k in k_elems.values()}
+    assert len(scan) == 4096
+    for key, p in elements.items():
+        assert ctx.coset_of_perm(p) == scan[key]
+        assert ctx.coset_of_perm(p.astype(np.int64)) == scan[key]
+    assert len(ctx._coset_memo) <= 4096
+
+
+def test_rooted_letter_state_is_cached(gg):
+    for letter in gg.canonical_letters:
+        assert gg.state_of_letter(letter) is gg.state_of_letter(letter)
+    a = gg.gen_letters["a"]
+    assert a[0] == "A"
+    assert gg.state_of_letter(a) is gg.state_of_letter(("A", a[1]))
