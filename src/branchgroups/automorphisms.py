@@ -9,10 +9,16 @@ minimization), then hash-consed into a global table keyed by a canonical
 BFS serialization.  Two states are the *same Python object* iff they act
 identically on the tree, so state equality is O(1).
 
-Products and inverses reuse the machinery: a formal word of states is
-expanded into its reachable section closure (each section of a product
-f*g is the product f_u * g_{u^f}), then minimized and interned.  A node
-cap guards against words that are not finite-state.
+One section-closure machine builds every state.  Its nodes are formal
+words of factors, each node tagged with the tree shape it lives on; a
+factor is an interned state or an *atom*, a recursive definition given
+by its shape, its root permutation and one entry word per child, each
+entry on the shifted shape.  The identity is the empty word, a rooted
+state or a generator is an atom, and products and inverses are words of
+states.  A node's sections are words on the shifted shape (each section
+of a product f*g is the product f_u * g_{u^f}); the reachable closure is
+minimized and interned.  A node cap guards against words that are not
+finite-state.
 
 Vertices are 0-based letter tuples; permutations are 0-based image tuples.
 The composition convention is the right action: u^(fg) = (u^f)^g, hence
@@ -180,8 +186,9 @@ def _blank_state(shape: TreeShape, perm: Perm, is_identity: bool) -> TreeAutomor
     return state
 
 
-def _intern_graph(start_nodes, shape_of, perm_of, children_of):
-    """Minimize a closed state graph by bisimulation and intern every class.
+def _intern_graph(start_nodes, perm_of, children_of):
+    """Minimize a closed graph of (shape, word) nodes by bisimulation and
+    intern every class.
 
     Returns a dict mapping each reachable node to its canonical state.
     """
@@ -199,7 +206,7 @@ def _intern_graph(start_nodes, shape_of, perm_of, children_of):
     labels: dict = {}
     cls = {}
     for n in order:
-        k = (shape_of(n), perm_of(n))
+        k = (n[0], perm_of(n))
         if k not in labels:
             labels[k] = len(labels)
         cls[n] = labels[k]
@@ -241,7 +248,7 @@ def _intern_graph(start_nodes, shape_of, perm_of, children_of):
         body = tuple(
             (perm_of(rep[c]), tuple(pos[ch] for ch in child_classes[c])) for c in seq
         )
-        result = ((shape_of(rep[c0]), body), seq)
+        result = ((rep[c0][0], body), seq)
         sig_cache[c0] = result
         return result
 
@@ -265,7 +272,7 @@ def _intern_graph(start_nodes, shape_of, perm_of, children_of):
                     interned[cc] = hit2
                 else:
                     is_id = all(p == identity_perm(len(p)) for p, _ in cckey[1])
-                    st = _blank_state(shape_of(rep[cc]), perm_of(rep[cc]), is_id)
+                    st = _blank_state(rep[cc][0], perm_of(rep[cc]), is_id)
                     _INTERN[cckey] = st
                     created[cc] = st
                     interned[cc] = st
@@ -274,61 +281,33 @@ def _intern_graph(start_nodes, shape_of, perm_of, children_of):
         return {n: interned[cls[n]] for n in order}
 
 
-# -- elementary constructors -------------------------------------------
-
-
-def identity_state(shape: TreeShape) -> TreeAutomorphism:
-    """The shared identity automorphism of a shape."""
-
-    def shape_of(s):
-        return s
-
-    def perm_of(s):
-        return identity_perm(s.branching(0))
-
-    def children_of(s):
-        return [s.shift()] * s.branching(0)
-
-    return _intern_graph([shape], shape_of, perm_of, children_of)[shape]
-
-
-def rooted_state(shape: TreeShape, perm: Sequence[int]) -> TreeAutomorphism:
-    """Rooted automorphism: permutes the first-level subtrees rigidly."""
-    m = shape.branching(0)
-    perm = tuple(perm)
-    if sorted(perm) != list(range(m)):
-        raise ValueError(f"not a permutation of m={m} points: {perm}")
-    idc = identity_state(shape.shift())
-
-    def shape_of(n):
-        return shape if n == "root" else n.shape
-
-    def perm_of(n):
-        return perm if n == "root" else n.root_perm
-
-    def children_of(n):
-        return [idc] * m if n == "root" else list(n.children)
-
-    return _intern_graph(["root"], shape_of, perm_of, children_of)["root"]
-
-
-# -- formal words over states and recursive atoms ----------------------
+# -- the section-closure machine ---------------------------------------
 
 
 def _inverse_word(word):
     return tuple((f, -e) for f, e in reversed(word))
 
 
-def _word_machine(shape, start_words, atom_perm, atom_entries, cap):
+def _word_machine(starts, atoms=None, cap=200_000):
     """Expand formal words into their section closure, minimize, intern.
 
-    Factors are either interned states or ('atom', name) references whose
-    per-child entry words are given in ``atom_entries``.  All factors must
-    live on ``shape``; atoms are only supported on shift-invariant shapes
-    (their entries would otherwise change alphabet across levels).
+    A node is a (shape, word) pair; a word is a tuple of (factor, +-1)
+    pairs whose factors are interned states or keys of ``atoms``.  The
+    sections of a node are words on the shifted shape, so every node
+    carries its tree shape.  Returns the interned state of each start
+    node, in order; ``cap`` bounds the number of expanded nodes.
     """
-    if atom_perm and shape.shift() != shape:
-        raise ShapeMismatch("recursive atom definitions need a shift-invariant shape")
+    atoms = atoms or {}
+    for key, (shape, _, entries) in atoms.items():
+        below = shape.shift()
+        for y, entry in enumerate(entries):
+            for f, _ in entry:
+                found = f.shape if isinstance(f, TreeAutomorphism) else atoms[f][0]
+                if found is not below:
+                    raise ShapeMismatch(
+                        f"atom {key!r} on {shape!r}: entry {y + 1} has a factor "
+                        f"on {found!r}, expected the shifted shape {below!r}"
+                    )
 
     def normalize(factors):
         out = []
@@ -340,11 +319,6 @@ def _word_machine(shape, start_words, atom_perm, atom_entries, cap):
                 continue
             out.append((f, e))
         return tuple(out)
-
-    def factor_perm(f):
-        if isinstance(f, TreeAutomorphism):
-            return f.root_perm
-        return atom_perm[f[1]]
 
     perm_cache: dict = {}
     child_cache: dict = {}
@@ -360,9 +334,10 @@ def _word_machine(shape, start_words, atom_perm, atom_entries, cap):
     def perm_of(node):
         p = perm_cache.get(node)
         if p is None:
+            shape, word = node
             p = identity_perm(shape.branching(0))
-            for f, e in node:
-                fp = factor_perm(f)
+            for f, e in word:
+                fp = f.root_perm if isinstance(f, TreeAutomorphism) else atoms[f][1]
                 p = perm_mul(p, fp if e == 1 else pinv(fp))
             perm_cache[node] = p
         return p
@@ -370,12 +345,13 @@ def _word_machine(shape, start_words, atom_perm, atom_entries, cap):
     def children_of(node):
         ch = child_cache.get(node)
         if ch is None:
-            m = shape.branching(0)
+            shape, word = node
+            below = shape.shift()
             ch = []
-            for y in range(m):
+            for y in range(shape.branching(0)):
                 pos = y
                 factors = []
-                for f, e in node:
+                for f, e in word:
                     if isinstance(f, TreeAutomorphism):
                         if e == 1:
                             factors.append((f.children[pos], 1))
@@ -384,15 +360,14 @@ def _word_machine(shape, start_words, atom_perm, atom_entries, cap):
                             pos = pinv(f.root_perm)[pos]
                             factors.append((f.children[pos], -1))
                     else:
-                        name = f[1]
-                        p = atom_perm[name]
+                        _, p, entries = atoms[f]
                         if e == 1:
-                            factors.extend(atom_entries[name][pos])
+                            factors.extend(entries[pos])
                             pos = p[pos]
                         else:
                             pos = pinv(p)[pos]
-                            factors.extend(_inverse_word(atom_entries[name][pos]))
-                ch.append(normalize(factors))
+                            factors.extend(_inverse_word(entries[pos]))
+                ch.append((below, normalize(factors)))
             child_cache[node] = ch
             if len(child_cache) > cap:
                 raise ResourceBoundExceeded(
@@ -401,11 +376,39 @@ def _word_machine(shape, start_words, atom_perm, atom_entries, cap):
                 )
         return ch
 
-    def shape_of(node):
-        return shape
+    nodes = [(shape, normalize(word)) for shape, word in starts]
+    mapping = _intern_graph(nodes, perm_of, children_of)
+    return [mapping[n] for n in nodes]
 
-    starts = [normalize(w) for w in start_words]
-    return _intern_graph(starts, shape_of, perm_of, children_of), starts
+
+# -- constructors ------------------------------------------------------
+
+
+def identity_state(shape: TreeShape) -> TreeAutomorphism:
+    """The shared identity automorphism of a shape."""
+    return _word_machine([(shape, ())])[0]
+
+
+def rooted_state(shape: TreeShape, perm: Sequence[int]) -> TreeAutomorphism:
+    """Rooted automorphism: permutes the first-level subtrees rigidly."""
+    m = shape.branching(0)
+    perm = tuple(perm)
+    if sorted(perm) != list(range(m)):
+        raise ValueError(f"not a permutation of m={m} points: {perm}")
+    return intern_atoms({"rooted": (shape, perm, [()] * m)})["rooted"]
+
+
+def intern_atoms(atoms: dict, cap: int = 200_000) -> dict:
+    """Resolve a system of recursive definitions into interned states.
+
+    ``atoms`` maps a key to (shape, root permutation, entries): one entry
+    word per first-level child, each a tuple of (factor, +-1) pairs whose
+    factors are interned states or atom keys living on ``shape.shift()``.
+    Raises ShapeMismatch naming the atom when a factor lives elsewhere.
+    Returns key -> interned state.
+    """
+    starts = [(shape, ((key, 1),)) for key, (shape, _, _) in atoms.items()]
+    return dict(zip(atoms, _word_machine(starts, atoms, cap)))
 
 
 def intern_word(
@@ -415,78 +418,15 @@ def intern_word(
 ) -> TreeAutomorphism:
     """Evaluate a formal word of states into a single interned state.
 
-    The word is a sequence of (state, exponent) factors over a common
-    shape; for shapes that are not shift-invariant all factors must still
-    share the *root* shape (their sections land on the shifted shape
-    automatically).
+    The word is a sequence of (state, exponent) factors, all on ``shape``;
+    their sections land on the shifted shapes automatically.
     """
     flat = []
     for factor, exp in word:
         if factor.shape != shape:
             raise ShapeMismatch(f"factor on {factor.shape!r}, expected {shape!r}")
-        if exp >= 0:
-            flat.extend([(factor, 1)] * exp)
-        else:
-            flat.extend([(factor, -1)] * (-exp))
-    if shape.shift() == shape:
-        mapping, starts = _word_machine(shape, [flat], {}, {}, cap)
-        return mapping[starts[0]]
-    # non-uniform shape: expand with the shape tracked per node
-    return _intern_word_shifting(shape, tuple(flat), cap)
-
-
-def _intern_word_shifting(shape, word, cap):
-    perm_cache: dict = {}
-    child_cache: dict = {}
-
-    def normalize(factors):
-        out = []
-        for f, e in factors:
-            if f.is_identity:
-                continue
-            if out and out[-1][0] is f and out[-1][1] == -e:
-                out.pop()
-                continue
-            out.append((f, e))
-        return tuple(out)
-
-    def perm_of(node):
-        sh, w = node
-        p = perm_cache.get(node)
-        if p is None:
-            p = identity_perm(sh.branching(0))
-            for f, e in w:
-                p = perm_mul(p, f.root_perm if e == 1 else perm_inv(f.root_perm))
-            perm_cache[node] = p
-        return p
-
-    def children_of(node):
-        ch = child_cache.get(node)
-        if ch is None:
-            sh, w = node
-            child_shape = sh.shift()
-            ch = []
-            for y in range(sh.branching(0)):
-                pos = y
-                factors = []
-                for f, e in w:
-                    if e == 1:
-                        factors.append((f.children[pos], 1))
-                        pos = f.root_perm[pos]
-                    else:
-                        pos = perm_inv(f.root_perm)[pos]
-                        factors.append((f.children[pos], -1))
-                ch.append((child_shape, normalize(factors)))
-            child_cache[node] = ch
-            if len(child_cache) > cap:
-                raise ResourceBoundExceeded(f"section closure exceeded {cap} words")
-        return ch
-
-    def shape_of(node):
-        return node[0]
-
-    root = (shape, normalize(word))
-    return _intern_graph([root], shape_of, perm_of, children_of)[root]
+        flat.extend([(factor, 1 if exp >= 0 else -1)] * abs(exp))
+    return _word_machine([(shape, tuple(flat))], cap=cap)[0]
 
 
 def compose(f: TreeAutomorphism, g: TreeAutomorphism, cap: int = 200_000) -> TreeAutomorphism:
@@ -527,35 +467,27 @@ def build_recursive(
     previously resolved names.  Returns name -> interned state.
     """
     states = {name: rooted_state(shape, perm) for name, perm in rooted.items()}
-
-    atom_perm = {}
-    raw_entries = {}
     m = shape.branching(0)
-    for name, (entries, rperm) in recursive.items():
-        if len(entries) != m:
-            raise ValueError(f"{name}: expected {m} entries, got {len(entries)}")
-        atom_perm[name] = tuple(rperm) if rperm is not None else identity_perm(m)
-        raw_entries[name] = entries
 
     def as_factors(entry):
         factors = []
         for ref, exp in entry:
             if ref in recursive:
-                factors.extend([(("atom", ref), 1 if exp >= 0 else -1)] * abs(exp))
+                factor = ref
             elif ref in states:
-                factors.extend([(states[ref], 1 if exp >= 0 else -1)] * abs(exp))
+                factor = states[ref]
             else:
                 raise KeyError(f"unknown generator {ref!r} in recursion entry")
+            factors.extend([(factor, 1 if exp >= 0 else -1)] * abs(exp))
         return tuple(factors)
 
-    atom_entries = {
-        name: [as_factors(entry) for entry in raw_entries[name]]
-        for name in recursive
-    }
-    start_words = [((("atom", name), 1),) for name in recursive]
-    mapping, starts = _word_machine(shape, start_words, atom_perm, atom_entries, cap)
-    for name, start in zip(recursive, starts):
-        states[name] = mapping[start]
+    atoms = {}
+    for name, (entries, rperm) in recursive.items():
+        if len(entries) != m:
+            raise ValueError(f"{name}: expected {m} entries, got {len(entries)}")
+        perm = tuple(rperm) if rperm is not None else identity_perm(m)
+        atoms[name] = (shape, perm, [as_factors(entry) for entry in entries])
+    states.update(intern_atoms(atoms, cap))
     return states
 
 

@@ -32,10 +32,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .automorphisms import (
     Perm,
     TreeAutomorphism,
-    _intern_graph,
     build_recursive,
     compose,
     identity_perm,
+    intern_atoms,
     intern_word,
     invert,
     perm_from_cycles,
@@ -719,50 +719,26 @@ def from_triple(
 
 
 def _build_directed_states(root: GroupDefinition, t: DefiningTriple, total: int, pre: int):
+    """Intern the directed part of every ring member in one machine run.
+
+    Atom (x, k) is the element x of ring member k: it fixes the root, its
+    non-spine children are the rooted states of omega(x), and its spine
+    child is x in the next ring member.
+    """
     shape = t.shape
-    b = t.b_table
-
-    def next_k(k):
-        return k + 1 if k + 1 < total else pre
-
-    rooted_cache: Dict[Tuple[int, Perm], TreeAutomorphism] = {}
-
-    def rooted_at(k, perm):
-        key = (k, perm)
-        st = rooted_cache.get(key)
-        if st is None:
-            st = rooted_state(shape.shift(k), perm)
-            rooted_cache[key] = st
-        return st
-
-    nodes = [(x, k) for x in b.names for k in range(total)]
-
-    def shape_of(n):
-        if isinstance(n, TreeAutomorphism):
-            return n.shape
-        return shape.shift(n[1])
-
-    def perm_of(n):
-        if isinstance(n, TreeAutomorphism):
-            return n.root_perm
-        return identity_perm(shape.branching(n[1]))
-
-    def children_of(n):
-        if isinstance(n, TreeAutomorphism):
-            return list(n.children)
-        x, k = n
-        maps = t.level_maps(k)
-        m_next = shape.branching(k + 1)
-        ch = []
-        for omega in maps:
-            ch.append(rooted_at(k + 1, omega.get(x, identity_perm(m_next))))
-        ch.append((x, next_k(k)))
-        return ch
-
-    mapping = _intern_graph(nodes, shape_of, perm_of, children_of)
+    atoms = {}
     for k in range(total):
-        ring_member = root._ring[k]
-        ring_member._directed_states = {x: mapping[(x, k)] for x in b.names}
+        below = shape.shift(k + 1)
+        m_next = below.branching(0)
+        spine = k + 1 if k + 1 < total else pre
+        for x in t.b_table.names:
+            entries = [((rooted_state(below, omega.get(x, identity_perm(m_next))), 1),)
+                       for omega in t.level_maps(k)]
+            entries.append((((x, spine), 1),))
+            atoms[(x, k)] = (shape.shift(k), identity_perm(shape.branching(k)), entries)
+    states = intern_atoms(atoms)
+    for k in range(total):
+        root._ring[k]._directed_states = {x: states[(x, k)] for x in t.b_table.names}
 
 
 def _name_spinal_generators(root: GroupDefinition, t: DefiningTriple, a_name: str):

@@ -14,9 +14,12 @@ _SHAPE_CACHE: dict[tuple, "TreeShape"] = {}
 
 
 class TreeShape:
-    """Eventually periodic branching sequence, interned so equal shapes are identical."""
+    """Eventually periodic branching sequence, interned so equal shapes are identical.
 
-    __slots__ = ("prefix", "cycle", "_hash")
+    Equality and hashing are by identity, which interning makes exact.
+    """
+
+    __slots__ = ("prefix", "cycle", "_below")
 
     def __new__(cls, prefix: Iterable[int] = (), cycle: Iterable[int] = (2,)):
         prefix = tuple(prefix)
@@ -42,14 +45,11 @@ class TreeShape:
         self = super().__new__(cls)
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "cycle", cycle)
-        object.__setattr__(self, "_hash", hash(key))
+        object.__setattr__(self, "_below", None)  # shift(1), filled on first use
         return _SHAPE_CACHE.setdefault(key, self)
 
     def __setattr__(self, name, value):
         raise AttributeError("TreeShape is immutable")
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         if not self.prefix and len(self.cycle) == 1:
@@ -68,13 +68,17 @@ class TreeShape:
 
     def shift(self, n: int = 1) -> "TreeShape":
         """Shape of the subtree hanging below a level-n vertex."""
-        prefix, cycle = self.prefix, self.cycle
+        shape = self
         for _ in range(n):
-            if prefix:
-                prefix = prefix[1:]
-            else:
-                cycle = cycle[1:] + cycle[:1]
-        return TreeShape(prefix, cycle)
+            below = shape._below
+            if below is None:
+                if shape.prefix:
+                    below = TreeShape(shape.prefix[1:], shape.cycle)
+                else:
+                    below = TreeShape((), shape.cycle[1:] + shape.cycle[:1])
+                object.__setattr__(shape, "_below", below)
+            shape = below
+        return shape
 
     def period(self) -> int:
         """Number of shifts after which the shape repeats (prefix exhausted)."""

@@ -11,6 +11,7 @@ from branchgroups.cli import (
     main,
     parse_group_file,
 )
+from branchgroups.errors import ShapeMismatch
 from branchgroups.groups import builtin
 
 GG_FILE = """
@@ -102,6 +103,28 @@ rooted a = (1 2)
     assert g.shape.branching(0) == 2
     assert g.shape.branching(1) == 3
     assert g.shape.branching(7) == 3
+
+
+MIXED_RECURSIVE_FILE = """group mixed
+arity seq 2 3 cycle 1
+rooted a = (1 2)
+recursive b = (a, b)
+"""
+
+
+def test_recursive_generator_on_a_shifting_shape(tmp_path, capsys):
+    # b's entries live on the ternary subtrees, but name binary-rooted states
+    with pytest.raises(ShapeMismatch) as info:
+        parse_group_file(MIXED_RECURSIVE_FILE)
+    message = str(info.value)
+    assert "'b'" in message
+    assert "TreeShape(prefix=(2,), cycle=(3,))" in message
+    assert "TreeShape(regular=3)" in message
+    path = tmp_path / "mixed.grp"
+    path.write_text(MIXED_RECURSIVE_FILE)
+    assert main(["trivial", str(path), "bb"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "TreeShape(regular=3)" in err and "Traceback" not in err
 
 
 def test_cli_trivial_exit_codes(capsys):

@@ -259,16 +259,14 @@ def test_second_grigorchuk_torsion_cross_check():
         assert res.kind == "finite"
 
 
-def test_nonabelian_directed_part_mixed_arity():
-    # directed part D_6 (dihedral of order 12), covered by its three
-    # index-2 subgroups plus the center with dihedral-of-order-6 quotient
-    # acting on three letters: a spinal group on the tree with branching
-    # 2, 2, 2, 2, 3, 2, 2, 2, 3, ...
-    import random
+def _d6_spinal():
+    """Spinal group with directed part D_6 on the mixed-arity tree.
 
+    D_6 (dihedral of order 12) is covered by its three index-2 subgroups
+    plus the center with dihedral-of-order-6 quotient acting on three
+    letters: the tree has branching 2, 2, 2, 2, 3, 2, 2, 2, 3, ...
+    """
     from branchgroups.automorphisms import perm_mul, identity_perm
-    from branchgroups.decision import is_trivial, order
-    from branchgroups.groups import Word
 
     def name(k, e):
         if e == 0:
@@ -339,7 +337,16 @@ def test_nonabelian_directed_part_mixed_arity():
         omega_prefix=[n1, n2, n3, d3],
         omega_cycle=[pair, n3, n1, d3],
     )
-    group = from_triple(triple, name="D6-spinal")
+    return from_triple(triple, name="D6-spinal")
+
+
+def test_nonabelian_directed_part_mixed_arity():
+    import random
+
+    from branchgroups.decision import is_trivial, order
+    from branchgroups.groups import Word
+
+    group = _d6_spinal()
     assert group.is_spinal
 
     # orders of the directed generators equal their orders in D_6
@@ -360,6 +367,66 @@ def test_nonabelian_directed_part_mixed_arity():
             assert is_trivial(group, Word(w, True)) == all(
                 is_trivial(group.shifted(), Word(s, True)) for s in secs
             )
+
+
+BUILTINS = ("Gg", "G2", "FGg", "BGg", "GSg", "Sg", "BSV", "Dinf", "GS5", "GS7")
+
+
+def _bfs_signature(state):
+    """Shape, root permutation and child positions of every reachable
+    section, in BFS order from the state: canonical for minimal machines."""
+    seq = [state]
+    pos = {state: 0}
+    i = 0
+    while i < len(seq):
+        for child in seq[i].children:
+            if child not in pos:
+                pos[child] = len(seq)
+                seq.append(child)
+        i += 1
+    return tuple(
+        (s.shape.prefix, s.shape.cycle, s.root_perm, tuple(pos[c] for c in s.children))
+        for s in seq
+    )
+
+
+def test_generator_and_directed_states_are_pinned():
+    # digests recorded before the automaton builders were merged into one
+    # section-closure machine; every generator and every directed state
+    # of every ring member must come out as the same machine
+    import hashlib
+
+    groups = [builtin(name) for name in BUILTINS] + [_d6_spinal()]
+    generators = [(g.name, nm, _bfs_signature(st))
+                  for g in groups for nm, st in g.states.items()]
+    directed = [(member.name, x, _bfs_signature(st))
+                for g in groups if g.is_spinal
+                for member in g._ring
+                for x, st in member._directed_states.items()]
+    assert (len(generators), len(directed)) == (72, 138)
+    assert hashlib.sha1(repr(generators).encode()).hexdigest() == (
+        "b484a025ee4c043bdb501926df3e95414a45c3c2")
+    assert hashlib.sha1(repr(directed).encode()).hexdigest() == (
+        "19aa00de354d4047f7eee5ddff0a93fedbd1d420")
+
+
+def test_mixed_arity_word_states_act_letter_by_letter():
+    # interning a word on a shape that is not shift-invariant tracks the
+    # shape per section; its action must agree with the letters' actions
+    import random
+
+    group = _d6_spinal()
+    vertices = group.shape.vertices(5)
+    assert {group.shape.branching(i) for i in range(5)} == {2, 3}
+    rng = random.Random(83)
+    for _ in range(40):
+        w = group.random_reduced_word(rng.randint(1, 12), rng)
+        state = group.state_of_word(w)
+        for v in vertices:
+            image = v
+            for letter in w:
+                image = group.state_of_letter(letter).act(image)
+            assert state.act(v) == image
 
 
 def test_btable():
