@@ -257,16 +257,13 @@ class GroupDefinition:
             if x[1] is y[1] and x[2] == -y[2]:
                 return None
             if _is_rooted(x[1]) and _is_rooted(y[1]):
-                s = compose(
-                    x[1] if x[2] == 1 else invert(x[1]),
-                    y[1] if y[2] == 1 else invert(y[1]),
-                )
+                s = compose(self.state_of_letter(x), self.state_of_letter(y))
                 return None if s.is_identity else ("G", s, 1)
         return False
 
     def normalize_letter(self, letter):
         """Canonical form of one letter (involutions get exponent +1)."""
-        if letter[0] == "G" and letter[2] == -1 and invert(letter[1]) is letter[1]:
+        if letter[0] == "G" and letter[2] == -1 and self.state_of_letter(letter) is letter[1]:
             return ("G", letter[1], 1)
         return letter
 
