@@ -152,9 +152,17 @@ class TreeAutomorphism:
         return invert(self)
 
     def __pow__(self, n: int) -> "TreeAutomorphism":
-        if n == 0:
-            return identity_state(self.shape)
-        return intern_word(self.shape, [(self, 1 if n > 0 else -1)] * abs(n))
+        """n-th power by repeated squaring (negative n inverts first)."""
+        base = self if n >= 0 else invert(self)
+        result = identity_state(self.shape)
+        n = abs(n)
+        while n:
+            if n & 1:
+                result = compose(result, base)
+            n >>= 1
+            if n:
+                base = compose(base, base)
+        return result
 
     def reachable_sections(self, cap: int = 1 << 20) -> set:
         """Closure of {self} under sections at single letters."""

@@ -235,8 +235,6 @@ def main(argv=None) -> int:
         prog="branchgroups",
         description="Tree-automorphism calculus for self-similar groups",
     )
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="worker threads for parallelizable steps")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="first-level decomposition or vertex image")
@@ -372,8 +370,7 @@ def _dispatch(args) -> int:
             target = gname if args.verify == "auto" else args.verify
             if target is None:
                 raise ValueError("no verification group declared; pass --verify GROUP")
-            rep = verify_presentation(pres, builtin(target), args.depth, amap,
-                                      threads=args.threads)
+            rep = verify_presentation(pres, builtin(target), args.depth, amap)
             if rep.ok:
                 print(f"all {rep.total} relators trivial in {target}")
                 return EXIT_OK

@@ -342,7 +342,6 @@ class GroupDefinition:
             return prefix, [child.reduce(w) for w in out]
         # explicit flavor
         out = [[] for _ in range(m)]
-        root = identity_perm(m)
         for i in range(m):
             pos = i
             for letter in letters:
@@ -391,14 +390,13 @@ class GroupDefinition:
             return format_perm(letter[1])
         if letter[0] == "B":
             return letter[1]
-        base = None
+        state = self.state_of_letter(letter)
         for name, st in self.states.items():
-            if st is letter[1]:
-                base = name
-                break
-        if base is None:
-            base = f"#{letter[1].serial}"
-        return base if letter[2] == 1 else base + "'"
+            if st is state:
+                return name
+            if self.state_of_letter(("G", st, -1)) is state:
+                return name + "'"
+        return f"#{letter[1].serial}" + ("" if letter[2] == 1 else "'")
 
     # -- states --
 

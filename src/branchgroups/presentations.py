@@ -290,31 +290,14 @@ def translate(word: FreeWord, group: GroupDefinition,
 
 
 def verify(presentation: EndomorphicPresentation, group: GroupDefinition,
-           depth: int, alphabet_map: Optional[Dict[str, str]] = None,
-           threads: int = 1) -> VerificationReport:
+           depth: int, alphabet_map: Optional[Dict[str, str]] = None) -> VerificationReport:
     """Check that every expanded relator is trivial in the group."""
     amap = dict(alphabet_map or {})
     relators = presentation.expand(depth)
     report = VerificationReport(presentation.name, group.name, depth, len(relators))
-
-    def check(rel: FreeWord) -> Optional[Tuple[FreeWord, str]]:
-        w = translate(rel, group, amap)
-        if not is_trivial(group, w):
-            return (rel, format_free_word(rel))
-        return None
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for res in pool.map(check, relators):
-                if res is not None:
-                    report.failures.append(res)
-    else:
-        for rel in relators:
-            res = check(rel)
-            if res is not None:
-                report.failures.append(res)
+    for rel in relators:
+        if not is_trivial(group, translate(rel, group, amap)):
+            report.failures.append((rel, format_free_word(rel)))
     return report
 
 

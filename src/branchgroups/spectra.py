@@ -42,37 +42,6 @@ def delta_matrix(group: GroupDefinition, level: int) -> np.ndarray:
     return mat
 
 
-def jacobi_eigenvalues(matrix: np.ndarray, tol: float = 1e-12,
-                       max_sweeps: int = 64) -> np.ndarray:
-    """Cyclic Jacobi eigenvalue iteration for small symmetric matrices.
-
-    Kept as an in-repo cross-check of the LAPACK route at small sizes;
-    O(n^3) per sweep, so only used for matrices up to a few dozen rows.
-    """
-    a = np.array(matrix, dtype=np.float64)
-    n = a.shape[0]
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2))
-        if off < tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(a[p, q]) < tol / (n * n):
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2 * a[p, q])
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1))
-                if theta == 0:
-                    t = 1.0
-                c = 1 / np.sqrt(t * t + 1)
-                s = t * c
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-    return np.sort(np.diag(a))
-
-
 def spectrum_eigenvalues(group: GroupDefinition, level: int) -> np.ndarray:
     """Sorted eigenvalues of Delta_n (dense symmetric eigensolver)."""
     return np.linalg.eigvalsh(delta_matrix(group, level))
@@ -105,9 +74,7 @@ def gg_closed_form(level: int) -> np.ndarray:
     """
     if level < 1:
         raise ValueError("closed form starts at level 1")
-    values = [4.0] if level == 1 else [4.0, 2.0]
-    if level == 1:
-        values.append(2.0)
+    values = [4.0, 2.0]
     for j in range(1, 2 ** (level - 1)):
         root = math.sqrt(5.0 - 4.0 * math.cos(2.0 * math.pi * j / 2**level))
         values.append(1.0 + root)

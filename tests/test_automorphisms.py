@@ -96,6 +96,17 @@ def test_powers(gg):
     assert (ad**0).is_identity
 
 
+def test_powers_by_repeated_squaring():
+    # tau is BSV's adding machine, so tau^(2^40) adds 2^40 to a 2-adic integer
+    tau = builtin("BSV").states["tau"]
+    big = tau ** 2**40
+    assert big.act((1,) * 12) == (1,) * 12
+    assert big.act((1,) * 41) == (1,) * 40 + (0,)
+    assert tau ** -(2**40) is invert(big)
+    assert tau ** 5 is intern_word(tau.shape, [(tau, 5)])
+    assert tau ** -3 is intern_word(tau.shape, [(tau, -3)])
+
+
 def test_portrait(gg):
     one = identity_state(gg.shape)
     p = portrait(one, depth=0)

@@ -168,6 +168,15 @@ def test_cli_eval(capsys):
     assert capsys.readouterr().out.strip() == "11"
 
 
+def test_cli_eval_names_inverse_generators(capsys):
+    # the section words hold mu^-1 as a state of its own; it prints as mu'
+    assert main(["eval", "BSV", "mu tau mu' tau'"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "section 1: tau mu\n" in out
+    assert "section 2: mu' tau'\n" in out
+    assert "#" not in out
+
+
 def test_cli_conj(capsys):
     assert main(["conj", "Gg", "b", "aba"]) == EXIT_OK
     assert main(["conj", "Gg", "b", "c"]) == EXIT_FALSE

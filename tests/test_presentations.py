@@ -184,10 +184,3 @@ def test_mutation_negative_control():
             if not is_trivial(gg, translate(mutated, gg, amap)):
                 nontrivial += 1
     assert nontrivial / total >= 0.95
-
-
-def test_verify_threads_agree():
-    pres, gname, amap = presentation("sg")
-    seq = verify(pres, builtin(gname), 2, amap, threads=1)
-    par = verify(pres, builtin(gname), 2, amap, threads=4)
-    assert seq.ok == par.ok and seq.total == par.total

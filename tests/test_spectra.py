@@ -10,7 +10,6 @@ from branchgroups.spectra import (
     delta_matrix,
     fgg_reference,
     gg_closed_form,
-    jacobi_eigenvalues,
     julia_set_approx,
     one_sided_hausdorff,
     phi_check,
@@ -18,6 +17,37 @@ from branchgroups.spectra import (
     spectral_report,
     spectrum_eigenvalues,
 )
+
+
+def jacobi_eigenvalues(matrix: np.ndarray, tol: float = 1e-12,
+                       max_sweeps: int = 64) -> np.ndarray:
+    """Cyclic Jacobi eigenvalue iteration for small symmetric matrices.
+
+    Test-only cross-check of the LAPACK route at small sizes; O(n^3)
+    per sweep, so only used for matrices up to a few dozen rows.
+    """
+    a = np.array(matrix, dtype=np.float64)
+    n = a.shape[0]
+    for _ in range(max_sweeps):
+        off = np.sqrt(np.sum(np.tril(a, -1) ** 2))
+        if off < tol:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                if abs(a[p, q]) < tol / (n * n):
+                    continue
+                theta = (a[q, q] - a[p, p]) / (2 * a[p, q])
+                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1))
+                if theta == 0:
+                    t = 1.0
+                c = 1 / np.sqrt(t * t + 1)
+                s = t * c
+                rot = np.eye(n)
+                rot[p, p] = rot[q, q] = c
+                rot[p, q] = s
+                rot[q, p] = -s
+                a = rot.T @ a @ rot
+    return np.sort(np.diag(a))
 
 
 def test_delta_one_is_3i_plus_a():
