@@ -317,35 +317,6 @@ def main(argv=None) -> int:
         return EXIT_RESOURCE
 
 
-def _format_section(group: GroupDefinition, child: GroupDefinition, letters) -> str:
-    """Print a section word, naming states by the root group where possible.
-
-    Shifted companions reuse the abstract directed-part names; for the
-    display the corresponding state is looked up among the root group's
-    named generators (in Gg the section of b at the spine prints as c).
-    """
-    if not letters:
-        return "1"
-    parts = []
-    for letter in letters:
-        label = None
-        if letter[0] == "B":
-            state = child._directed_states[letter[1]]
-            # reversed so that aliases (added last) win the lookup
-            for nm, st in reversed(group.states.items()):
-                if st is state:
-                    label = nm
-                    break
-        if label is None:
-            label = (group.letter_labels.get(letter)
-                     or child.letter_labels.get(letter)
-                     or child.format_word((letter,)))
-        parts.append(label)
-    if all(len(p) == 1 for p in parts):
-        return "".join(parts)
-    return " ".join(parts)
-
-
 def _dispatch(args) -> int:
     cmd = args.command
 
@@ -389,10 +360,9 @@ def _dispatch(args) -> int:
             print(format_vertex(state.act(v)))
             return EXIT_OK
         root, sections = group.first_level_sections(word.letters)
-        child = group.shifted()
         print(f"root: {format_perm(root)}")
         for i, s in enumerate(sections):
-            print(f"section {i + 1}: {_format_section(group, child, s)}")
+            print(f"section {i + 1}: {group.format_word(s, group.shifted())}")
         return EXIT_OK
 
     if cmd == "trivial":

@@ -324,8 +324,8 @@ class GgConjugacy:
                 work.update(self.dependents.get(k, ()))
 
     def q_set(self, g: Word, h: Word) -> CosetSet:
-        gl = self.group.reduce(g.letters if isinstance(g, Word) else g)
-        hl = self.group.reduce(h.letters if isinstance(h, Word) else h)
+        gl = self.group.word(g).letters
+        hl = self.group.word(h).letters
         gc, c_g = self._normalized(gl)
         hc, c_h = self._normalized(hl)
         created = self._created = []

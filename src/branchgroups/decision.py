@@ -1,11 +1,12 @@
 """Decision procedures on group elements given as words.
 
-Triviality recurses on first-level section words.  For spinal groups each
-section word has at most (|F|+1)/2 letters, so the recursion terminates
-unconditionally; results are memoized per (shift, word) since the same
-sections recur massively.  For explicit-recursion groups the section
-closure of the word is explored as a worklist with a cap: the word is
-trivial iff every word in the closure has a trivial root permutation.
+One engine serves spinal and explicit-recursion groups.  A word is
+trivial iff every word in its section closure fixes the first level;
+the closure is searched with an explicit stack, keyed per (shift, word).
+A closure that turns out all-trivial marks every word in it trivial in
+the memo; a failure marks the start word and the word that moved.  For
+spinal groups each section word has at most (|F|+1)/2 letters, so the
+closure is small; for explicit groups a cap bounds it.
 
 Orders are computed by the pruned period decomposition: write F = H g
 with g the root permutation of order s, form one cyclically reduced
@@ -13,8 +14,14 @@ representative word per cycle of g (the product of the sections of F
 along the cycle), recurse, and combine: the order of F divides
 s * lcm of the representatives' orders.  The exact order is recovered
 from that multiple by explicit power triviality.  An element is reported
-infinite only with a self-similar certificate: some cycle representative
-of F^s at a vertex v equals F^{+-1} up to a short conjugator.
+infinite only with a certificate: either some cycle representative of
+F^s at a vertex equals F^{+-1} up to a short conjugator, or the
+recursion meets the same word again below itself after cycles whose
+lengths multiply to M > 1.  A word whose section of its M-th power is
+conjugate to itself has order n dividing n/M, impossible for finite n.
+A repeat with M = 1 gives a provisional order 1; only the word that
+opened the cycle verifies the combined candidate, and nothing that
+depends on a provisional value is memoized.
 """
 
 from __future__ import annotations
@@ -33,68 +40,38 @@ from .groups import GroupDefinition, Word
 def is_trivial(group: GroupDefinition, word, cap: int = 2_000_000) -> bool:
     """Word problem: does the word represent the identity?"""
     letters = group.word(word).letters
-    if group.is_spinal:
-        return _trivial_spinal(group, letters, cap)
-    return _trivial_explicit(group, letters, cap)
-
-
-def _trivial_spinal(group: GroupDefinition, letters, cap: int) -> bool:
-    memo = group.root_def()._memo_trivial
-    work = 0
-
-    def rec(g: GroupDefinition, w) -> bool:
-        nonlocal work
-        if not w:
-            return True
-        if len(w) == 1:
-            # a lone A-letter moves level 1; a lone B-letter is nontrivial
-            # because the strong kernel intersection makes B act faithfully
-            return False
-        key = g.memo_key(w)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        work += 1
-        if work > cap:
-            raise ResourceBoundExceeded(f"triviality recursion exceeded {cap} nodes")
-        root, sections = g.first_level_sections(w)
-        if root != identity_perm(len(root)):
-            memo[key] = False
-            return False
-        child = g.shifted()
-        result = all(rec(child, s) for s in sections)
-        memo[key] = result
-        return result
-
-    return rec(group, letters)
-
-
-def _trivial_explicit(group: GroupDefinition, letters, cap: int) -> bool:
-    """Fixpoint detection: close the word under sections; trivial iff no
-    word in the closure moves its first level."""
     if not letters:
         return True
-    seen = {letters}
-    stack = [letters]
+    memo = group.root_def()._memo_trivial
+    start = group.memo_key(letters)
+    seen = {start}
+    stack = [(group, letters)]
     while stack:
-        w = stack.pop()
-        if not w:
-            continue
-        if len(w) == 1:
-            # single generator letter: trivial iff the state is the identity,
-            # which reduce() already removed
+        g, w = stack.pop()
+        key = g.memo_key(w)
+        hit = memo.get(key)
+        if hit:
+            continue  # its whole closure is trivial
+        # a lone letter is nontrivial: reduce() removed identity letters,
+        # and a B-letter acts faithfully by the strong kernel intersection
+        if hit is False or len(w) == 1:
+            moved = True
+        else:
+            root, sections = g.first_level_sections(w)
+            moved = root != identity_perm(len(root))
+        if moved:
+            memo[start] = memo[key] = False
             return False
-        root, sections = group.first_level_sections(w)
-        if root != identity_perm(len(root)):
-            return False
-        for s in sections:
-            if s and s not in seen:
+        child = g.shifted()
+        for s in reversed(sections):  # first section on top: depth first
+            k = child.memo_key(s)
+            if s and k not in seen:
                 if len(seen) >= cap:
-                    raise ResourceBoundExceeded(
-                        f"section closure exceeded {cap} words"
-                    )
-                seen.add(s)
-                stack.append(s)
+                    raise ResourceBoundExceeded(f"section closure exceeded {cap} words")
+                seen.add(k)
+                stack.append((child, s))
+    for key in seen:
+        memo[key] = True
     return True
 
 
@@ -113,9 +90,15 @@ class OrderResult:
     """Outcome of an order computation.
 
     kind is 'finite' (value set), 'infinite' (certificate set), or
-    'unknown' (bound reached).  The certificate (k, vertex, sign, witness)
-    says: the section of witness^k at the level-1 vertex equals
-    witness^sign up to the recorded conjugator.
+    'unknown' (bound reached).  The certificate (k, vertex, sign, witness,
+    links) says: the section of witness^k at the level-1 vertex equals
+    witness^sign up to a conjugator.  ``links`` is None for a one-level
+    certificate found by rotation.  For a cycle of the recursion it lists
+    one (cycle length, vertex, conjugator, word) per step down from the
+    witness: the section of the previous word (the witness, first) raised
+    to the cycle length, at the vertex and conjugated by the conjugator,
+    is the word; the last word is the witness and the lengths multiply
+    to k > 1.
     """
 
     kind: str
@@ -130,13 +113,18 @@ class OrderResult:
         if self.kind == "finite":
             return f"Finite({self.value})"
         if self.kind == "infinite":
-            k, v, sign, _w, _c = self.certificate
-            return f"InfiniteCertified(k={k}, vertex={v + 1}, sign={sign:+d})"
+            k, v, sign, _w, links = self.certificate
+            depth = f", depth={len(links)}" if links and len(links) > 1 else ""
+            return f"InfiniteCertified(k={k}, vertex={v + 1}, sign={sign:+d}{depth})"
         return "Unknown(bound reached)"
 
 
-def order(group: GroupDefinition, word, bound: int = 1 << 20,
-          conjugator_length: int = 4) -> OrderResult:
+# longest conjugator the one-level certificate search tries
+CONJUGATOR_LENGTH = 4
+_SETTLED = frozenset()  # no provisional value behind a result
+
+
+def order(group: GroupDefinition, word, bound: int = 1 << 20) -> OrderResult:
     """Order of an element by pruned period decomposition.
 
     Returns Finite(k) with k verified minimal, InfiniteCertified with a
@@ -144,24 +132,34 @@ def order(group: GroupDefinition, word, bound: int = 1 << 20,
     """
     letters = group.word(word).letters
     memo = group.root_def()._memo_order
+    active = {}  # key of each open word -> (mult at opening, index in path)
+    path = []  # the link into each open word, root first
 
-    def rec(g: GroupDefinition, w, active) -> OrderResult:
-        w, _ = g.cyclic_reduce(w)
+    def rec(g: GroupDefinition, t_word, mult: int, step):
+        """(result, keys of open words whose provisional value it uses).
+
+        ``mult`` is the product of the cycle lengths from the root down to
+        this word; ``step`` is the (cycle length, vertex) it came from.
+        """
+        w, conj = g.cyclic_reduce(t_word)
         if not w:
-            return OrderResult("finite", 1)
+            return OrderResult("finite", 1), _SETTLED
         if len(w) == 1:
             k = g.letter_order(w[0])
             if k is not None:
-                return OrderResult("finite", k)
+                return OrderResult("finite", k), _SETTLED
         key = g.memo_key(w)
         hit = memo.get(key)
         if hit is not None:
-            return hit
+            return hit, _SETTLED
+        link = step + (conj, w)
         if key in active:
-            # self-referential cycle of section words: provisional order 1;
-            # the caller verifies the combined candidate by explicit powers
-            return OrderResult("finite", 1)
-        active = active | {key}
+            opened, at = active[key]
+            if mult > opened:
+                links = tuple(path[at + 1:]) + (link,)
+                cert = (mult // opened, links[0][1], 1, w, links)
+                return OrderResult("infinite", certificate=cert), _SETTLED
+            return OrderResult("finite", 1), frozenset([key])
 
         root, sections = g.first_level_sections(w)
         s = perm_order(root)
@@ -191,8 +189,8 @@ def order(group: GroupDefinition, word, bound: int = 1 << 20,
                     t_word.extend(sections[p])
                 t_word = child.reduce(tuple(t_word))
                 rotations.append((pts[0], t_word))
-                if best is None or len(t_word) < len(best):
-                    best = t_word
+                if best is None or len(t_word) < len(best[1]):
+                    best = (pts[0], t_word)
             if len(cycle) >= 2 and cert is None and g is child:
                 w_inv = g.reduce(g.inverse_word(w))
                 for v, t_word in rotations:  # exact matches first
@@ -204,35 +202,46 @@ def order(group: GroupDefinition, word, bound: int = 1 << 20,
                         break
                 else:
                     for v, t_word in rotations:
-                        sign = _certificate_sign(g, w, t_word, conjugator_length)
+                        sign = _certificate_sign(g, w, t_word, CONJUGATOR_LENGTH)
                         if sign is not None:
                             cert = (len(cycle), v, sign, w, None)
                             break
-            reps.append(best)
+            reps.append((len(cycle),) + best)
         if cert is not None:
             result = OrderResult("infinite", certificate=cert)
             memo[key] = result
-            return result
+            return result, _SETTLED
 
         sub_orders = []
-        for t_word in reps:
-            sub = rec(child, t_word, active)
-            if sub.kind == "infinite":
-                result = OrderResult("infinite", certificate=sub.certificate)
-                memo[key] = result
-                return result
-            if sub.kind == "unknown":
-                return sub
-            sub_orders.append(sub.value)
+        pending = set()
+        active[key] = (mult, len(path))
+        path.append(link)
+        try:
+            for length, v, t_word in reps:
+                sub, sub_pending = rec(child, t_word, mult * length, (length, v))
+                if sub.kind == "infinite":
+                    result = OrderResult("infinite", certificate=sub.certificate)
+                    memo[key] = result
+                    return result, _SETTLED
+                if sub.kind == "unknown":
+                    return sub, _SETTLED
+                sub_orders.append(sub.value)
+                pending |= sub_pending
+        finally:
+            del active[key]
+            path.pop()
+        pending.discard(key)
         candidate = s * _lcm(sub_orders)
         if candidate > bound or candidate * len(w) > 64 * bound:
-            return OrderResult("unknown")
+            return OrderResult("unknown"), _SETTLED
+        if pending:  # a cycle opened above is still open: leave it the check
+            return OrderResult("finite", candidate), frozenset(pending)
         result = _verify_order(g, w, candidate, bound)
         if result.kind == "finite":
             memo[key] = result
-        return result
+        return result, _SETTLED
 
-    return rec(group, letters, frozenset())
+    return rec(group, letters, 1, (None, None))[0]
 
 
 def _lcm(values: Sequence[int]) -> int:

@@ -12,9 +12,12 @@ flavors are implemented:
   kind through the group tables, giving the alternating normal form.
 
 * explicit recursion: generators given directly as wreath recursions
-  (mu = (1, mu^-1)a and the like).  Words are sequences of (state, +-1)
-  letters; reduction is free cancellation plus involution normalization
-  and merging of adjacent rooted letters.
+  (mu = (1, mu^-1)a and the like).  A letter is an interned state; an
+  inverse letter carries the inverse state, computed once per state.
+  Reduction merges two adjacent letters through a per-group product
+  table when their product is the identity, a rooted state built from
+  two rooted letters, or a named generator or its inverse.  Reduced
+  words are shorter, not unique.
 
 The first-level decomposition of a word is computed at the word level:
 a reduced word F = [a_0]b_1a_1...b_k[a_k] is rewritten as
@@ -151,7 +154,7 @@ class BTable:
 # -- word letters --------------------------------------------------------
 #
 # Spinal letters:   ('A', perm)  |  ('B', name)
-# Explicit letters: ('G', state, exp) with exp in {+1, -1}
+# Explicit letters: ('G', state)
 
 
 def _is_rooted(state: TreeAutomorphism) -> bool:
@@ -197,7 +200,6 @@ class GroupDefinition:
         self._ring: List["GroupDefinition"] = [self]
         self._next_index = 0
         self.gen_letters: Dict[str, Tuple] = {}
-        self.letter_labels: Dict[Tuple, str] = {}
         self.canonical_letters: List[Tuple] = []
         self.states: Dict[str, TreeAutomorphism] = {}
         self.a_perms: List[Perm] = []
@@ -205,7 +207,12 @@ class GroupDefinition:
         self._memo_order: Dict = {}
         self._quotients: Dict = {}  # level -> LevelQuotient, see level_quotient
         self._directed_states: Dict = {}
-        self._letter_states: Dict = {}  # A and G letter -> state, built once
+        self._rooted_states: Dict = {}  # A-letter -> rooted state, built once
+        self._inverses: Dict = {}  # state -> inverse state, built once
+        # (state, state) -> what _merge returns for two G-letters; at most
+        # the square of the states that letters of reduced words carry
+        self._products: Dict = {}
+        self._state_names: Optional[Dict] = None  # state -> generator name
 
     # -- ring plumbing --
 
@@ -234,7 +241,14 @@ class GroupDefinition:
             return ("A", perm_inv(letter[1]))
         if letter[0] == "B":
             return ("B", self.b_table.inv(letter[1]))
-        return ("G", letter[1], -letter[2])
+        return ("G", self._inverse_state(letter[1]))
+
+    def _inverse_state(self, state: TreeAutomorphism) -> TreeAutomorphism:
+        inv = self._inverses.get(state)
+        if inv is None:
+            inv = self._inverses[state] = invert(state)
+            self._inverses[inv] = state
+        return inv
 
     def letter_order(self, letter) -> Optional[int]:
         if letter[0] == "A":
@@ -254,65 +268,64 @@ class GroupDefinition:
             z = self.b_table.mult(x[1], y[1])
             return None if z is None else ("B", z)
         if x[0] == "G" and y[0] == "G":
-            if x[1] is y[1] and x[2] == -y[2]:
-                return None
-            if _is_rooted(x[1]) and _is_rooted(y[1]):
-                s = compose(self.state_of_letter(x), self.state_of_letter(y))
-                return None if s.is_identity else ("G", s, 1)
+            key = (x[1], y[1])
+            if key not in self._products:
+                self._products[key] = self._product_letter(x[1], y[1])
+            return self._products[key]
         return False
 
-    def normalize_letter(self, letter):
-        """Canonical form of one letter (involutions get exponent +1)."""
-        if letter[0] == "G" and letter[2] == -1 and self.state_of_letter(letter) is letter[1]:
-            return ("G", letter[1], 1)
-        return letter
+    def _product_letter(self, f: TreeAutomorphism, g: TreeAutomorphism):
+        """The merged letter of two states, as _merge reports it."""
+        s = compose(f, g)
+        if s.is_identity:
+            return None
+        if (_is_rooted(f) and _is_rooted(g)) or s in self._names():
+            return ("G", s)
+        return False
+
+    def _push(self, out: list, letter) -> None:
+        """Append a letter to a reduced word, merging at the seam."""
+        out.append(letter)
+        while len(out) >= 2:
+            merged = self._merge(out[-2], out[-1])
+            if merged is False:
+                break
+            out.pop()
+            out.pop()
+            if merged is not None:
+                out.append(merged)
 
     def reduce(self, letters) -> Tuple:
-        """Unique reduced form (alternating form for spinal groups)."""
-        out = []
+        """Reduced form: the unique alternating form for spinal groups; for
+        explicit groups a shorter word with no mergeable neighbours."""
+        out: list = []
         for letter in letters:
-            letter = self.normalize_letter(letter)
             if letter[0] == "A" and letter[1] == identity_perm(len(letter[1])):
                 continue
             if letter[0] == "B" and letter[1] is None:
                 continue
             if letter[0] == "G" and letter[1].is_identity:
                 continue
-            out.append(letter)
-            while len(out) >= 2:
-                merged = self._merge(out[-2], out[-1])
-                if merged is False:
-                    break
-                out.pop()
-                out.pop()
-                if merged is not None:
-                    out.append(self.normalize_letter(merged))
+            self._push(out, letter)
         return tuple(out)
 
     def inverse_word(self, letters) -> Tuple:
         return tuple(self.letter_inverse(x) for x in reversed(letters))
 
     def cyclic_reduce(self, letters) -> Tuple[Tuple, Tuple]:
-        """Cyclically reduced form w_c plus the conjugator c with w^c = w_c."""
-        w = self.reduce(letters)
+        """Cyclically reduced form w_c plus the conjugator c with w^c = w_c.
+
+        A reduced word stays reduced without its first letter, so each
+        rotation only pushes that letter back on at the other end.
+        """
+        w = list(self.reduce(letters))
         conj = []
         while len(w) >= 2 and self._merge(w[-1], w[0]) is not False:
-            s = w[0]
-            conj.append(s)
-            w = self.reduce(w[1:] + (s,))
-        return w, tuple(conj)
+            conj.append(w.pop(0))
+            self._push(w, conj[-1])
+        return tuple(w), tuple(conj)
 
     # -- first-level decomposition at the word level --
-
-    def root_perm_of(self, letters) -> Perm:
-        p = identity_perm(self.shape.branching(0))
-        for letter in letters:
-            if letter[0] == "A":
-                p = perm_mul(p, letter[1])
-            elif letter[0] == "G":
-                q = letter[1].root_perm
-                p = perm_mul(p, q if letter[2] == 1 else perm_inv(q))
-        return p
 
     def first_level_sections(self, letters) -> Tuple[Perm, List[Tuple]]:
         """Root permutation and reduced section words of the children.
@@ -321,11 +334,11 @@ class GroupDefinition:
         each has at most one letter per B-letter of the input.
         """
         m = self.shape.branching(0)
-        spine = m - 1
         child = self.shifted()
+        out: List[List] = [[] for _ in range(m)]
         if self.is_spinal:
+            spine = m - 1
             prefix = identity_perm(m)
-            out: List[List] = [[] for _ in range(m)]
             for letter in letters:
                 if letter[0] == "A":
                     prefix = perm_mul(prefix, letter[1])
@@ -340,22 +353,19 @@ class GroupDefinition:
                             if p is not None:
                                 out[i].append(("A", p))
             return prefix, [child.reduce(w) for w in out]
-        # explicit flavor
-        out = [[] for _ in range(m)]
+        # explicit flavor: follow each child through the word; where it
+        # ends is its image under the root permutation
+        root = []
         for i in range(m):
             pos = i
             for letter in letters:
-                state, exp = letter[1], letter[2]
-                if exp == 1:
-                    sec = state.children[pos]
-                    pos = state.root_perm[pos]
-                else:
-                    pos = perm_inv(state.root_perm)[pos]
-                    sec = state.children[pos]
+                state = letter[1]
+                sec = state.children[pos]
+                pos = state.root_perm[pos]
                 if not sec.is_identity:
-                    out[i].append(("G", sec, exp))
-        root = self.root_perm_of(letters)
-        return root, [child.reduce(w) for w in out]
+                    out[i].append(("G", sec))
+            root.append(pos)
+        return tuple(root), [child.reduce(w) for w in out]
 
     # -- parsing and printing (shift-0 only) --
 
@@ -372,42 +382,51 @@ class GroupDefinition:
             return self.parse_word(text_or_letters)
         return Word(self.reduce(tuple(text_or_letters)), reduced=True)
 
-    def format_word(self, letters) -> str:
+    def format_word(self, letters, group: Optional["GroupDefinition"] = None) -> str:
+        """Print a word by this group's generator names.
+
+        The letters belong to ``group`` (default: this group; a shifted
+        companion for section words).  Each letter is named by its state,
+        so a section prints as the generator it equals, an inverse
+        generator as ``name'``, and an alias such as ``t`` wins over the
+        name it aliases.
+        """
         if isinstance(letters, Word):
             letters = letters.letters
         if not letters:
             return "1"
+        owner = group or self
+        names = self._names()
         parts = []
         for letter in letters:
-            label = self.letter_labels.get(letter)
-            if label is None:
-                label = self._fallback_label(letter)
+            label = names.get(owner.state_of_letter(letter))
+            if label is None:  # a letter that is no generator
+                label = (format_perm(letter[1]) if letter[0] == "A"
+                         else f"#{letter[1].serial}" if letter[0] == "G" else letter[1])
             parts.append(label)
         return " ".join(parts) if any(len(p) > 1 for p in parts) else "".join(parts)
 
-    def _fallback_label(self, letter):
-        if letter[0] == "A":
-            return format_perm(letter[1])
-        if letter[0] == "B":
-            return letter[1]
-        state = self.state_of_letter(letter)
-        for name, st in self.states.items():
-            if st is state:
-                return name
-            if self.state_of_letter(("G", st, -1)) is state:
-                return name + "'"
-        return f"#{letter[1].serial}" + ("" if letter[2] == 1 else "'")
+    def _names(self) -> Dict[TreeAutomorphism, str]:
+        """State -> generator name; later names (aliases) win, and a state
+        with no name of its own takes its inverse's name primed."""
+        if self._state_names is None:
+            names = {self.state_of_letter(x): nm for nm, x in self.gen_letters.items()}
+            for state, nm in list(names.items()):
+                names.setdefault(self._inverse_state(state), nm + "'")
+            self._state_names = names
+        return self._state_names
 
     # -- states --
 
     def state_of_letter(self, letter) -> TreeAutomorphism:
+        if letter[0] == "G":
+            return letter[1]
         if letter[0] == "B":
             return self._directed_states[letter[1]]
-        if letter not in self._letter_states:
-            self._letter_states[letter] = (
-                rooted_state(self.shape, letter[1]) if letter[0] == "A"
-                else letter[1] if letter[2] == 1 else invert(letter[1]))
-        return self._letter_states[letter]
+        state = self._rooted_states.get(letter)
+        if state is None:
+            state = self._rooted_states[letter] = rooted_state(self.shape, letter[1])
+        return state
 
     def state_of_word(self, word) -> TreeAutomorphism:
         letters = word.letters if isinstance(word, Word) else tuple(word)
@@ -702,14 +721,15 @@ def from_triple(
             ]
             g.a_perms = [p for p in _perm_closure(images, m_k)
                          if p != identity_perm(m_k)]
+        g.canonical_letters = [("A", p) for p in g.a_perms] + [
+            ("B", x) for x in t.b_table.names
+        ]
         g._memo_trivial = ring[0]._memo_trivial
         g._memo_order = ring[0]._memo_order
 
     root = ring[0]
     _build_directed_states(root, t, total, pre)
     _name_spinal_generators(root, t, a_name)
-    for g in ring[1:]:
-        _label_shifted(g, a_name)
     return root
 
 
@@ -754,35 +774,10 @@ def _name_spinal_generators(root: GroupDefinition, t: DefiningTriple, a_name: st
             a_letters[format_perm(p)] = ("A", p)
     for nm, letter in a_letters.items():
         root.gen_letters[nm] = letter
-        root.letter_labels[letter] = nm
         root.states[nm] = rooted_state(shape, letter[1])
     for x in t.b_table.names:
-        letter = ("B", x)
-        root.gen_letters[x] = letter
-        root.letter_labels[letter] = x
+        root.gen_letters[x] = ("B", x)
         root.states[x] = root._directed_states[x]
-    root.canonical_letters = [("A", p) for p in root.a_perms] + [
-        ("B", x) for x in t.b_table.names
-    ]
-
-
-def _label_shifted(g: GroupDefinition, a_name: str):
-    """Display labels for a shifted companion (B-letters keep abstract names)."""
-    m = g.shape.branching(0)
-    cyc = perm_from_cycles(m, [list(range(m))])
-    p, k = cyc, 1
-    labels = {}
-    while p != identity_perm(m):
-        labels[p] = a_name if k == 1 else f"{a_name}^{k}"
-        p = perm_mul(p, cyc)
-        k += 1
-    for perm in g.a_perms:
-        g.letter_labels[("A", perm)] = labels.get(perm, format_perm(perm))
-    for x in g.b_table.names:
-        g.letter_labels[("B", x)] = x
-    g.canonical_letters = [("A", p) for p in g.a_perms] + [
-        ("B", x) for x in g.b_table.names
-    ]
 
 
 # -- GGS and Grigorchuk constructions ------------------------------------
@@ -890,15 +885,11 @@ def explicit_group(
     for nm, st in states.items():
         if st.is_identity:
             raise ValidationError("generators", f"{nm} is the identity")
-        letter = ("G", st, 1)
-        g.gen_letters[nm] = letter
-        g.letter_labels[letter] = nm
+        g.gen_letters[nm] = ("G", st)
         g.states[nm] = st
-        g.canonical_letters.append(letter)
-        if invert(st) is not st:
-            inv_letter = ("G", st, -1)
-            g.letter_labels[inv_letter] = nm + "'"
-            g.canonical_letters.append(inv_letter)
+        g.canonical_letters.append(("G", st))
+        if g._inverse_state(st) is not st:
+            g.canonical_letters.append(("G", g._inverse_state(st)))
     return g
 
 
@@ -988,12 +979,10 @@ def _make_builtin(key: str) -> GroupDefinition:
 def _alias_directed(g: GroupDefinition, alias: str):
     g.gen_letters[alias] = g.gen_letters["b"]
     g.states[alias] = g.states["b"]
-    g.letter_labels[g.gen_letters["b"]] = alias
     for k in range(2, len(g.b_table)):
         nm = f"b^{k}"
         if nm in g.gen_letters:
             g.gen_letters[f"{alias}^{k}"] = g.gen_letters[nm]
-            g.letter_labels[g.gen_letters[nm]] = f"{alias}^{k}"
 
 
 # -- GGS torsion criterion -------------------------------------------------

@@ -246,7 +246,7 @@ class LevelQuotient:
         self.degree = group.shape.level_size(level)
         self.gen_perms: Dict[str, np.ndarray] = {}
         for letter in group.canonical_letters:
-            label = group.letter_labels.get(letter, str(letter))
+            label = group.format_word((letter,))
             state = group.state_of_letter(letter)
             self.gen_perms[label] = _state_images(state, level)
         self.gen_labels = list(self.gen_perms)

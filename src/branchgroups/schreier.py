@@ -134,7 +134,7 @@ def _generator_pairs(group: GroupDefinition):
         inv = group.letter_inverse(letter)
         seen.add(letter)
         seen.add(inv)
-        label = group.letter_labels.get(letter, str(letter))
+        label = group.format_word((letter,))
         out.append((label, letter, inv == letter))
     return out
 

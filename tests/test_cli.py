@@ -177,6 +177,12 @@ def test_cli_eval_names_inverse_generators(capsys):
     assert "#" not in out
 
 
+def test_cli_eval_names_sections_by_aliases(capsys):
+    # section words are named by state, so the directed b^2 prints as t^2
+    assert main(["eval", "GSg", "t a t' a'"]) == EXIT_OK
+    assert "section 2: a^2 t^2\n" in capsys.readouterr().out
+
+
 def test_cli_conj(capsys):
     assert main(["conj", "Gg", "b", "aba"]) == EXIT_OK
     assert main(["conj", "Gg", "b", "c"]) == EXIT_FALSE

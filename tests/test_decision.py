@@ -12,13 +12,28 @@ from branchgroups.decision import (
     order,
     torsion_growth,
 )
-from branchgroups.groups import Word, builtin
+from branchgroups.automorphisms import perm_from_cycles
+from branchgroups.groups import Word, builtin, explicit_group
 from branchgroups.quotients import level_quotient
+from branchgroups.shapes import TreeShape
 
 
 @pytest.fixture(scope="module")
 def gg():
     return builtin("Gg")
+
+
+@pytest.fixture(scope="module")
+def gg_explicit():
+    """Gg written as a wreath recursion: b = (a, c), c = (a, d), d = (1, b)."""
+    return explicit_group(
+        "Gg", TreeShape.regular(2), {"a": perm_from_cycles(2, [[0, 1]])},
+        {
+            "b": ([[("a", 1)], [("c", 1)]], None),
+            "c": ([[("a", 1)], [("d", 1)]], None),
+            "d": ([[], [("b", 1)]], None),
+        },
+    )
 
 
 def test_trivial_examples(gg):
@@ -67,6 +82,15 @@ def test_order_examples(gg):
     assert order(gg, "ab").value == 16
     assert order(gg, "1").value == 1
     assert order(gg, "ac").value == 8
+
+
+def test_explicit_orders_match_spinal(gg, gg_explicit):
+    # the recursion of b runs b -> c -> d -> b: a cycle only b may verify
+    for s in "bcd":
+        assert repr(order(gg_explicit, s)) == "Finite(2)"
+    for text in ("a c a b a c", "a b", "a d a c a b"):
+        assert repr(order(gg_explicit, text)) == repr(order(gg, text))
+    assert order(gg_explicit, "a c a b a c").value == 16
 
 
 def test_order_matches_quotient_stabilization(gg):
@@ -120,6 +144,59 @@ def test_certificate_invariant():
     assert root[v] == v
     target = witness if sign == 1 else bgg.inverse_word(witness)
     assert equal(bgg, Word(secs[v], True), Word(bgg.reduce(target), True))
+
+
+def test_cycle_certificate_links():
+    # each link: the section of the previous word raised to the cycle
+    # length, at the vertex and conjugated, is the next word; the chain
+    # returns to the witness after cycle lengths multiplying to k > 1
+    cases = {
+        "BGg": ["a t' a t' a t a' t' a' t"],
+        "BSV": ["mu' tau tau", "mu tau mu mu mu tau tau tau' tau' mu",
+                "mu' mu' tau' tau' mu tau tau' tau' tau'"],
+    }
+    depths = set()
+    for name, texts in cases.items():
+        group = builtin(name)
+        assert group.shifted() is group
+        for text in texts:
+            res = order(group, text)
+            k, v, sign, witness, links = res.certificate
+            assert res.kind == "infinite" and sign == 1 and links[0][1] == v
+            prev, product = witness, 1
+            for length, vertex, conj, word in links:
+                root, secs = group.first_level_sections(group.reduce(tuple(prev) * length))
+                assert root[vertex] == vertex
+                assert equal(group, group.inverse_word(conj) + secs[vertex] + conj, word)
+                prev, product = word, product * length
+            assert prev == witness and product == k > 1
+            depths.add(len(links))
+    assert depths == {2, 4, 8}
+
+
+def test_memo_true_entries_are_trivial_on_level_8(gg_explicit):
+    # a stream of word problems, trivial ones included (conjugated
+    # relators), leaves only sound True entries in the memo
+    rng = random.Random(5)
+    bsv = builtin("BSV")
+    lam = bsv.parse_word("tau mu'").letters
+    lam_t = bsv.reduce(bsv.parse_word("tau'").letters + lam + bsv.parse_word("tau").letters)
+    relators = {
+        bsv: [bsv.reduce(bsv.inverse_word(lam) + bsv.inverse_word(lam_t) + lam + lam_t)],
+        gg_explicit: [gg_explicit.parse_word(t).letters for t in ("(ad)^4", "(ac)^8", "(ab)^16")],
+    }
+    for group, rels in relators.items():
+        pool = group.canonical_letters
+        for _ in range(150):
+            c = group.reduce(tuple(rng.choice(pool) for _ in range(rng.randint(0, 8))))
+            rel = rng.choice(rels)
+            assert is_trivial(group, group.inverse_word(c) + rel + c)
+            is_trivial(group, tuple(rng.choice(pool) for _ in range(rng.randint(1, 12))))
+        q = level_quotient(group, 8)
+        trues = [key for key, value in group._memo_trivial.items() if value]
+        assert len(trues) > 20
+        for _shift, letters in trues:
+            assert np.array_equal(q.perm_of_word(Word(letters, True)), np.arange(q.degree))
 
 
 def test_gsg_is_torsion_on_short_words():

@@ -7,6 +7,7 @@ from branchgroups.groups import (
     DefiningTriple,
     GGSVector,
     builtin,
+    explicit_group,
     from_ggs,
     from_triple,
     grigorchuk_2group,
@@ -136,6 +137,24 @@ def test_reduce_examples():
     letters = w.letters
     kinds = [x[0] for x in letters]
     assert all(k1 != k2 for k1, k2 in zip(kinds, kinds[1:]))
+
+
+def test_explicit_reduce_merges_named_products():
+    flip = perm_from_cycles(2, [[0, 1]])
+    gg = explicit_group("Gg", TreeShape.regular(2), {"a": flip}, {
+        "b": ([[("a", 1)], [("c", 1)]], None),
+        "c": ([[("a", 1)], [("d", 1)]], None),
+        "d": ([[], [("b", 1)]], None),
+    })
+    assert gg.parse_word("b b").letters == ()
+    assert gg.format_word(gg.parse_word("b c")) == "d"
+    assert gg.format_word(gg.parse_word("b b d c")) == "b"
+    assert gg.format_word(gg.parse_word("a b a")) == "aba"
+    # an inverse letter is the inverse state; involutions are their own
+    bsv = builtin("BSV")
+    mu = bsv.gen_letters["mu"]
+    assert bsv.letter_inverse(mu) == ("G", bsv.states["mu"].inverse())
+    assert gg.letter_inverse(gg.gen_letters["b"]) == gg.gen_letters["b"]
 
 
 def test_reduce_confluence_random():
