@@ -180,9 +180,6 @@ class TreeAutomorphism:
                     stack.append(c)
         return seen
 
-    def num_states(self) -> int:
-        return len(self.reachable_sections())
-
 
 def _blank_state(shape: TreeShape, perm: Perm, is_identity: bool) -> TreeAutomorphism:
     state = object.__new__(TreeAutomorphism)

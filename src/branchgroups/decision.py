@@ -26,6 +26,7 @@ depends on a provisional value is memoized.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -33,6 +34,7 @@ from typing import List, Optional, Sequence, Tuple
 from .automorphisms import identity_perm, perm_order
 from .errors import ResourceBoundExceeded
 from .groups import GroupDefinition, Word
+from .quotients import level_quotient
 
 # -- triviality ----------------------------------------------------------
 
@@ -307,25 +309,20 @@ def _prime_factors(n: int):
 # -- balls, growth, torsion growth ----------------------------------------
 
 
-def ball(group: GroupDefinition, radius: int, level_hint: Optional[int] = None
-         ) -> List[Word]:
+def ball(group: GroupDefinition, radius: int) -> List[Word]:
     """One canonical representative per element of length <= radius.
 
     Deduplication keys elements by their action on a finite level, with
     is_trivial confirming every collision, so the result is exact.
     """
-    level = level_hint if level_hint is not None else max(3, radius.bit_length() + 2)
+    level = max(3, radius.bit_length() + 2)
     degree_cap = 4096
     while group.shape.level_size(level) > degree_cap and level > 1:
         level -= 1
-    verts = group.shape.vertices(level)
+    perm_of_word = level_quotient(group, level).perm_of_word
 
     def signature(letters):
-        images = verts
-        for letter in letters:
-            act = group.state_of_letter(letter).act
-            images = [act(x) for x in images]
-        return tuple(images)
+        return perm_of_word(Word(letters, True)).tobytes()
 
     # incremental BFS over reduced words
     id_word = Word((), True)
@@ -357,8 +354,15 @@ def ball(group: GroupDefinition, radius: int, level_hint: Optional[int] = None
 
 
 def growth_values(group: GroupDefinition, radius: int) -> List[int]:
-    """gamma(0..radius): ball sizes with respect to the canonical generators."""
-    return [len(ball(group, r)) for r in range(radius + 1)]
+    """gamma(0..radius): ball sizes with respect to the canonical generators.
+
+    A representative first found in BFS layer k has length exactly k, so
+    one ball counted by word length gives every smaller ball too.
+    """
+    counts = [0] * (radius + 1)
+    for w in ball(group, radius):
+        counts[len(w.letters)] += 1
+    return list(itertools.accumulate(counts))
 
 
 def torsion_growth(group: GroupDefinition, radius: int, bound: int = 1 << 20) -> int:

@@ -433,9 +433,6 @@ class GroupDefinition:
         factors = [(self.state_of_letter(x), 1) for x in letters]
         return intern_word(self.shape, factors)
 
-    def generator_state(self, name: str) -> TreeAutomorphism:
-        return self.states[name]
-
     # -- random words (for tests) --
 
     def random_reduced_word(self, length: int, rng) -> Tuple:
@@ -665,23 +662,6 @@ def validate_triple(t: DefiningTriple) -> None:
                 "strong kernel intersection",
                 f"elements {sorted(residual)} act trivially from level {r + 1} on",
             )
-
-
-def is_gg_triple(t: DefiningTriple) -> bool:
-    """Strong covering condition: the kernels of every tail cover B."""
-    total, pre = t.ring_size()
-    per = total - pre
-    for r in range(total):
-        covered = set()
-        for i in range(r, max(r, pre) + per):
-            m_next = t.shape.branching(i + 1)
-            for omega in t.level_maps(i):
-                for x in t.b_table.names:
-                    if omega.get(x, identity_perm(m_next)) == identity_perm(m_next):
-                        covered.add(x)
-        if covered != set(t.b_table.names):
-            return False
-    return True
 
 
 def from_triple(

@@ -9,6 +9,8 @@ from __future__ import annotations
 import random
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 from .automorphisms import compose
 from .decision import (
     canonical_portrait_depth,
@@ -18,6 +20,7 @@ from .decision import (
     word_weight,
 )
 from .groups import Word, builtin
+from .quotients import level_quotient
 
 
 def check_contraction(group_names: Sequence[str], cases: int, seed: int) -> int:
@@ -36,20 +39,11 @@ def check_contraction(group_names: Sequence[str], cases: int, seed: int) -> int:
 
 def _random_stab3_word(group, rng, max_len=24) -> Tuple:
     """Random reduced word lying in the level-3 stabilizer (by rejection)."""
-    shape = group.shape
-    verts = shape.vertices(3)
+    quotient = level_quotient(group, 3)
+    identity = np.arange(quotient.degree, dtype=np.int32).tobytes()
     while True:
         w = group.random_reduced_word(rng.randint(2, max_len), rng)
-        states = [group.state_of_letter(letter) for letter in w]
-        ok = True
-        for v in verts:
-            x = v
-            for st in states:
-                x = st.act(x)
-            if x != v:
-                ok = False
-                break
-        if ok and w:
+        if w and quotient.perm_of_word(Word(w, True)).tobytes() == identity:
             return w
 
 

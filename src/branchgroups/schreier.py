@@ -3,7 +3,9 @@
 The level-n Schreier graph has the level-n words as vertices and one
 edge per canonical generator per vertex; involutions are folded to a
 single undirected edge.  The basepoint is the rightmost vertex, the
-level-n stage of the spine ray.
+level-n stage of the spine ray.  Edges are read off the generators'
+level permutations (`LevelQuotient.perm_of_state`), whose indices are
+the positions of the vertices in lexicographic order.
 
 Substitutional rules rebuild these graphs without the group action: the
 level-1 graph is the axiom, and each expansion step prepends a letter to
@@ -19,6 +21,7 @@ from collections import defaultdict, deque
 from typing import Dict, List, Sequence, Tuple
 
 from .groups import GroupDefinition, builtin
+from .quotients import level_quotient
 from .shapes import format_vertex
 
 Vertex = Tuple[int, ...]
@@ -75,16 +78,7 @@ class SchreierGraph:
         return adj
 
     def distances_from(self, start: Vertex) -> Dict[Vertex, int]:
-        adj = self.adjacency()
-        dist = {start: 0}
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y, _ in adj[x]:
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    queue.append(y)
-        return dist
+        return _distances(self.adjacency(), start)
 
     def is_connected(self) -> bool:
         return len(self.distances_from(self.basepoint)) == len(self.vertices)
@@ -95,16 +89,14 @@ class SchreierGraph:
         The growth sequence counts vertices at each distance from the
         basepoint; the diameter is the maximum pairwise distance.
         """
-        dist = self.distances_from(self.basepoint)
+        adj = self.adjacency()
+        dist = _distances(adj, self.basepoint)
         if len(dist) != len(self.vertices):
             raise ValueError("graph is not connected")
         series = [0] * (max(dist.values()) + 1)
         for d in dist.values():
             series[d] += 1
-        diameter = 0
-        for v in self.vertices:
-            dv = self.distances_from(v)
-            diameter = max(diameter, max(dv.values()))
+        diameter = max(max(_distances(adj, v).values()) for v in self.vertices)
         return diameter, series
 
     def to_dot(self) -> str:
@@ -121,6 +113,19 @@ class SchreierGraph:
             lines.append(f'  "{format_vertex(u)}" -> "{format_vertex(v)}" [{attrs}];')
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _distances(adj, start: Vertex) -> Dict[Vertex, int]:
+    """Breadth-first distances from `start` over an adjacency map."""
+    dist = {start: 0}
+    queue = deque([start])
+    while queue:
+        x = queue.popleft()
+        for y, _ in adj[x]:
+            if y not in dist:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    return dist
 
 
 def _generator_pairs(group: GroupDefinition):
@@ -142,19 +147,17 @@ def _generator_pairs(group: GroupDefinition):
 def schreier_graph(group: GroupDefinition, level: int) -> SchreierGraph:
     """Direct construction from the level action."""
     verts = group.shape.vertices(level)
+    quotient = level_quotient(group, level)
     edges: List[Edge] = []
     pairs = _generator_pairs(group)
     involutions = {label: inv for label, _, inv in pairs}
     for label, letter, is_inv in pairs:
-        state = group.state_of_letter(letter)
-        for v in verts:
-            w = state.act(v)
-            if is_inv:
-                # fold the involution to one undirected edge per pair
-                if v <= w:
-                    edges.append((v, w, label))
-            else:
-                edges.append((v, w, label))
+        images = quotient.perm_of_state(group.state_of_letter(letter)).tolist()
+        for i, j in enumerate(images):
+            # fold an involution to one undirected edge per pair; indices
+            # compare as the lexicographically ordered vertices do
+            if not is_inv or i <= j:
+                edges.append((verts[i], verts[j], label))
     basepoint = tuple(group.shape.branching(i) - 1 for i in range(level))
     labels = [label for label, _, _ in pairs]
     return SchreierGraph(verts, edges, basepoint, labels, involutions)
@@ -330,9 +333,7 @@ _RULE_SETS = {}
 def substitution_rules(name: str) -> SubstitutionRules:
     """Built-in rule sets: Gg, FGg, BGg, GSg (BGg and GSg give graphs
     isomorphic to each other)."""
-    key = {"gg": "Gg", "fgg": "FGg", "bgg": "BGg", "gsg": "GSg"}.get(
-        name.lower(), name
-    )
+    key = builtin(name).name
     if key not in _RULE_SETS:
         if key == "Gg":
             _RULE_SETS[key] = _gg_rules()

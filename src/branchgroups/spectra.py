@@ -2,7 +2,9 @@
 
 Delta_n is the sum of the permutation matrices of the canonical
 generators on level n (symmetric because the generating set is closed
-under inversion).  Eigenvalues are compared against the closed forms:
+under inversion), read from the generators' level permutations
+(`LevelQuotient.perm_of_state`), the same action the Schreier graphs are
+built from.  Eigenvalues are compared against the closed forms:
 for the first Grigorchuk group
 
     spec(Delta_n) = {1 +- sqrt(5 - 4 cos(2 pi j / 2^n))} \\ {0, -2},
@@ -14,7 +16,8 @@ spectrum lies in {4, 1} union 1 + J(6) with J the nested-radical set
 The determinant identity |Q_n(lambda, mu)| = Phi_0 Phi_1 ... Phi_n for
 Q_n = Delta_n - (lambda+1) a_n - (mu+1) is checked in exact rational
 arithmetic (fraction-free Bareiss elimination), so the residual of a
-correct implementation is exactly zero.
+correct implementation is exactly zero.  Q_n is built from the float
+Delta_n, whose entries are small integers and so exact.
 """
 
 from __future__ import annotations
@@ -27,18 +30,16 @@ from typing import List, Optional
 import numpy as np
 
 from .groups import GroupDefinition, builtin
-from .quotients import _state_images
+from .quotients import level_quotient
 
 
 def delta_matrix(group: GroupDefinition, level: int) -> np.ndarray:
     """Delta_n = sum of the generator permutation matrices on level n."""
-    degree = group.shape.level_size(level)
-    mat = np.zeros((degree, degree), dtype=np.float64)
-    idx = np.arange(degree)
+    quotient = level_quotient(group, level)
+    mat = np.zeros((quotient.degree, quotient.degree), dtype=np.float64)
+    idx = np.arange(quotient.degree)
     for letter in group.canonical_letters:
-        state = group.state_of_letter(letter)
-        images = _state_images(state, level)
-        mat[idx, images] += 1.0
+        mat[idx, quotient.perm_of_state(group.state_of_letter(letter))] += 1.0
     return mat
 
 
@@ -152,32 +153,24 @@ def one_sided_hausdorff(values: np.ndarray, reference: np.ndarray) -> float:
     return float(best.max())
 
 
-def spectral_report(group_or_name, level: int,
-                    reference: Optional[str] = "auto") -> SpectralReport:
-    """Compute the spectrum and compare against the closed form.
+# closed-form or containment references, by group name
+_REFERENCES = {
+    "Gg": gg_closed_form,
+    "FGg": fgg_reference,
+    "BGg": bgg_reference,
+    "GSg": bgg_reference,
+}
 
-    reference='auto' picks the Grigorchuk closed form, the
-    Fabrykowski-Gupta Julia reference, or none, by group name.
-    """
+
+def spectral_report(group_or_name, level: int) -> SpectralReport:
+    """Compute the spectrum and compare against the reference its group
+    has in `_REFERENCES`, if any."""
     group = builtin(group_or_name) if isinstance(group_or_name, str) else group_or_name
     eigs = spectrum_eigenvalues(group, level)
-    ref = None
-    if reference == "auto":
-        if group.name == "Gg":
-            ref = gg_closed_form(level)
-        elif group.name == "FGg":
-            ref = fgg_reference(level)
-        elif group.name in ("BGg", "GSg"):
-            ref = bgg_reference(level)
-    elif reference == "gg":
-        ref = gg_closed_form(level)
-    elif reference == "fgg":
-        ref = fgg_reference(level)
-    elif reference == "bgg":
-        ref = bgg_reference(level)
     report = SpectralReport(group.name, level, eigs)
-    if ref is not None:
-        report.reference = ref
+    reference = _REFERENCES.get(group.name)
+    if reference is not None:
+        ref = report.reference = reference(level)
         if group.name == "Gg" and len(ref) == len(eigs):
             report.max_deviation = float(np.max(np.abs(eigs - ref)))
             report.matched = [True] * len(eigs)
@@ -189,27 +182,6 @@ def spectral_report(group_or_name, level: int,
 
 
 # -- the Phi-polynomial determinant identity ------------------------------
-
-
-def _a_matrix(level: int) -> List[List[Fraction]]:
-    gg = builtin("Gg")
-    degree = gg.shape.level_size(level)
-    images = _state_images(gg.states["a"], level)
-    mat = [[Fraction(0)] * degree for _ in range(degree)]
-    for i in range(degree):
-        mat[i][int(images[i])] = Fraction(1)
-    return mat
-
-
-def _delta_matrix_exact(level: int) -> List[List[Fraction]]:
-    gg = builtin("Gg")
-    degree = gg.shape.level_size(level)
-    mat = [[Fraction(0)] * degree for _ in range(degree)]
-    for letter in gg.canonical_letters:
-        images = _state_images(gg.state_of_letter(letter), level)
-        for i in range(degree):
-            mat[i][int(images[i])] += 1
-    return mat
 
 
 def bareiss_determinant(matrix: List[List[Fraction]]) -> Fraction:
@@ -251,14 +223,12 @@ def phi_values(n: int, lam: Fraction, mu: Fraction) -> List[Fraction]:
 
 def q_matrix(n: int, lam: Fraction, mu: Fraction) -> List[List[Fraction]]:
     """Q_n = Delta_n - (lambda+1) a_n - (mu+1) I over the rationals."""
-    delta = _delta_matrix_exact(n)
-    amat = _a_matrix(n)
-    degree = len(delta)
-    out = [[Fraction(0)] * degree for _ in range(degree)]
-    for i in range(degree):
-        for j in range(degree):
-            out[i][j] = delta[i][j] - (lam + 1) * amat[i][j]
-        out[i][i] -= mu + 1
+    gg = builtin("Gg")
+    a_images = level_quotient(gg, n).perm_of_state(gg.states["a"])
+    out = [[Fraction(int(x)) for x in row] for row in delta_matrix(gg, n)]
+    for i, row in enumerate(out):
+        row[int(a_images[i])] -= lam + 1
+        row[i] -= mu + 1
     return out
 
 

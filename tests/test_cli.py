@@ -205,6 +205,9 @@ def test_cli_schreier_and_spectrum(tmp_path, capsys):
     assert dot.read_text().startswith("digraph")
     # substitution route gives the same graph
     assert main(["schreier", "Gg", "--level", "3", "--substitution"]) == EXIT_OK
+    # a group without substitution rules is a usage error
+    assert main(["schreier", "BSV", "--level", "3", "--substitution"]) == EXIT_USAGE
+    assert "no substitution rules for 'BSV'" in capsys.readouterr().err
 
     csv = tmp_path / "s.csv"
     assert main(["spectrum", "Gg", "--level", "3", "--csv", str(csv),

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -8,6 +9,7 @@ from branchgroups.decision import (
     canonical_portrait_depth,
     equal,
     eta_weights,
+    growth_values,
     is_trivial,
     order,
     torsion_growth,
@@ -217,6 +219,29 @@ def test_ball_gg(gg):
 def test_ball_dihedral():
     dinf = builtin("Dinf")
     assert [len(ball(dinf, r)) for r in range(6)] == [1, 3, 5, 7, 9, 11]
+
+
+def test_growth_values_match_ball_sizes():
+    for name, radius in (("Gg", 5), ("FGg", 3), ("BSV", 3), ("Dinf", 6), ("Sg", 4)):
+        g = builtin(name)
+        assert growth_values(g, radius) == [len(ball(g, r)) for r in range(radius + 1)]
+
+
+# (size, sha1 of the printed representatives, one per line), recorded when
+# ball keyed elements by the images of every vertex under `act`
+BALL_DIGESTS = {
+    ("Gg", 6): (108, "a908c2e55ebf14ffb3523f86349b331de49c15b9"),
+    ("FGg", 4): (61, "491f51e17c2763bc0f2958b9c4d9e6fe726dd43c"),
+    ("BSV", 4): (153, "46fba58cc12634ef518922b046da848c7668c0ec"),
+}
+
+
+def test_ball_representatives_pinned():
+    for (name, radius), (size, digest) in BALL_DIGESTS.items():
+        g = builtin(name)
+        words = ball(g, radius)
+        printed = "\n".join(g.format_word(w.letters) for w in words)
+        assert (len(words), hashlib.sha1(printed.encode()).hexdigest()) == (size, digest)
 
 
 def test_torsion_growth(gg):

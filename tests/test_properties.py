@@ -4,7 +4,12 @@ The acceptance module runs these at full size (1000 cases each); the
 copies here use smaller counts so the default test run stays quick.
 """
 
+import hashlib
+import random
+
+from branchgroups.groups import builtin
 from branchgroups.properties import (
+    _random_stab3_word,
     check_contraction,
     check_eta_shortening,
     check_portrait_depth_bound,
@@ -22,6 +27,20 @@ def test_section_contraction_quick():
 def test_three_quarters_shortening_quick():
     fails, _ = check_shortening(ratio=3 / 4, additive=8.0, cases=100, seed=103)
     assert fails == 0
+
+
+def test_stab3_words_fix_level_three_and_are_pinned():
+    gg = builtin("Gg")
+    rng = random.Random(907)
+    words = [_random_stab3_word(gg, rng) for _ in range(40)]
+    for w in words:
+        state = gg.state_of_word(w)
+        assert all(state.act(v) == v for v in gg.shape.vertices(3))
+    # sha1 of the printed words, one per line, recorded when membership was
+    # tested vertex by vertex with `act`: the draws follow the same RNG calls
+    printed = "\n".join(gg.format_word(w) for w in words)
+    assert hashlib.sha1(printed.encode()).hexdigest() == (
+        "ccb963869eca8cc2c5a53f514da57a31ca3cd68c")
 
 
 def test_two_thirds_shortening_quick():

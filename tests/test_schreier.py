@@ -1,12 +1,67 @@
 import pytest
 
+from branchgroups.cli import parse_group_file
 from branchgroups.groups import builtin
 from branchgroups.schreier import (
+    SchreierGraph,
+    _generator_pairs,
     growth_series_product,
     schreier_graph,
     substitution_rules,
     substitutional_expand,
 )
+
+GG_GRP = """\
+group Gg
+arity 2
+rooted a = (1 2)
+recursive b = (a, c)
+recursive c = (a, d)
+recursive d = (1, b)
+"""
+
+
+def schreier_graph_by_act(group, level):
+    """Oracle: the level-n Schreier graph built vertex by vertex with `act`."""
+    verts = group.shape.vertices(level)
+    edges = []
+    pairs = _generator_pairs(group)
+    for label, letter, is_inv in pairs:
+        state = group.state_of_letter(letter)
+        for v in verts:
+            w = state.act(v)
+            if not is_inv or v <= w:
+                edges.append((v, w, label))
+    basepoint = tuple(group.shape.branching(i) - 1 for i in range(level))
+    return SchreierGraph(verts, edges, basepoint, [p[0] for p in pairs],
+                         {label: inv for label, _, inv in pairs})
+
+
+def _fields(graph):
+    return (graph.vertices, graph.edges, graph.basepoint, graph.labels,
+            graph.involutions)
+
+
+@pytest.mark.parametrize("name", ["Gg", "G2", "FGg", "BGg", "GSg", "Sg", "BSV",
+                                  "Dinf", "GS5", "file"])
+def test_schreier_graph_matches_vertex_action(name):
+    # BSV has no involutive generators, so it checks the directed edges
+    group = parse_group_file(GG_GRP) if name == "file" else builtin(name)
+    for n in range(5):
+        assert _fields(schreier_graph(group, n)) == _fields(
+            schreier_graph_by_act(group, n)), (name, n)
+
+
+def test_growth_matches_breadth_first_search_from_every_vertex():
+    for name in ("Gg", "FGg", "BSV", "G2"):
+        for n in range(4):
+            g = schreier_graph(builtin(name), n)
+            dist = g.distances_from(g.basepoint)
+            series = [0] * (max(dist.values()) + 1)
+            for d in dist.values():
+                series[d] += 1
+            diameter = max(max(g.distances_from(v).values()) for v in g.vertices)
+            assert g.growth() == (diameter, series), (name, n)
 
 
 def test_gg_level_one():
@@ -104,3 +159,8 @@ def test_dot_output_stable():
 def test_substitution_unknown_name():
     with pytest.raises(KeyError):
         substitution_rules("BSV")
+
+
+def test_substitution_rules_resolve_builtin_aliases():
+    assert substitution_rules("fabrykowski-gupta") is substitution_rules("FGg")
+    assert substitution_rules("grigorchuk") is substitution_rules("gg")

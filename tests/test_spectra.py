@@ -133,23 +133,49 @@ def test_phi_recursion_base_cases():
     assert phi_check(0, Fraction(1, 3), Fraction(2, 7)) == 0
     # the n = 2 determinant from the 4x4 matrix at (1, 0)
     assert phi_check(2, 1, 0) == 0
-    assert phi_check(3, Fraction(-2, 3), Fraction(1, 5)) == 0
+    for n in range(1, 6):
+        for lam, mu in ((Fraction(-2, 3), Fraction(1, 5)), (Fraction(7, 2), Fraction(-3, 4))):
+            assert phi_check(n, lam, mu) == 0, (n, lam, mu)
 
 
 def test_phi_at_lambda_minus_one_gives_char_poly():
     # Q_n(-1, theta-1) = Delta_n - theta: its roots are spec(Delta_n)
-    for theta in (4, 2):
-        assert phi_check(3, -1, theta - 1) == 0
-        prod = 1
-        for phi in phi_values(3, Fraction(-1), Fraction(theta - 1)):
-            prod *= phi
-        assert prod == 0  # theta is an eigenvalue
+    for n in range(1, 6):
+        for theta in (4, 2):
+            assert phi_check(n, -1, theta - 1) == 0
+            prod = 1
+            for phi in phi_values(n, Fraction(-1), Fraction(theta - 1)):
+                prod *= phi
+            assert prod == 0  # theta is an eigenvalue
 
 
 def test_bareiss():
     m = [[Fraction(2), Fraction(1)], [Fraction(7), Fraction(4)]]
     assert bareiss_determinant(m) == 1
     assert bareiss_determinant([[Fraction(0)]]) == 0
+
+
+def test_delta_matrix_matches_vertex_action():
+    for name in ("Gg", "FGg", "BSV"):
+        g = builtin(name)
+        for n in range(4):
+            verts = g.shape.vertices(n)
+            index = {v: i for i, v in enumerate(verts)}
+            expected = np.zeros((len(verts), len(verts)))
+            for letter in g.canonical_letters:
+                state = g.state_of_letter(letter)
+                for i, v in enumerate(verts):
+                    expected[i, index[state.act(v)]] += 1.0
+            assert np.array_equal(delta_matrix(g, n), expected), (name, n)
+
+
+def test_spectral_report_reference_by_group():
+    assert spectral_report("Sg", 2).reference is None
+    for name, reference in (("Gg", gg_closed_form), ("FGg", fgg_reference),
+                            ("BGg", bgg_reference), ("GSg", bgg_reference)):
+        rep = spectral_report(name, 2)
+        assert np.array_equal(rep.reference, reference(2))
+        assert len(rep.matched) == len(rep.eigenvalues)
 
 
 def test_spectral_report_csv():
