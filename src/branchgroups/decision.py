@@ -107,10 +107,6 @@ class OrderResult:
     value: Optional[int] = None
     certificate: Optional[tuple] = None
 
-    @property
-    def is_finite(self):
-        return self.kind == "finite"
-
     def __repr__(self):
         if self.kind == "finite":
             return f"Finite({self.value})"
@@ -233,7 +229,7 @@ def order(group: GroupDefinition, word, bound: int = 1 << 20) -> OrderResult:
             del active[key]
             path.pop()
         pending.discard(key)
-        candidate = s * _lcm(sub_orders)
+        candidate = s * math.lcm(*sub_orders)
         if candidate > bound or candidate * len(w) > 64 * bound:
             return OrderResult("unknown"), _SETTLED
         if pending:  # a cycle opened above is still open: leave it the check
@@ -244,13 +240,6 @@ def order(group: GroupDefinition, word, bound: int = 1 << 20) -> OrderResult:
         return result, _SETTLED
 
     return rec(group, letters, 1, (None, None))[0]
-
-
-def _lcm(values: Sequence[int]) -> int:
-    out = 1
-    for v in values:
-        out = out * v // math.gcd(out, v)
-    return out
 
 
 def _certificate_sign(g: GroupDefinition, w, t_word, conj_len: int) -> Optional[int]:

@@ -95,13 +95,6 @@ class BTable:
     def order_of(self, x: str) -> int:
         return self._orders[x]
 
-    def power(self, x: str, n: int) -> Optional[str]:
-        n %= self._orders[x]
-        out = None
-        for _ in range(n):
-            out = self.mult(out, x)
-        return out
-
     def __len__(self):
         return len(self.names) + 1
 
@@ -668,7 +661,6 @@ def from_triple(
     t: DefiningTriple,
     name: str = "spinal",
     flavor: str = "spinal-triple",
-    a_name: str = "a",
 ) -> GroupDefinition:
     """Build the spinal group of a defining triple (validated)."""
     validate_triple(t)
@@ -709,7 +701,7 @@ def from_triple(
 
     root = ring[0]
     _build_directed_states(root, t, total, pre)
-    _name_spinal_generators(root, t, a_name)
+    _name_spinal_generators(root, t)
     return root
 
 
@@ -736,7 +728,7 @@ def _build_directed_states(root: GroupDefinition, t: DefiningTriple, total: int,
         root._ring[k]._directed_states = {x: states[(x, k)] for x in t.b_table.names}
 
 
-def _name_spinal_generators(root: GroupDefinition, t: DefiningTriple, a_name: str):
+def _name_spinal_generators(root: GroupDefinition, t: DefiningTriple):
     shape = root.shape
     m = shape.branching(0)
     # name A-elements: powers of a single generator when A is cyclic
@@ -746,7 +738,7 @@ def _name_spinal_generators(root: GroupDefinition, t: DefiningTriple, a_name: st
         p = gen
         k = 1
         while p != identity_perm(m):
-            a_letters[a_name if k == 1 else f"{a_name}^{k}"] = ("A", p)
+            a_letters["a" if k == 1 else f"a^{k}"] = ("A", p)
             p = perm_mul(p, gen)
             k += 1
     else:

@@ -5,9 +5,12 @@ The quotient G_n = G/Stab(L_n) acts on the m_1*...*m_n level-n vertices
 deterministic Schreier-Sims stabilizer chain: base points are chosen as
 the first moved point (optionally prescribed), generators are processed
 in a fixed order, and all Schreier generators are sifted, so runs are
-reproducible bit for bit.  Permutations are numpy int arrays composed by
-fancy indexing; group orders are exact Python integers.  `level_quotient`
-keeps one quotient (and so one chain) per (group, level) on the group.
+reproducible bit for bit.  Every subgroup is a `SubgroupHandle`: its
+generators and one chain, whose tail below `depth` prescribed base points
+is a point stabilizer.  The quotient is the depth-0 handle over the
+generator images, and `level_quotient` keeps one per (group, level) on
+the group.  Permutations are numpy int32 arrays composed by fancy
+indexing; group orders are exact Python integers.
 """
 
 from __future__ import annotations
@@ -206,9 +209,10 @@ class StabilizerChain:
         self._run()
         return True
 
-    def order(self) -> int:
+    def order(self, depth: int = 0) -> int:
+        """Order of the subgroup fixing the first `depth` base points."""
         n = 1
-        for lv in self.levels:
+        for lv in self.levels[depth:]:
             n *= len(lv.points)
         return n
 
@@ -237,33 +241,48 @@ def chain_from_generators(degree: int, gens: Sequence[np.ndarray],
     return chain
 
 
-class LevelQuotient:
-    """The permutation group induced by a group on one tree level."""
+class SubgroupHandle:
+    """A subgroup of a level quotient: generators and one stabilizer chain.
+    With `depth` > 0 it is the stabilizer of the chain's first `depth` base
+    points, read from the chain's tail (Holt, Eick and O'Brien 2005, 4.4)."""
+
+    def __init__(self, parent: LevelQuotient, gens: Sequence[np.ndarray],
+                 chain: Optional[StabilizerChain] = None, depth: int = 0):
+        self.parent = parent
+        self.gens = [np.asarray(g, dtype=np.int32) for g in gens]
+        self._chain = chain
+        self.depth = depth
+
+    def chain(self) -> StabilizerChain:
+        if self._chain is None:
+            self._chain = chain_from_generators(self.parent.degree, self.gens)
+        return self._chain
+
+    def order(self) -> int:
+        return self.chain().order(self.depth)
+
+    def index(self) -> int:
+        return self.parent.order() // self.order()
+
+    def contains(self, perm: np.ndarray) -> bool:
+        if not self.depth:
+            return self.chain().contains(perm)
+        # the transversals from `depth` down fix the first `depth` base
+        # points, so a perm moving one of them never sifts to the identity
+        return self.chain().sift(perm, self.depth) is None
+
+
+class LevelQuotient(SubgroupHandle):
+    """The group's action on one tree level; its own parent."""
 
     def __init__(self, group: GroupDefinition, level: int):
         self.group = group
         self.level = level
         self.degree = group.shape.level_size(level)
-        self.gen_perms: Dict[str, np.ndarray] = {}
-        for letter in group.canonical_letters:
-            label = group.format_word((letter,))
-            state = group.state_of_letter(letter)
-            self.gen_perms[label] = _state_images(state, level)
-        self.gen_labels = list(self.gen_perms)
-        self._chain: Optional[StabilizerChain] = None
-
-    def chain(self) -> StabilizerChain:
-        if self._chain is None:
-            self._chain = chain_from_generators(
-                self.degree, list(self.gen_perms.values())
-            )
-        return self._chain
-
-    def order(self) -> int:
-        return self.chain().order()
-
-    def contains(self, perm: np.ndarray) -> bool:
-        return self.chain().contains(np.asarray(perm, dtype=np.int32))
+        self.gen_perms: Dict[str, np.ndarray] = {
+            group.format_word((x,)): _state_images(group.state_of_letter(x), level)
+            for x in group.canonical_letters}
+        super().__init__(self, self.gen_perms.values())
 
     def perm_of_word(self, word) -> np.ndarray:
         letters = self.group.word(word).letters
@@ -275,30 +294,6 @@ class LevelQuotient:
 
     def perm_of_state(self, state: TreeAutomorphism) -> np.ndarray:
         return _state_images(state, self.level)
-
-
-class SubgroupHandle:
-    """A subgroup of a LevelQuotient given by generating permutations."""
-
-    def __init__(self, parent: LevelQuotient, gens: Sequence[np.ndarray],
-                 chain: Optional[StabilizerChain] = None):
-        self.parent = parent
-        self.gens = [np.asarray(g, dtype=np.int32) for g in gens]
-        self._chain = chain
-
-    def chain(self) -> StabilizerChain:
-        if self._chain is None:
-            self._chain = chain_from_generators(self.parent.degree, self.gens)
-        return self._chain
-
-    def order(self) -> int:
-        return self.chain().order()
-
-    def index(self) -> int:
-        return self.parent.order() // self.order()
-
-    def contains(self, perm: np.ndarray) -> bool:
-        return self.chain().contains(perm)
 
 
 def level_quotient(group: GroupDefinition, level: int) -> LevelQuotient:
@@ -325,7 +320,7 @@ def normal_closure(q: LevelQuotient, seeds: Sequence[np.ndarray]) -> SubgroupHan
     sub = StabilizerChain(q.degree)
     gens: List[np.ndarray] = []
     work = [np.asarray(s, dtype=np.int32) for s in seeds]
-    conj = [(c, _pinv(c)) for c in q.gen_perms.values()]
+    conj = [(c, _pinv(c)) for c in q.gens]
     while work:
         g = work.pop()
         if not sub.add_generator(g):
@@ -343,106 +338,87 @@ def commutator_subgroup(q: LevelQuotient, h1_gens: Sequence[np.ndarray],
     return normal_closure(q, seeds)
 
 
-def derived_series_orders(q: LevelQuotient, kmax: int) -> List[int]:
-    """Orders of G_n = G^(0) >= G^(1) >= ... >= G^(kmax)."""
-    orders = [q.order()]
-    gens = list(q.gen_perms.values())
-    for _ in range(kmax):
-        sub = commutator_subgroup(q, gens, gens)
-        orders.append(sub.order())
-        if orders[-1] == 1:
+def _series(q: LevelQuotient, length: int, derived: bool) -> List[SubgroupHandle]:
+    """[H_0 = G_n, H_1, ..., H_length], stopping at the first trivial term:
+    H_{k+1} = [H_k, H_k] (derived series) or [H_k, G_n] (lower central)."""
+    series: List[SubgroupHandle] = [q]
+    for _ in range(length):
+        h = series[-1]
+        series.append(commutator_subgroup(q, h.gens, h.gens if derived else q.gens))
+        if series[-1].order() == 1:
             break
-        gens = sub.gens
-    return orders
-
-
-def lower_central_series(q: LevelQuotient, kmax: int) -> List[SubgroupHandle]:
-    """gamma_1 = G_n, gamma_{k+1} = <[gamma_k, G]>, as subgroup handles."""
-    group_gens = list(q.gen_perms.values())
-    series = [SubgroupHandle(q, group_gens, q.chain())]
-    current = group_gens
-    for _ in range(kmax):
-        nxt = commutator_subgroup(q, current, group_gens)
-        series.append(nxt)
-        if nxt.order() == 1:
-            break
-        current = nxt.gens
     return series
 
 
-def lower_central_ranks(group: GroupDefinition, level: int, kmax: int,
-                        p: Optional[int] = None) -> List[int]:
+def derived_series_orders(q: LevelQuotient, kmax: int) -> List[int]:
+    """Orders of G_n = G^(0) >= G^(1) >= ... >= G^(kmax)."""
+    return [h.order() for h in _series(q, kmax, derived=True)]
+
+
+def _p_exponent(n: int, p: int, what: str) -> int:
+    """e with n = p^e; ValueError(what) when n is not a power of p."""
+    e = 0
+    while n > 1 and n % p == 0:
+        n //= p
+        e += 1
+    if n != 1:
+        raise ValueError(what)
+    return e
+
+
+def lower_central_ranks(group: GroupDefinition, level: int, kmax: int) -> List[int]:
     """Ranks of gamma_k / gamma_{k+1} in the level quotient, k = 1..kmax.
 
     These quotients are elementary abelian p-groups for the groups at
-    hand, so the rank is log_p of the index; p defaults to the branching
-    index of the tree.
+    hand, so the rank is log_p of the index, p the branching index of
+    the tree at the root.
     """
-    if p is None:
-        p = group.shape.branching(0)
-    q = level_quotient(group, level)
-    series = lower_central_series(q, kmax + 1)
-    ranks = []
-    for k in range(min(kmax, len(series) - 1)):
-        idx = series[k].order() // series[k + 1].order()
-        rank = 0
-        while idx > 1:
-            if idx % p:
-                raise ValueError(f"gamma_{k + 1}/gamma_{k + 2} is not a {p}-group")
-            idx //= p
-            rank += 1
-        ranks.append(rank)
-    while len(ranks) < kmax:
-        ranks.append(0)
-    return ranks
+    p = group.shape.branching(0)
+    series = _series(level_quotient(group, level), kmax + 1, derived=False)
+    ranks = [_p_exponent(series[k].order() // series[k + 1].order(), p,
+                         f"gamma_{k + 1}/gamma_{k + 2} is not a {p}-group")
+             for k in range(min(kmax, len(series) - 1))]
+    return ranks + [0] * (kmax - len(ranks))
 
 
 def nilpotency_class(group: GroupDefinition, level: int, kcap: int = 128) -> int:
-    q = level_quotient(group, level)
-    series = lower_central_series(q, kcap)
-    for k, handle in enumerate(series):
-        if handle.order() == 1:
-            return k - 1 + 1  # gamma_{k+1} trivial -> class k
+    """Least c with gamma_{c+1} trivial in the level quotient."""
+    series = _series(level_quotient(group, level), kcap, derived=False)
+    for k, h in enumerate(series):
+        if h.order() == 1:
+            return k
     raise ResourceBoundExceeded(f"nilpotency class exceeds {kcap}")
 
 
 # -- rigid stabilizers, parabolic suborbits ------------------------------
 
 
-def _points_under(group: GroupDefinition, level: int,
-                  vertex: Tuple[int, ...]) -> List[int]:
-    verts = group.shape.vertices(level)
-    return [i for i, v in enumerate(verts) if v[: len(vertex)] == tuple(vertex)]
-
-
 def pointwise_stabilizer(q: LevelQuotient, points: Sequence[int]) -> SubgroupHandle:
-    """Subgroup fixing every listed point, via a chain based at those points."""
-    chain = chain_from_generators(
-        q.degree, list(q.gen_perms.values()), base_prescription=points
-    )
-    return SubgroupHandle(q, chain.stabilizer_generators(len(points)))
+    """Subgroup fixing every listed point: the depth view of a chain based
+    at those points."""
+    chain = chain_from_generators(q.degree, q.gens, base_prescription=points)
+    return SubgroupHandle(q, chain.stabilizer_generators(len(points)), chain, len(points))
 
 
 def rigid_stabilizer(group: GroupDefinition, level: int,
-                     vertex: Tuple[int, ...],
-                     q: Optional[LevelQuotient] = None) -> SubgroupHandle:
+                     vertex: Tuple[int, ...]) -> SubgroupHandle:
     """Elements fixing every level vertex outside the subtree at `vertex`."""
-    if q is None:
-        q = level_quotient(group, level)
-    inside = set(_points_under(group, level, vertex))
-    outside = [i for i in range(q.degree) if i not in inside]
-    return pointwise_stabilizer(q, outside)
+    vertex = tuple(vertex)
+    group.shape.check_vertex(vertex)
+    if len(vertex) > level:
+        raise ValueError(f"vertex of length {len(vertex)} lies below level {level}")
+    outside = [i for i, v in enumerate(group.shape.vertices(level))
+               if v[:len(vertex)] != vertex]
+    return pointwise_stabilizer(level_quotient(group, level), outside)
 
 
-def rigid_level_stabilizer(group: GroupDefinition, level: int, depth: int,
-                           q: Optional[LevelQuotient] = None) -> SubgroupHandle:
+def rigid_level_stabilizer(group: GroupDefinition, level: int,
+                           depth: int) -> SubgroupHandle:
     """Product of the rigid stabilizers of all depth-`depth` vertices."""
-    if q is None:
-        q = level_quotient(group, level)
     gens: List[np.ndarray] = []
     for v in group.shape.vertices(depth):
-        gens.extend(rigid_stabilizer(group, level, v, q=q).gens)
-    return SubgroupHandle(q, gens)
+        gens.extend(rigid_stabilizer(group, level, v).gens)
+    return SubgroupHandle(level_quotient(group, level), gens)
 
 
 def suborbit_profile(group: GroupDefinition, level: int,
@@ -498,17 +474,15 @@ def full_aut_order(group: GroupDefinition, level: int) -> int:
     return total
 
 
-def sylow_wreath_order(group: GroupDefinition, level: int,
-                       p: Optional[int] = None) -> int:
-    """Order of the level quotient of the iterated wreath power of C_p."""
-    if p is None:
-        p = group.shape.branching(0)
+def sylow_wreath_order(group: GroupDefinition, level: int) -> int:
+    """Order of the level quotient of the iterated wreath power of C_m,
+    m the root branching index."""
     width = 1
     exponent = 0
     for i in range(level):
         exponent += width
         width *= group.shape.branching(i)
-    return p**exponent
+    return group.shape.branching(0) ** exponent
 
 
 def hausdorff_ratio(group: GroupDefinition, level: int,
@@ -516,50 +490,38 @@ def hausdorff_ratio(group: GroupDefinition, level: int,
     """log|G_n| / log|W_n| for the ambient closure W at the same level.
 
     ambient='sylow' measures inside the iterated wreath power of the
-    cyclic group of prime order p = branching index; for binary shapes
-    this *is* the full automorphism group.  ambient='full' uses Aut(T)
-    with full symmetric groups at every vertex.
+    cyclic group of order m = root branching index; it is the exact ratio
+    of `hausdorff_ratio_exact`, rounded once.  For binary shapes this *is*
+    the full automorphism group.  ambient='full' uses Aut(T) with full
+    symmetric groups at every vertex.
     """
-    q = level_quotient(group, level)
-    g_order = q.order()
     if ambient == "sylow":
-        w_order = sylow_wreath_order(group, level)
-    elif ambient == "full":
-        w_order = full_aut_order(group, level)
-    else:
+        return float(hausdorff_ratio_exact(group, level))
+    if ambient != "full":
         raise ValueError(f"unknown ambient {ambient!r}")
-    return log(g_order) / log(w_order)
+    return log(level_quotient(group, level).order()) / log(full_aut_order(group, level))
 
 
 def hausdorff_ratio_exact(group: GroupDefinition, level: int) -> Fraction:
-    """Exact exponent ratio when both orders are powers of the same prime."""
-    p = group.shape.branching(0)
-    q = level_quotient(group, level)
-
-    def p_exponent(n: int) -> int:
-        e = 0
-        while n % p == 0 and n > 1:
-            n //= p
-            e += 1
-        if n != 1:
-            raise ValueError(f"order is not a power of {p}")
-        return e
-
-    return Fraction(p_exponent(q.order()),
-                    p_exponent(sylow_wreath_order(group, level)))
+    """Exact ratio of the exponents of |G_n| and |W_n| (sylow ambient) in
+    the prime p dividing the root branching index; ValueError unless both
+    orders are powers of p."""
+    if level < 1:
+        raise ValueError(f"the Hausdorff ratio needs level >= 1, got {level}")
+    m = group.shape.branching(0)
+    p = next(d for d in range(2, m + 1) if m % d == 0)
+    what = f"order is not a power of {p}"
+    return Fraction(_p_exponent(level_quotient(group, level).order(), p, what),
+                    _p_exponent(sylow_wreath_order(group, level), p, what))
 
 
 def format_order(n: int) -> str:
     """Print a prime power as p^e, otherwise decimal."""
-    if n <= 1:
-        return str(n)
     for p in range(2, 1000):
         if n % p == 0:
-            e, m = 0, n
-            while m % p == 0:
-                m //= p
-                e += 1
-            if m == 1:
-                return f"{p}^{e}" if e > 1 else str(n)
-            break
+            try:
+                e = _p_exponent(n, p, "not a prime power")
+            except ValueError:
+                break
+            return f"{p}^{e}" if e > 1 else str(n)
     return str(n)

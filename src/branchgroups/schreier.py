@@ -54,21 +54,6 @@ class SchreierGraph:
             and self.basepoint == other.basepoint
         )
 
-    def degree_of(self, v: Vertex) -> int:
-        """Incident edge-ends at v, one per canonical generator.
-
-        A stored edge contributes one end at each endpoint (generator one
-        way, inverse the other); a loop of a non-involution contributes
-        two ends (the generator and its inverse both fix the vertex).
-        """
-        deg = 0
-        for u, w, label in self.edges:
-            if u == v and w == v:
-                deg += 1 if self.involutions.get(label, False) else 2
-            elif u == v or w == v:
-                deg += 1
-        return deg
-
     def adjacency(self) -> Dict[Vertex, List[Tuple[Vertex, str]]]:
         adj = defaultdict(list)
         for u, v, label in self.edges:
@@ -79,9 +64,6 @@ class SchreierGraph:
 
     def distances_from(self, start: Vertex) -> Dict[Vertex, int]:
         return _distances(self.adjacency(), start)
-
-    def is_connected(self) -> bool:
-        return len(self.distances_from(self.basepoint)) == len(self.vertices)
 
     def growth(self) -> Tuple[int, List[int]]:
         """(diameter, growth sequence from the basepoint).

@@ -158,6 +158,19 @@ def test_cli_negative_level_is_usage_error(capsys):
         assert "Traceback" not in err
 
 
+def test_cli_impossible_rist_vertex_is_usage_error(capsys):
+    # an out-of-range letter and a vertex below the level used to count as
+    # an empty subtree and print the index of the trivial subgroup
+    for vertex, message in (("3", "out of range 1..2"), ("1111", "below level 3")):
+        assert main(["quotient", "Gg", "--level", "3", "--rist", vertex]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+    assert main(["quotient", "Gg", "--level", "3", "--rist", "1"]) == EXIT_OK
+    assert capsys.readouterr().out == "rigid stabilizer index: 16\n"
+    assert main(["quotient", "Gg", "--level", "0", "--hausdorff"]) == EXIT_USAGE
+    assert "level >= 1" in capsys.readouterr().err
+
+
 def test_cli_eval(capsys):
     assert main(["eval", "Gg", "abacadacabadac"]) == EXIT_OK
     out = capsys.readouterr().out

@@ -388,6 +388,18 @@ def test_nonabelian_directed_part_mixed_arity():
             )
 
 
+def test_sylow_hausdorff_ratio_rejects_mixed_arity():
+    # level 5 has branching 3 below four binary levels: |G_5| is not a power
+    # of 2, so there is no exponent ratio (the log quotient read 1.334)
+    from branchgroups.quotients import hausdorff_ratio, hausdorff_ratio_exact
+
+    group = _d6_spinal()
+    for ratio in (hausdorff_ratio, hausdorff_ratio_exact):
+        with pytest.raises(ValueError, match="not a power of 2"):
+            ratio(group, 5)
+    assert 0 < hausdorff_ratio(group, 5, ambient="full") < 1
+
+
 BUILTINS = ("Gg", "G2", "FGg", "BGg", "GSg", "Sg", "BSV", "Dinf", "GS5", "GS7")
 
 

@@ -1,4 +1,6 @@
 import hashlib
+from fractions import Fraction
+from math import log
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ from branchgroups.cli import parse_group_file
 from branchgroups.errors import ResourceBoundExceeded
 from branchgroups.groups import builtin
 from branchgroups.quotients import (
+    SubgroupHandle,
+    chain_from_generators,
     derived_series_orders,
     format_order,
     full_aut_order,
@@ -36,6 +40,9 @@ def test_level_quotient_basics(gg):
     assert q3.degree == 27
     ident = level_quotient(gg, 4).perm_of_word("1")
     assert np.array_equal(ident, np.arange(16))
+    # the quotient is the depth-0 handle over its generator images
+    assert isinstance(q1, SubgroupHandle) and q1.depth == 0
+    assert q1.index() == 1 and q1.contains(q1.perm_of_word("a"))
     with pytest.raises(ValueError):
         level_quotient(gg, -1)
 
@@ -132,8 +139,6 @@ def test_order_monotone_under_projection(gg):
 def test_psi_consistency(gg):
     # |Stab_{G_n}(L_1)| * |root image| = |G_n|, with the stabilizer
     # generated independently by the conjugated directed generators
-    from branchgroups.quotients import SubgroupHandle
-
     for n in (2, 3, 4, 5):
         q = level_quotient(gg, n)
         gens = [q.perm_of_word(w)
@@ -154,13 +159,24 @@ def test_full_aut_order(gg):
 
 
 def test_hausdorff(gg):
-    from fractions import Fraction
-
     assert hausdorff_ratio_exact(gg, 1) == Fraction(1, 1)
     assert hausdorff_ratio_exact(gg, 7) == Fraction(82, 127)
     assert abs(hausdorff_ratio(gg, 7) - 82 / 127) < 1e-12
     with pytest.raises(ValueError):
         hausdorff_ratio(gg, 3, ambient="bogus")
+    with pytest.raises(ValueError, match="level >= 1"):
+        hausdorff_ratio_exact(gg, 0)
+
+
+def test_hausdorff_exponents_of_the_prime_under_a_composite_branching():
+    # G2 acts on the 4-ary tree: |G2_3| = 2^17 and |W_3| = 4^21 = 2^42
+    g2 = builtin("G2")
+    assert hausdorff_ratio_exact(g2, 3) == Fraction(17, 42)
+    for n in range(1, 5):
+        exact = hausdorff_ratio_exact(g2, n)
+        assert hausdorff_ratio(g2, n) == float(exact)
+        q = level_quotient(g2, n)
+        assert abs(log(q.order()) / log(sylow_wreath_order(g2, n)) - exact) < 1e-12
 
 
 def test_rigid_stabilizers(gg):
@@ -168,9 +184,107 @@ def test_rigid_stabilizers(gg):
     for n in (4, 5):
         assert rigid_level_stabilizer(gg, n, 1).index() == 16
     # rigid stabilizer of a deepest-level vertex is trivial
-    q = level_quotient(gg, 3)
-    leaf = rigid_stabilizer(gg, 3, (0, 0, 0), q=q)
+    leaf = rigid_stabilizer(gg, 3, (0, 0, 0))
     assert leaf.order() == 1
+
+
+def test_rigid_stabilizer_rejects_impossible_vertices(gg):
+    with pytest.raises(ValueError, match="out of range"):
+        rigid_stabilizer(gg, 3, (2,))
+    with pytest.raises(ValueError, match="below level 3"):
+        rigid_stabilizer(gg, 3, (0, 0, 0, 0))
+    assert rigid_stabilizer(gg, 3, ()).index() == 1
+
+
+def _random_products(degree, gens, rng, count=8, length=12):
+    """Seeded products of the generators (the identity when there are none)."""
+    out = []
+    for _ in range(count):
+        p = np.arange(degree, dtype=np.int32)
+        for i in (rng.integers(len(gens), size=length) if gens else ()):
+            p = gens[i][p]
+        out.append(p)
+    return out
+
+
+def _perms_fixing(degree, points, rng, count=8):
+    """Seeded random permutations fixing the points, mostly outside G_n."""
+    free = np.array(sorted(set(range(degree)) - set(points)), dtype=np.int32)
+    out = []
+    for _ in range(count):
+        p = np.arange(degree, dtype=np.int32)
+        p[free] = rng.permutation(free)
+        out.append(p)
+    return out
+
+
+@pytest.mark.parametrize("name, level", [("Gg", 5), ("FGg", 3), ("Sg", 5)])
+def test_pointwise_stabilizer_depth_view_matches_rebuilt_chain(name, level):
+    # the stabilizer is read from the tail of the chain based at the
+    # points; a chain rebuilt from its generators is the oracle
+    g = builtin(name)
+    q = level_quotient(g, level)
+    rng = np.random.default_rng(13)
+    outside_vertex = [i for i, v in enumerate(g.shape.vertices(level)) if v[0] != 0]
+    nonmembers = 0
+    for points in ([q.degree - 1], outside_vertex, list(range(0, q.degree, 3))):
+        stab = pointwise_stabilizer(q, points)
+        assert stab.depth == len(points) and stab.chain().base[:len(points)] == points
+        oracle = chain_from_generators(q.degree, stab.gens)
+        assert stab.order() == oracle.order()
+        members = _random_products(q.degree, stab.gens, rng)
+        others = (_random_products(q.degree, q.gens, rng)
+                  + _perms_fixing(q.degree, points, rng))
+        assert all(stab.contains(p) for p in members)
+        for p in others:
+            assert stab.contains(p) == oracle.contains(p)
+            nonmembers += not oracle.contains(p)
+    assert nonmembers >= 24
+
+
+# Outputs of the quotient analysis bundle on the benchmark's eight (group,
+# level) pairs and three more shapes.  Floats are kept to 12 decimals: the
+# sylow ratio is the exact ratio rounded once, which may differ in the last
+# bit from log|G_n| / log|W_n|.  G2's exact ratio is checked on its own.
+_BUNDLE_PAIRS = (("Gg", 5), ("Gg", 6), ("Gg", 7), ("FGg", 3), ("FGg", 4),
+                 ("BGg", 4), ("Sg", 5), ("Sg", 6), ("G2", 3), ("GSg", 3),
+                 ("GS5", 2))
+
+
+def _or_error(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _quotient_bundle(name, level):
+    g = builtin(name)
+    q = level_quotient(g, level)
+    derived = derived_series_orders(q, 3)
+    rist_level = rigid_level_stabilizer(g, level, 1)
+    rist_vertex = rigid_stabilizer(g, level, (0,))
+    out = [name, level, q.order(), format_order(q.order()), derived,
+           [format_order(o) for o in derived],
+           _or_error(lower_central_ranks, g, level, 6),
+           suborbit_profile(g, level),
+           rist_level.order(), rist_level.index(),
+           rist_vertex.order(), rist_vertex.index(),
+           f"{hausdorff_ratio(g, level):.12f}",
+           f"{hausdorff_ratio(g, level, 'full'):.12f}",
+           nilpotency_class(g, level)]
+    if name != "G2":
+        out.append(str(hausdorff_ratio_exact(g, level)))
+    return out
+
+
+def test_quotient_bundle_is_pinned():
+    # sha1 recorded before the subgroup layer moved to one handle type;
+    # G2@3 records its lower-central-ranks error text
+    bundle = [_quotient_bundle(name, level) for name, level in _BUNDLE_PAIRS]
+    assert bundle[8][6] == "ValueError: gamma_5/gamma_6 is not a 4-group"
+    digest = hashlib.sha1(repr(bundle).encode()).hexdigest()
+    assert digest == "c9de55aadcafd5e75b381ff5e2f5ccef08899ed6"
 
 
 def test_rozhkov_ranks_and_stability(gg):
