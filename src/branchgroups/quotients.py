@@ -9,7 +9,11 @@ reproducible bit for bit.  Every subgroup is a `SubgroupHandle`: its
 generators and one chain, whose tail below `depth` prescribed base points
 is a point stabilizer.  The quotient is the depth-0 handle over the
 generator images, and `level_quotient` keeps one per (group, level) on
-the group.  Permutations are numpy int32 arrays composed by fancy
+the group.  The quotient also owns the subgroups built on it: its lower
+central and derived series (extended lazily; G' is the handle of gamma_2),
+the rigid stabilizer of each vertex and the rigid level stabilizer of
+each depth.  Each is built once, lives as long as the quotient and is
+read-only.  Permutations are numpy int32 arrays composed by fancy
 indexing; group orders are exact Python integers.
 """
 
@@ -200,6 +204,13 @@ class StabilizerChain:
             if not self._process_level(self._dirty - 1):
                 self._dirty -= 1
 
+    def drop_seen(self):
+        """Free the dedup keys of a finished chain.  They only skip a second
+        sift during the build; a duplicate met in a later extension sifts
+        to the identity and installs nothing, so the chain is unchanged."""
+        for lv in self.levels:
+            lv.seen.clear()
+
     def add_generator(self, perm: np.ndarray) -> bool:
         """Install `perm` unless it is already a member; True iff installed."""
         g = np.asarray(perm, dtype=np.int32)
@@ -238,6 +249,7 @@ def chain_from_generators(degree: int, gens: Sequence[np.ndarray],
         staged = True
     if staged:
         chain._run()
+    chain.drop_seen()
     return chain
 
 
@@ -279,17 +291,25 @@ class LevelQuotient(SubgroupHandle):
         self.group = group
         self.level = level
         self.degree = group.shape.level_size(level)
+        # letter -> image array, filled as words use letters
+        self._images = {x: _state_images(group.state_of_letter(x), level)
+                        for x in group.canonical_letters}
         self.gen_perms: Dict[str, np.ndarray] = {
-            group.format_word((x,)): _state_images(group.state_of_letter(x), level)
-            for x in group.canonical_letters}
+            group.format_word((x,)): self._images[x] for x in group.canonical_letters}
         super().__init__(self, self.gen_perms.values())
+        self._lower_central: List[SubgroupHandle] = [self]
+        self._derived: List[SubgroupHandle] = [self]
+        self._rist: Dict[Tuple[int, ...], SubgroupHandle] = {}
+        self._rist_level: Dict[int, SubgroupHandle] = {}
 
     def perm_of_word(self, word) -> np.ndarray:
-        letters = self.group.word(word).letters
         p = np.arange(self.degree, dtype=np.int32)
-        for letter in letters:
-            state = self.group.state_of_letter(letter)
-            p = _state_images(state, self.level)[p]
+        for letter in self.group.word(word).letters:
+            image = self._images.get(letter)
+            if image is None:
+                image = self._images[letter] = _state_images(
+                    self.group.state_of_letter(letter), self.level)
+            p = image[p]
         return p
 
     def perm_of_state(self, state: TreeAutomorphism) -> np.ndarray:
@@ -328,6 +348,7 @@ def normal_closure(q: LevelQuotient, seeds: Sequence[np.ndarray]) -> SubgroupHan
         gens.append(g)
         for c, cinv in conj:
             work.append(c[g[cinv]])
+    sub.drop_seen()
     return SubgroupHandle(q, gens, sub)
 
 
@@ -340,14 +361,17 @@ def commutator_subgroup(q: LevelQuotient, h1_gens: Sequence[np.ndarray],
 
 def _series(q: LevelQuotient, length: int, derived: bool) -> List[SubgroupHandle]:
     """[H_0 = G_n, H_1, ..., H_length], stopping at the first trivial term:
-    H_{k+1} = [H_k, H_k] (derived series) or [H_k, G_n] (lower central)."""
-    series: List[SubgroupHandle] = [q]
-    for _ in range(length):
+    H_{k+1} = [H_k, H_k] (derived series) or [H_k, G_n] (lower central).
+    Both series are kept on the quotient and share H_1 = [G_n, G_n]."""
+    series, other = ((q._derived, q._lower_central) if derived
+                     else (q._lower_central, q._derived))
+    while len(series) <= length and (len(series) == 1 or series[-1].order() > 1):
         h = series[-1]
-        series.append(commutator_subgroup(q, h.gens, h.gens if derived else q.gens))
-        if series[-1].order() == 1:
-            break
-    return series
+        if len(series) == 1 and len(other) > 1:
+            series.append(other[1])
+        else:
+            series.append(commutator_subgroup(q, h.gens, h.gens if derived else q.gens))
+    return series[:length + 1]
 
 
 def derived_series_orders(q: LevelQuotient, kmax: int) -> List[int]:
@@ -366,14 +390,20 @@ def _p_exponent(n: int, p: int, what: str) -> int:
     return e
 
 
+def _root_prime(group: GroupDefinition) -> int:
+    """The least prime dividing the root branching index."""
+    m = group.shape.branching(0)
+    return next(d for d in range(2, m + 1) if m % d == 0)
+
+
 def lower_central_ranks(group: GroupDefinition, level: int, kmax: int) -> List[int]:
     """Ranks of gamma_k / gamma_{k+1} in the level quotient, k = 1..kmax.
 
-    These quotients are elementary abelian p-groups for the groups at
-    hand, so the rank is log_p of the index, p the branching index of
-    the tree at the root.
+    Each rank is log_p of the index, p the prime dividing the root
+    branching index; ValueError when an index is not a power of p.  It is
+    the F_p-rank when the factor is elementary abelian, as for Gg.
     """
-    p = group.shape.branching(0)
+    p = _root_prime(group)
     series = _series(level_quotient(group, level), kmax + 1, derived=False)
     ranks = [_p_exponent(series[k].order() // series[k + 1].order(), p,
                          f"gamma_{k + 1}/gamma_{k + 2} is not a {p}-group")
@@ -402,23 +432,55 @@ def pointwise_stabilizer(q: LevelQuotient, points: Sequence[int]) -> SubgroupHan
 
 def rigid_stabilizer(group: GroupDefinition, level: int,
                      vertex: Tuple[int, ...]) -> SubgroupHandle:
-    """Elements fixing every level vertex outside the subtree at `vertex`."""
+    """Elements fixing every level vertex outside the subtree at `vertex`;
+    built once per vertex and kept on the quotient."""
     vertex = tuple(vertex)
     group.shape.check_vertex(vertex)
     if len(vertex) > level:
         raise ValueError(f"vertex of length {len(vertex)} lies below level {level}")
-    outside = [i for i, v in enumerate(group.shape.vertices(level))
-               if v[:len(vertex)] != vertex]
-    return pointwise_stabilizer(level_quotient(group, level), outside)
+    q = level_quotient(group, level)
+    rist = q._rist.get(vertex)
+    if rist is None:
+        outside = [i for i, v in enumerate(group.shape.vertices(level))
+                   if v[:len(vertex)] != vertex]
+        rist = q._rist[vertex] = pointwise_stabilizer(q, outside)
+    return rist
 
 
 def rigid_level_stabilizer(group: GroupDefinition, level: int,
                            depth: int) -> SubgroupHandle:
-    """Product of the rigid stabilizers of all depth-`depth` vertices."""
-    gens: List[np.ndarray] = []
-    for v in group.shape.vertices(depth):
-        gens.extend(rigid_stabilizer(group, level, v).gens)
-    return SubgroupHandle(level_quotient(group, level), gens)
+    """Product of the rigid stabilizers of all depth-`depth` vertices; built
+    once per depth and kept on the quotient.
+
+    One prescribed chain per orbit of depth-`depth` vertices: with t in
+    G_n carrying v to u, rist(u) = rist(v)^t.  Vertex i owns the level
+    points [i*w, (i+1)*w), so a breadth-first search over the generators
+    on these blocks finds each t.
+    """
+    q = level_quotient(group, level)
+    hit = q._rist_level.get(depth)
+    if hit is not None:
+        return hit
+    verts = group.shape.vertices(depth)
+    w = q.degree // len(verts)
+    parts: Dict[int, List[np.ndarray]] = {}
+    for root, v in enumerate(verts):
+        if root in parts:
+            continue
+        base = rigid_stabilizer(group, level, v).gens
+        parts[root] = base
+        queue = [(root, np.arange(q.degree, dtype=np.int32))]
+        for i, t in queue:
+            for c in q.gens:
+                j = int(c[i * w]) // w
+                if j not in parts:
+                    tj = c[t]  # carries block root to block j
+                    tinv = _pinv(tj)
+                    parts[j] = [tj[g[tinv]] for g in base]
+                    queue.append((j, tj))
+    gens = [g for i in range(len(verts)) for g in parts[i]]
+    hit = q._rist_level[depth] = SubgroupHandle(q, gens)
+    return hit
 
 
 def suborbit_profile(group: GroupDefinition, level: int,
@@ -499,17 +561,21 @@ def hausdorff_ratio(group: GroupDefinition, level: int,
         return float(hausdorff_ratio_exact(group, level))
     if ambient != "full":
         raise ValueError(f"unknown ambient {ambient!r}")
+    _check_hausdorff_level(level)
     return log(level_quotient(group, level).order()) / log(full_aut_order(group, level))
+
+
+def _check_hausdorff_level(level: int):
+    if level < 1:
+        raise ValueError(f"the Hausdorff ratio needs level >= 1, got {level}")
 
 
 def hausdorff_ratio_exact(group: GroupDefinition, level: int) -> Fraction:
     """Exact ratio of the exponents of |G_n| and |W_n| (sylow ambient) in
     the prime p dividing the root branching index; ValueError unless both
     orders are powers of p."""
-    if level < 1:
-        raise ValueError(f"the Hausdorff ratio needs level >= 1, got {level}")
-    m = group.shape.branching(0)
-    p = next(d for d in range(2, m + 1) if m % d == 0)
+    _check_hausdorff_level(level)
+    p = _root_prime(group)
     what = f"order is not a power of {p}"
     return Fraction(_p_exponent(level_quotient(group, level).order(), p, what),
                     _p_exponent(sylow_wreath_order(group, level), p, what))

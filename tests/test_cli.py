@@ -148,6 +148,9 @@ def test_cli_order(capsys):
 def test_cli_quotient(capsys):
     assert main(["quotient", "Gg", "--level", "4", "--order"]) == EXIT_OK
     assert "2^12" in capsys.readouterr().out
+    # G2 acts on the 4-ary tree; its ranks are logarithms to the prime 2
+    assert main(["quotient", "G2", "--level", "3", "--ranks", "6"]) == EXIT_OK
+    assert capsys.readouterr().out == "lower central ranks: [4, 2, 2, 2, 3, 2]\n"
 
 
 def test_cli_negative_level_is_usage_error(capsys):

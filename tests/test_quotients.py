@@ -11,6 +11,7 @@ from branchgroups.groups import builtin
 from branchgroups.quotients import (
     SubgroupHandle,
     chain_from_generators,
+    commutator_subgroup,
     derived_series_orders,
     format_order,
     full_aut_order,
@@ -59,14 +60,16 @@ def test_orders_match_closed_forms(gg):
     assert level_quotient(bgg, 1).order() == 3 ** ((3 - 1) // 2)
 
 
+_GG_FILE = ("group Gg\narity 2\nrooted a = (1 2)\nrecursive b = (a, c)\n"
+            "recursive c = (a, d)\nrecursive d = (1, b)\n")
+
+
 def test_level_quotient_is_cached_per_group_and_level(gg):
     assert level_quotient(gg, 4) is level_quotient(gg, 4)
     assert level_quotient(gg, 4) is not level_quotient(gg, 5)
     # a parsed group is a new group with its own cache, even for the same
     # generators as a built-in
-    parsed = parse_group_file(
-        "group Gg\narity 2\nrooted a = (1 2)\nrecursive b = (a, c)\n"
-        "recursive c = (a, d)\nrecursive d = (1, b)\n")
+    parsed = parse_group_file(_GG_FILE)
     q = level_quotient(parsed, 4)
     assert q is level_quotient(parsed, 4)
     assert q is not level_quotient(gg, 4)
@@ -166,6 +169,8 @@ def test_hausdorff(gg):
         hausdorff_ratio(gg, 3, ambient="bogus")
     with pytest.raises(ValueError, match="level >= 1"):
         hausdorff_ratio_exact(gg, 0)
+    with pytest.raises(ValueError, match="level >= 1"):
+        hausdorff_ratio(gg, 0, ambient="full")
 
 
 def test_hausdorff_exponents_of_the_prime_under_a_composite_branching():
@@ -186,6 +191,76 @@ def test_rigid_stabilizers(gg):
     # rigid stabilizer of a deepest-level vertex is trivial
     leaf = rigid_stabilizer(gg, 3, (0, 0, 0))
     assert leaf.order() == 1
+
+
+def _rist_level_oracle(group, level, depth):
+    """The product of the rigid stabilizers of all depth-`depth` vertices,
+    one prescribed chain per vertex."""
+    gens = []
+    for v in group.shape.vertices(depth):
+        gens.extend(rigid_stabilizer(group, level, v).gens)
+    return SubgroupHandle(level_quotient(group, level), gens)
+
+
+def _check_rist_level_against_oracle(group, level, depth):
+    rist = rigid_level_stabilizer(group, level, depth)
+    assert rist is rigid_level_stabilizer(group, level, depth)
+    assert rist.order() == _rist_level_oracle(group, level, depth).order()
+    # each generator moves the points of one depth-`depth` vertex only and
+    # lies in that vertex's directly built rigid stabilizer
+    verts = group.shape.vertices(depth)
+    width = level_quotient(group, level).degree // len(verts)
+    for g in rist.gens:
+        blocks = set(np.nonzero(g != np.arange(len(g)))[0] // width)
+        assert len(blocks) == 1
+        assert rigid_stabilizer(group, level, verts[blocks.pop()]).contains(g)
+
+
+@pytest.mark.parametrize("name", ["Gg", "G2", "FGg", "BGg", "GSg", "Sg", "BSV",
+                                  "Dinf", "GS5", "GS7"])
+def test_rigid_level_stabilizer_conjugates_one_chain_per_orbit(name):
+    # levels up to 5 with at most 81 vertices: the oracle's chain per vertex
+    # takes 2-3 s each at BGg@5 (243 vertices)
+    g = builtin(name)
+    for level in range(1, 6):
+        if g.shape.level_size(level) > 81:
+            break
+        for depth in range(1, min(level, 2) + 1):
+            _check_rist_level_against_oracle(g, level, depth)
+
+
+def test_rigid_level_stabilizer_with_several_vertex_orbits():
+    # a fixes the third vertex of level 1, so the level-1 vertices fall into
+    # the orbits {1, 2} and {3}, and the level-2 vertices into more
+    g = parse_group_file("group R\narity 3\nrooted a = (1 2)\n"
+                         "recursive b = (a, 1, b)\nrecursive c = (1, b, a)\n")
+    q = level_quotient(g, 1)
+    assert _orbit_sizes(q.degree, q.gens) == [1, 2]
+    for level in range(1, 5):
+        for depth in range(1, min(level, 2) + 1):
+            _check_rist_level_against_oracle(g, level, depth)
+
+
+def test_chain_extended_after_dropping_seen_is_unchanged():
+    # the dedup keys only skip a second sift during a build: a chain whose
+    # keys were dropped and which is then extended matches one that kept them
+    q = level_quotient(builtin("Gg"), 5)
+    # finished chains, the quotient's and a normal closure's, hold no keys
+    closure = normal_closure(q, [q.perm_of_word("(ab)^2")])
+    assert not any(lv.seen for h in (q, closure) for lv in h.chain().levels)
+    gens = [q.perm_of_word(w) for w in ("b", "c", "aba", "aca")]
+    extra = q.perm_of_word("ad")
+    kept = chain_from_generators(q.degree, [])
+    dropped = chain_from_generators(q.degree, [])
+    for g in gens:
+        kept.add_generator(g)
+        dropped.add_generator(g)
+    assert any(lv.seen for lv in kept.levels)
+    dropped.drop_seen()
+    assert not any(lv.seen for lv in dropped.levels)
+    assert kept.add_generator(extra) and dropped.add_generator(extra)
+    assert _chain_digest(kept) == _chain_digest(dropped)
+    assert kept.order() == dropped.order() == q.order()
 
 
 def test_rigid_stabilizer_rejects_impossible_vertices(gg):
@@ -279,12 +354,68 @@ def _quotient_bundle(name, level):
 
 
 def test_quotient_bundle_is_pinned():
-    # sha1 recorded before the subgroup layer moved to one handle type;
-    # G2@3 records its lower-central-ranks error text
+    # sha1 recorded before the subgroup layer moved to one handle type.  G2@3's
+    # lower central ranks were an error then (logarithms to the branching
+    # index 4, not to its prime 2): they are checked here and hashed as the
+    # error text of that time, so every other entry is still pinned
     bundle = [_quotient_bundle(name, level) for name, level in _BUNDLE_PAIRS]
-    assert bundle[8][6] == "ValueError: gamma_5/gamma_6 is not a 4-group"
+    assert bundle[8][6] == [4, 2, 2, 2, 3, 2]
+    bundle[8][6] = "ValueError: gamma_5/gamma_6 is not a 4-group"
     digest = hashlib.sha1(repr(bundle).encode()).hexdigest()
     assert digest == "c9de55aadcafd5e75b381ff5e2f5ccef08899ed6"
+
+
+def _lower_central_orders(q):
+    """Orders of gamma_1 = G_n, gamma_2, ... down to the trivial term, by a
+    loop of fresh normal closures."""
+    h, orders = q, [q.order()]
+    while orders[-1] > 1:
+        h = commutator_subgroup(q, h.gens, q.gens)
+        orders.append(h.order())
+    return orders
+
+
+def test_g2_lower_central_ranks_in_the_root_prime():
+    # G2 acts on the 4-ary tree and every level quotient is a 2-group, so
+    # the ranks are exponents of 2, not of 4
+    g2 = builtin("G2")
+    for n in range(1, 5):
+        orders = _lower_central_orders(level_quotient(g2, n))
+        exponents = [(a // b).bit_length() - 1 for a, b in zip(orders, orders[1:])]
+        assert all(a == b << e for a, b, e in zip(orders, orders[1:], exponents))
+        kmax = len(exponents) + 2
+        assert lower_central_ranks(g2, n, kmax) == exponents + [0, 0]
+
+
+def test_series_are_built_once_per_quotient(monkeypatch):
+    # one lower central and one derived series per quotient: G' is the
+    # gamma_2 handle, and a second round of calls builds nothing
+    from branchgroups import quotients
+
+    calls = []
+    build = quotients.commutator_subgroup
+
+    def counted(q, h1_gens, h2_gens):
+        calls.append(h1_gens is q.gens)
+        return build(q, h1_gens, h2_gens)
+
+    monkeypatch.setattr(quotients, "commutator_subgroup", counted)
+    g = parse_group_file(_GG_FILE)
+    q = level_quotient(g, 5)
+    answers = (lower_central_ranks(g, 5, 6), derived_series_orders(q, 3),
+               nilpotency_class(g, 5))
+    assert calls.count(True) == 1
+    assert quotients._series(q, 1, True)[1] is quotients._series(q, 1, False)[1]
+    built = len(calls)
+    assert (lower_central_ranks(g, 5, 6), derived_series_orders(q, 3),
+            nilpotency_class(g, 5)) == answers
+    assert len(calls) == built
+    # each answer equals that of a freshly built group
+    fresh = [parse_group_file(_GG_FILE) for _ in range(3)]
+    assert answers == (lower_central_ranks(fresh[0], 5, 6),
+                       derived_series_orders(level_quotient(fresh[1], 5), 3),
+                       nilpotency_class(fresh[2], 5))
+    assert answers[1] == [2**22, 2**19, 2**15, 2**8]
 
 
 def test_rozhkov_ranks_and_stability(gg):
@@ -398,8 +529,6 @@ def test_k_subgroup(gg):
     # K' = K x K at one level deeper: index of [K, K] in G_5
     q = level_quotient(gg, 5)
     k = normal_closure(q, [q.perm_of_word("(ab)^2")])
-    from branchgroups.quotients import commutator_subgroup
-
     kprime = commutator_subgroup(q, k.gens, k.gens)
     assert k.order() % kprime.order() == 0
 
