@@ -265,7 +265,10 @@ def main(argv=None) -> int:
     p.add_argument("group")
     p.add_argument("--level", type=level, required=True)
     p.add_argument("--order", action="store_true")
-    p.add_argument("--ranks", type=int, metavar="KMAX")
+    p.add_argument("--ranks", type=int, metavar="KMAX",
+                   help="log_p |gamma_k/gamma_{k+1}| for k = 1..KMAX, p the prime of "
+                        "the root branching index; the F_p-rank only when the "
+                        "factor is elementary abelian")
     p.add_argument("--derived", type=int, metavar="KMAX")
     p.add_argument("--suborbits", action="store_true")
     p.add_argument("--hausdorff", action="store_true")
@@ -314,6 +317,13 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except ResourceBoundExceeded as exc:
         print(f"resource bound exceeded: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError:
+        print("resource bound exceeded: out of memory (MemoryError)", file=sys.stderr)
+        return EXIT_RESOURCE
+    except RecursionError:
+        print("resource bound exceeded: recursion deeper than the interpreter's "
+              f"limit of {sys.getrecursionlimit()} (RecursionError)", file=sys.stderr)
         return EXIT_RESOURCE
 
 

@@ -9,19 +9,29 @@ spinal groups each section word has at most (|F|+1)/2 letters, so the
 closure is small; for explicit groups a cap bounds it.
 
 Orders are computed by the pruned period decomposition: write F = H g
-with g the root permutation of order s, form one cyclically reduced
-representative word per cycle of g (the product of the sections of F
-along the cycle), recurse, and combine: the order of F divides
-s * lcm of the representatives' orders.  The exact order is recovered
-from that multiple by explicit power triviality.  An element is reported
-infinite only with a certificate: either some cycle representative of
-F^s at a vertex equals F^{+-1} up to a short conjugator, or the
-recursion meets the same word again below itself after cycles whose
-lengths multiply to M > 1.  A word whose section of its M-th power is
-conjugate to itself has order n dividing n/M, impossible for finite n.
-A repeat with M = 1 gives a provisional order 1; only the word that
-opened the cycle verifies the combined candidate, and nothing that
-depends on a provisional value is memoized.
+with g the root permutation, form one cyclically reduced representative
+word per cycle of g (the product of the sections of F along the cycle),
+recurse, and combine: the order of F is the lcm over the cycles c of
+L_c * ord(rep_c), where L_c is the length of c.  This is exact, because
+F^j fixes the points of c iff L_c divides j, and then its section at a
+point x of c is ((F^L_c)_x)^(j/L_c), a conjugate of rep_c^(j/L_c).  An
+element is reported infinite only with a certificate: either the
+section of F^L_c at a point of some cycle c equals F^{+-1} up to a short
+conjugator, or the recursion meets the same word again below itself
+after cycles whose lengths multiply to M > 1.  A word whose section of
+its M-th power is conjugate to itself has order n dividing n/M,
+impossible for finite n.
+
+A repeat with M = 1 takes the provisional order 1, and the word W that
+opened the cycle gets the least fixpoint N of the equations.  N is W's
+order.  Raise each word of the recursion below W to N over the product
+of the cycle lengths above it (an integer, by the lcm): each such power
+fixes the first level, and its sections are trivial or conjugates of the
+powers one step down, a repeat's power being a conjugate of the power of
+the word it repeats, as M = 1.  By induction on the length of a vertex,
+all these powers fix every vertex, so W^N = 1; and N divides W's order,
+as each provisional value divides the true one.  Only words whose value
+rests on a cycle still open above them stay out of the memo.
 """
 
 from __future__ import annotations
@@ -31,7 +41,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .automorphisms import identity_perm, perm_order
+from .automorphisms import identity_perm
 from .errors import ResourceBoundExceeded
 from .groups import GroupDefinition, Word
 from .quotients import level_quotient
@@ -125,8 +135,10 @@ _SETTLED = frozenset()  # no provisional value behind a result
 def order(group: GroupDefinition, word, bound: int = 1 << 20) -> OrderResult:
     """Order of an element by pruned period decomposition.
 
-    Returns Finite(k) with k verified minimal, InfiniteCertified with a
-    self-similar certificate, or Unknown when ``bound`` is hit.
+    Returns Finite(k) with k = lcm over the cycles c of the root
+    permutation of len(c) * ord(rep_c), exact by construction (see the
+    module docstring), InfiniteCertified with a self-similar certificate,
+    or Unknown when a value exceeds ``bound``.
     """
     letters = group.word(word).letters
     memo = group.root_def()._memo_order
@@ -160,7 +172,6 @@ def order(group: GroupDefinition, word, bound: int = 1 << 20) -> OrderResult:
             return OrderResult("finite", 1), frozenset([key])
 
         root, sections = g.first_level_sections(w)
-        s = perm_order(root)
         child = g.shifted()
 
         # one representative word per cycle of the root permutation;
@@ -210,7 +221,7 @@ def order(group: GroupDefinition, word, bound: int = 1 << 20) -> OrderResult:
             memo[key] = result
             return result, _SETTLED
 
-        sub_orders = []
+        value = 1
         pending = set()
         active[key] = (mult, len(path))
         path.append(link)
@@ -223,20 +234,18 @@ def order(group: GroupDefinition, word, bound: int = 1 << 20) -> OrderResult:
                     return result, _SETTLED
                 if sub.kind == "unknown":
                     return sub, _SETTLED
-                sub_orders.append(sub.value)
+                value = math.lcm(value, length * sub.value)
                 pending |= sub_pending
         finally:
             del active[key]
             path.pop()
-        pending.discard(key)
-        candidate = s * math.lcm(*sub_orders)
-        if candidate > bound or candidate * len(w) > 64 * bound:
+        if value > bound:
             return OrderResult("unknown"), _SETTLED
-        if pending:  # a cycle opened above is still open: leave it the check
-            return OrderResult("finite", candidate), frozenset(pending)
-        result = _verify_order(g, w, candidate, bound)
-        if result.kind == "finite":
-            memo[key] = result
+        result = OrderResult("finite", value)
+        pending.discard(key)
+        if pending:  # the value rests on a cycle opened above: not final yet
+            return result, frozenset(pending)
+        memo[key] = result
         return result, _SETTLED
 
     return rec(group, letters, 1, (None, None))[0]
@@ -259,40 +268,6 @@ def _certificate_sign(g: GroupDefinition, w, t_word, conj_len: int) -> Optional[
                 if doubled[i:i + len(tc)] == tc and i <= conj_len:
                     return sign
     return None
-
-
-def _verify_order(g: GroupDefinition, w, multiple: int, bound: int) -> OrderResult:
-    """Extract the exact order from a verified-to-be multiple candidate."""
-    if multiple < 1:
-        return OrderResult("unknown")
-    pw = _power_word(g, w, multiple)
-    if not is_trivial(g, Word(pw, True)):
-        # the candidate combination was not actually a multiple
-        # (possible only through provisional cycle values): give up honestly
-        return OrderResult("unknown")
-    k = multiple
-    for p in _prime_factors(multiple):
-        while k % p == 0 and is_trivial(g, Word(_power_word(g, w, k // p), True)):
-            k //= p
-    return OrderResult("finite", k)
-
-
-def _power_word(g: GroupDefinition, w, n: int):
-    return g.reduce(tuple(w) * n)
-
-
-def _prime_factors(n: int):
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
 
 
 # -- balls, growth, torsion growth ----------------------------------------

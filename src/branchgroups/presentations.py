@@ -279,11 +279,12 @@ class VerificationReport:
 def translate(word: FreeWord, group: GroupDefinition,
               alphabet_map: Dict[str, str]) -> Word:
     """Map a free word into a group word through declared abbreviations."""
+    parsed: Dict[str, Tuple] = {}  # each distinct symbol is parsed once
     letters: List = []
     for sym, exp in word:
-        target = alphabet_map.get(sym, sym)
-        gw = group.parse_word(target)
-        chunk = gw.letters if exp > 0 else group.inverse_word(gw.letters)
+        if sym not in parsed:
+            parsed[sym] = group.parse_word(alphabet_map.get(sym, sym)).letters
+        chunk = parsed[sym] if exp > 0 else group.inverse_word(parsed[sym])
         for _ in range(abs(exp)):
             letters.extend(chunk)
     return Word(group.reduce(tuple(letters)), True)

@@ -397,11 +397,13 @@ def _root_prime(group: GroupDefinition) -> int:
 
 
 def lower_central_ranks(group: GroupDefinition, level: int, kmax: int) -> List[int]:
-    """Ranks of gamma_k / gamma_{k+1} in the level quotient, k = 1..kmax.
+    """log_p |gamma_k / gamma_{k+1}| in the level quotient, k = 1..kmax.
 
-    Each rank is log_p of the index, p the prime dividing the root
-    branching index; ValueError when an index is not a power of p.  It is
-    the F_p-rank when the factor is elementary abelian, as for Gg.
+    p is the prime dividing the root branching index; ValueError when an
+    index is not a power of p.  An entry is the F_p-rank of the factor
+    only when the factor is elementary abelian, as for Gg: for G2 at
+    level 3 the first entry is 4, but a^2 is not in gamma_2, so G/gamma_2
+    of order 2^4 has rank 2.
     """
     p = _root_prime(group)
     series = _series(level_quotient(group, level), kmax + 1, derived=False)

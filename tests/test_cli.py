@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+from branchgroups import decision, quotients, schreier, spectra
 from branchgroups.cli import (
     EXIT_FALSE,
     EXIT_OK,
+    EXIT_RESOURCE,
     EXIT_USAGE,
     GroupFileError,
     format_group_file,
@@ -172,6 +174,26 @@ def test_cli_impossible_rist_vertex_is_usage_error(capsys):
     assert capsys.readouterr().out == "rigid stabilizer index: 16\n"
     assert main(["quotient", "Gg", "--level", "0", "--hausdorff"]) == EXIT_USAGE
     assert "level >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module, name, argv", [
+    (quotients, "level_quotient", ["quotient", "Gg", "--level", "30"]),
+    (schreier, "schreier_graph", ["schreier", "Gg", "--level", "40"]),
+    (spectra, "spectral_report", ["spectrum", "Gg", "--level", "16"]),
+    (decision, "is_trivial", ["trivial", "Gg", "(ab)^99999999999"]),
+])
+@pytest.mark.parametrize("error", [MemoryError, RecursionError])
+def test_cli_resource_errors_exit_3(monkeypatch, capsys, module, name, argv, error):
+    # the commands stand in for runs that exhaust memory or the stack, so
+    # the test allocates nothing
+    def exhausted(*args, **kwargs):
+        raise error()
+
+    monkeypatch.setattr(module, name, exhausted)
+    assert main(argv) == EXIT_RESOURCE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and f"({error.__name__})" in err
 
 
 def test_cli_eval(capsys):

@@ -27,6 +27,10 @@ def gg():
 
 @pytest.fixture(scope="module")
 def gg_explicit():
+    return _gg_explicit()
+
+
+def _gg_explicit():
     """Gg written as a wreath recursion: b = (a, c), c = (a, d), d = (1, b)."""
     return explicit_group(
         "Gg", TreeShape.regular(2), {"a": perm_from_cycles(2, [[0, 1]])},
@@ -93,6 +97,15 @@ def test_explicit_orders_match_spinal(gg, gg_explicit):
     for text in ("a c a b a c", "a b", "a d a c a b"):
         assert repr(order(gg_explicit, text)) == repr(order(gg, text))
     assert order(gg_explicit, "a c a b a c").value == 16
+
+
+def test_order_solves_no_word_problem():
+    group = _gg_explicit()
+    rng = random.Random(5)
+    for _ in range(50):
+        w = Word(group.random_reduced_word(rng.randint(1, 20), rng), True)
+        assert order(group, w).kind == "finite"
+    assert group._memo_order and not group._memo_trivial
 
 
 def test_order_matches_quotient_stabilization(gg):

@@ -152,6 +152,23 @@ def test_gsg_classical_third_relator_is_not_a_relation():
             w = phi.apply(w)
 
 
+def test_translate_parses_each_symbol_once(monkeypatch):
+    gsg = builtin("GSg")
+    _, _, amap = presentation("gsg")
+    rel = parse_free_word("[t,u]^3 [u,v]^3 [t,v]^3")
+    expected = translate(rel, gsg, amap)
+    parsed = []
+    parse_word = gsg.parse_word
+
+    def counting_parse_word(text):
+        parsed.append(text)
+        return parse_word(text)
+
+    monkeypatch.setattr(gsg, "parse_word", counting_parse_word)
+    assert translate(rel, gsg, amap) == expected
+    assert sorted(parsed) == sorted(amap.get(s, s) for s in "tuv")
+
+
 def test_gsg_relator_tuv_cubed():
     gsg = builtin("GSg")
     _, _, amap = presentation("gsg")
