@@ -3,9 +3,9 @@
 Exact state-machine arithmetic for tree automorphisms, constructors for
 spinal/GGS families, word-problem and order decision procedures, the
 coset conjugacy algorithm for the first Grigorchuk group, finite level
-quotients with stabilizer chains, Schreier graphs with substitutional
-expansion, Hecke-Laplace spectra with closed-form verification, and
-endomorphic presentation expansion.
+quotients (layered p-group sequences, or stabilizer chains), Schreier
+graphs with substitutional expansion, Hecke-Laplace spectra with
+closed-form verification, and endomorphic presentation expansion.
 """
 
 from .automorphisms import (

@@ -103,14 +103,16 @@ class OrderResult:
 
     kind is 'finite' (value set), 'infinite' (certificate set), or
     'unknown' (bound reached).  The certificate (k, vertex, sign, witness,
-    links) says: the section of witness^k at the level-1 vertex equals
-    witness^sign up to a conjugator.  ``links`` is None for a one-level
-    certificate found by rotation.  For a cycle of the recursion it lists
-    one (cycle length, vertex, conjugator, word) per step down from the
-    witness: the section of the previous word (the witness, first) raised
-    to the cycle length, at the vertex and conjugated by the conjugator,
-    is the word; the last word is the witness and the lengths multiply
-    to k > 1.
+    links, shift) says: the section of witness^k at the level-1 vertex
+    equals witness^sign up to a conjugator.  ``links`` is None for a
+    one-level certificate found by rotation.  For a cycle of the recursion
+    it lists one (cycle length, vertex, conjugator, word, shift) per step
+    down from the witness: the section of the previous word (the witness,
+    first) raised to the cycle length, at the vertex and conjugated by the
+    conjugator, is the word; the last word is the witness and the lengths
+    multiply to k > 1.  Each ``shift`` is the shift index of the group
+    whose letters the words next to it use (``group.companion(shift)``
+    prints them); the last one is the witness's.
     """
 
     kind: str
@@ -121,7 +123,7 @@ class OrderResult:
         if self.kind == "finite":
             return f"Finite({self.value})"
         if self.kind == "infinite":
-            k, v, sign, _w, links = self.certificate
+            k, v, sign, _w, links = self.certificate[:5]
             depth = f", depth={len(links)}" if links and len(links) > 1 else ""
             return f"InfiniteCertified(k={k}, vertex={v + 1}, sign={sign:+d}{depth})"
         return "Unknown(bound reached)"
@@ -162,12 +164,12 @@ def order(group: GroupDefinition, word, bound: int = 1 << 20) -> OrderResult:
         hit = memo.get(key)
         if hit is not None:
             return hit, _SETTLED
-        link = step + (conj, w)
+        link = step + (conj, w, g.shift_index)
         if key in active:
             opened, at = active[key]
             if mult > opened:
                 links = tuple(path[at + 1:]) + (link,)
-                cert = (mult // opened, links[0][1], 1, w, links)
+                cert = (mult // opened, links[0][1], 1, w, links, g.shift_index)
                 return OrderResult("infinite", certificate=cert), _SETTLED
             return OrderResult("finite", 1), frozenset([key])
 
@@ -204,16 +206,16 @@ def order(group: GroupDefinition, word, bound: int = 1 << 20) -> OrderResult:
                 w_inv = g.reduce(g.inverse_word(w))
                 for v, t_word in rotations:  # exact matches first
                     if t_word == w:
-                        cert = (len(cycle), v, 1, w, None)
+                        cert = (len(cycle), v, 1, w, None, g.shift_index)
                         break
                     if t_word == w_inv:
-                        cert = (len(cycle), v, -1, w, None)
+                        cert = (len(cycle), v, -1, w, None, g.shift_index)
                         break
                 else:
                     for v, t_word in rotations:
                         sign = _certificate_sign(g, w, t_word, CONJUGATOR_LENGTH)
                         if sign is not None:
-                            cert = (len(cycle), v, sign, w, None)
+                            cert = (len(cycle), v, sign, w, None, g.shift_index)
                             break
             reps.append((len(cycle),) + best)
         if cert is not None:

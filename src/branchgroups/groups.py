@@ -224,6 +224,10 @@ class GroupDefinition:
     def root_def(self) -> "GroupDefinition":
         return self._ring[0]
 
+    def companion(self, shift_index: int) -> "GroupDefinition":
+        """The member of this group's ring with the given shift index."""
+        return self._ring[shift_index]
+
     def memo_key(self, letters) -> Tuple:
         return (self.shift_index, letters)
 

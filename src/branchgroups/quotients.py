@@ -1,25 +1,45 @@
 """Finite level quotients as permutation groups.
 
 The quotient G_n = G/Stab(L_n) acts on the m_1*...*m_n level-n vertices
-(lexicographic order).  Orders, membership, and subgroup data come from a
-deterministic Schreier-Sims stabilizer chain: base points are chosen as
-the first moved point (optionally prescribed), generators are processed
-in a fixed order, and all Schreier generators are sifted, so runs are
-reproducible bit for bit.  Every subgroup is a `SubgroupHandle`: its
-generators and one chain, whose tail below `depth` prescribed base points
-is a point stabilizer.  The quotient is the depth-0 handle over the
-generator images, and `level_quotient` keeps one per (group, level) on
-the group.  The quotient also owns the subgroups built on it: its lower
-central and derived series (extended lazily; G' is the handle of gamma_2),
-the rigid stabilizer of each vertex and the rigid level stabilizer of
-each depth.  Each is built once, lives as long as the quotient and is
-read-only.  Permutations are numpy int32 arrays composed by fancy
-indexing; group orders are exact Python integers.
+(lexicographic order).  Two engines answer for it:
+
+* Layered sequences, when G_n lies in W_n(p), the iterated wreath power
+  of C_p: the branching is one prime p at every level < n and every
+  generator image rotates the children of each vertex (checked once, on
+  the generator images, when the quotient is first asked).  The level
+  stabilizers then give a normal series whose factors embed linearly in
+  F_p^(p^i), and a `LayeredSequence` keeps an echelon basis per factor.
+  The order, the normal closures, the lower central and derived series
+  and the rigid stabilizers are all read from such sequences.
+* A deterministic Schreier-Sims stabilizer chain otherwise (G2, GS_m for
+  a composite m, mixed arities, non-rotating generators): base points are
+  the first moved point (optionally prescribed), generators are processed
+  in a fixed order and every Schreier generator is sifted, so runs are
+  reproducible bit for bit.
+
+Membership (`SubgroupHandle.contains`) always sifts through a chain, built
+from the handle's generators the first time it is asked; for the quotient
+itself that chain is the one above.  Point stabilizers
+(`pointwise_stabilizer`) stay on the chain too.  Suborbits come from
+Schreier generators of the basepoint stabilizer and need neither engine.
+
+Every subgroup is a `SubgroupHandle`: its generators, its order once
+known, and a chain whose tail below `depth` prescribed base points is a
+point stabilizer.  The quotient is the depth-0 handle over the generator
+images, and `level_quotient` keeps one per (group, level) on the group.
+The quotient also owns the subgroups built on it: its lower central and
+derived series (extended lazily; G' is the handle of gamma_2), the rigid
+stabilizer of each vertex, the rigid level stabilizer of each depth and
+the suborbit profile of each basepoint.  Each is built once, lives as
+long as the quotient and is read-only.  Permutations are numpy int32
+arrays composed by fancy indexing; group orders are exact Python
+integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import factorial, log
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -253,17 +273,255 @@ def chain_from_generators(degree: int, gens: Sequence[np.ndarray],
     return chain
 
 
+def _layered_prime(group: GroupDefinition, level: int,
+                   gens: Sequence[np.ndarray]) -> Optional[int]:
+    """p when the level quotient lies in W_n(p), else None.
+
+    That holds when the branching is one prime p at every level below
+    `level` and each generator image rotates the children of every vertex
+    of depth < level: child y of a vertex goes to child y + r of its image,
+    r fixed per vertex.  W_n(p) is a group, so the generators decide it.
+    """
+    p = group.shape.branching(0)
+    if _root_prime(group) != p or any(group.shape.branching(i) != p for i in range(level)):
+        return None
+    for g in gens:
+        for j in range(level):
+            w = p ** (level - j - 1)
+            # the first leaf below each child of each depth-j vertex
+            children = g[np.arange(p ** (j + 1)) * w] // w
+            turns = (children.reshape(-1, p) - np.arange(p)) % p
+            if (turns != turns[:, :1]).any():
+                return None
+    return p
+
+
+def _depth_layer(p: int, level: int, depth: int, vertices: np.ndarray):
+    """(leaves, width) of the rotations at the given depth-`depth` vertices:
+    the first leaf below each vertex, and the number of leaves below each
+    of its children."""
+    return vertices * p ** (level - depth), p ** (level - depth - 1)
+
+
+def _stack(perms, degree: int) -> np.ndarray:
+    return np.asarray(perms, dtype=np.int32).reshape(len(perms), degree)
+
+
+def _pinv_rows(perms: np.ndarray) -> np.ndarray:
+    out = np.empty_like(perms)
+    np.put_along_axis(out, perms, np.arange(perms.shape[1], dtype=perms.dtype), axis=1)
+    return out
+
+
+def _comm_rows(h: np.ndarray, hinv: np.ndarray, xs: np.ndarray,
+               xs_inv: np.ndarray) -> np.ndarray:
+    """[h, x] = h^-1 x^-1 h x for every row x; composition is left-to-right
+    application, so (g h)[i] = h[g[i]]."""
+    return np.take_along_axis(xs, h[xs_inv[:, hinv]], axis=1)
+
+
+# perms that `LayeredSequence.close` lets wait in one layer's queue
+_PENDING_ROWS = 4096
+
+
+class LayeredSequence:
+    """Polycyclic sequence of a subgroup of W_n(p), one F_p layer at a time.
+
+    The layers are the factors K_i / K_{i+1} of a series of subgroups of
+    W_n(p), each normal in the group being closed.  Layer i reads, for an
+    element of K_i, the rotations at a set of vertices that K_i fixes: the
+    vector (g[leaves] // width - leaves // width) mod p.  On K_i that map is
+    a homomorphism to F_p^k with kernel K_{i+1}, so each layer keeps an
+    echelon basis of row vectors together with an element for each row
+    (Sims, "Computing the order of a solvable permutation group", 1990;
+    Holt, Eick and O'Brien 2005, ch. 8).  The standard series is the level
+    stabilizers: layer i reads the rotations at the depth-i vertices.
+
+    `close(seeds, conj)` extends the sequence to the normal closure of the
+    seeds under conjugation by `conj`, sifting each layer's queue as one
+    batch: a new row h queues [h, s] for s in `conj` into its own layer,
+    and h^p and [h, x] for the earlier rows x of that layer into the next
+    one (the factor is elementary abelian).  The order is p to the number
+    of rows.
+    """
+
+    def __init__(self, p: int, degree: int, layers: Sequence[Tuple[np.ndarray, int]]):
+        self.p = p
+        self.layers = list(layers)
+        self.identity = np.arange(degree, dtype=np.int32)
+        self.pivots: List[List[int]] = [[] for _ in self.layers]
+        self.rows: List[List[np.ndarray]] = [[] for _ in self.layers]
+        self.elements: List[List[np.ndarray]] = [[] for _ in self.layers]
+        # per row: the perms h^0, h^-1, ..., h^-(p-1), one per line
+        self._inverse_powers: List[List[np.ndarray]] = [[] for _ in self.layers]
+        # per layer, once it has a row: the rows R again and the inverse mod p
+        # of U = R[:, pivots], unit upper triangular, both with room for a
+        # full basis; float64, so products run in BLAS (every sum is an
+        # integer below 2^53)
+        self._dense: List[Optional[Tuple[np.ndarray, np.ndarray]]] = [None] * len(self.layers)
+
+    def dimension(self, start: int = 0, stop: Optional[int] = None) -> int:
+        return sum(len(e) for e in self.elements[start:stop])
+
+    def order(self) -> int:
+        return self.p ** self.dimension()
+
+    def perms(self, start: int = 0, stop: Optional[int] = None) -> List[np.ndarray]:
+        """The sequence elements of layers [start, stop), in order."""
+        return [h for layer in self.elements[start:stop] for h in layer]
+
+    def _vectors(self, i: int, batch: np.ndarray) -> np.ndarray:
+        leaves, width = self.layers[i]
+        return (batch[:, leaves] // width - leaves // width) % self.p
+
+    def _strip(self, i: int, batch: np.ndarray, vecs: np.ndarray, first: int = 0,
+               zero_is_identity: bool = False):
+        """Strip layer i's rows from `first` on out of the batch, in place:
+        g -> g * h_first^-a_first * h_first+1^-a_first+1 ..., for the rows'
+        elements h, and v -> v - sum a_j R_j.  The vectors must be zero at
+        the pivots before `first`.  With `zero_is_identity` (the last
+        layer), a perm whose residue vector is zero is left as it is: the
+        caller drops it."""
+        p, r = self.p, len(self.pivots[i])
+        if r == first:
+            return
+        if r - first == 1:  # a lone row has pivot 1: its column holds the a's
+            a = vecs[:, self.pivots[i][first]]
+            hit = np.flatnonzero(a)
+            coeff = a[hit, None]
+            vecs[hit] = (vecs[hit] - coeff * self.rows[i][first]) % p
+            if zero_is_identity:
+                keep = vecs[hit].any(axis=1)
+                hit, coeff = hit[keep], coeff[keep]
+            batch[hit] = self._inverse_powers[i][first][coeff, batch[hit]]
+            return
+        # v = sum a_j R_j gives v[pivots] = a U, so a = v[pivots] U^-1
+        rows, u_inv = self._dense[i]
+        coeff = (vecs[:, self.pivots[i][first:]] @ u_inv[first:r, first:r]).astype(vecs.dtype) % p
+        hit = np.flatnonzero(coeff.any(axis=1))
+        vecs[hit] = (vecs[hit] - (coeff[hit] @ rows[first:r]).astype(vecs.dtype)) % p
+        if zero_is_identity:
+            hit = hit[vecs[hit].any(axis=1)]
+        coeff = coeff[hit]
+        for j in np.flatnonzero(coeff.any(axis=0)):
+            on = coeff[:, j] != 0
+            batch[hit[on]] = self._inverse_powers[i][first + j][coeff[on, j, None], batch[hit[on]]]
+
+    def sift(self, perms, stop: int) -> np.ndarray:
+        """The perms (members of the group) stripped through layers [0, stop):
+        g = residue * e_m^a_m ... e_1^a_1, with the residue in K_stop."""
+        batch = _stack(perms, len(self.identity)).copy()
+        for i in range(stop):
+            self._strip(i, batch, self._vectors(i, batch))
+        return batch
+
+    def _add_row(self, i: int, g: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Make the residue g (vector v != 0) a row, scaled to pivot 1."""
+        p = self.p
+        piv = int(np.flatnonzero(v)[0])
+        k = pow(int(v[piv]), -1, p)
+        h = self.identity
+        for _ in range(k):
+            h = g[h]
+        powers = [self.identity, _pinv(h)]
+        while len(powers) < p:
+            powers.append(powers[1][powers[-1]])
+        r = len(self.pivots[i])
+        if not r:
+            self._dense[i] = (np.zeros((len(v), len(v))), np.zeros((len(v), len(v))))
+        rows, u_inv = self._dense[i]
+        # U grows by the column of the old rows at the new pivot and a unit
+        # row (the new row is zero at the old pivots)
+        u_inv[:r, r] = -(u_inv[:r, :r] @ rows[:r, piv]) % p
+        u_inv[r, r] = 1
+        rows[r] = v * k % p
+        self.rows[i].append(v * k % p)
+        self.pivots[i].append(piv)
+        self.elements[i].append(h)
+        self._inverse_powers[i].append(np.stack(powers[:p]))
+        return h
+
+    def close(self, seeds, conj) -> "LayeredSequence":
+        """Extend to the normal closure of the seeds (any iterable of perms)
+        under conjugation by `conj`; each seed must lie in K_0, and conj
+        must normalize every K_i.  A queued element is a member once
+        sifted, whatever is added later, so the order in which the layers'
+        queues are worked off does not matter.  The shallowest queue goes
+        first, unless a deeper one holds `_PENDING_ROWS` perms: then the
+        deepest such one.  Seeds are taken `_PENDING_ROWS` at a time, once
+        every queue is empty.  Both bound the memory held by waiting perms,
+        such as the same-layer commutators or the pairs of a derived
+        subgroup."""
+        last = len(self.layers) - 1
+        if last < 0:
+            return self
+        degree = len(self.identity)
+        conj = _stack(conj, degree)
+        conj_inv = _pinv_rows(conj)
+        pending: List[List[np.ndarray]] = [[] for _ in self.layers]
+        queued = [0] * len(self.layers)
+
+        def queue(i: int, perms: np.ndarray):
+            if i <= last and len(perms):
+                pending[i].append(perms)
+                queued[i] += len(perms)
+
+        seeds = iter(seeds)
+        while True:
+            if not any(queued):
+                queue(0, _stack(list(islice(seeds, _PENDING_ROWS)), degree))
+                if not queued[0]:
+                    return self
+            full = [i for i in range(last + 1) if queued[i] >= _PENDING_ROWS]
+            i = full[-1] if full else next(i for i in range(last + 1) if queued[i])
+            batch = self._distinct(np.concatenate(pending[i]))
+            pending[i], queued[i] = [], 0
+            vecs = self._vectors(i, batch)
+            self._strip(i, batch, vecs, zero_is_identity=i == last)
+            while True:
+                live = vecs.any(axis=1)
+                queue(i + 1, batch[~live])
+                batch, vecs = batch[live], vecs[live]
+                if not len(batch):
+                    break
+                h = self._add_row(i, batch[0], vecs[0])
+                hinv = self._inverse_powers[i][-1][1]
+                queue(i, _comm_rows(h, hinv, conj, conj_inv))
+                if i < last:
+                    hp = self.identity
+                    for _ in range(self.p):
+                        hp = h[hp]
+                    queue(i + 1, hp[None])
+                    earlier = _stack(self.elements[i][:-1], degree)
+                    earlier_inv = _stack([pw[1] for pw in self._inverse_powers[i][:-1]], degree)
+                    queue(i + 1, _comm_rows(h, hinv, earlier, earlier_inv))
+                batch, vecs = batch[1:], vecs[1:]
+                if i < last and queued[i + 1] >= _PENDING_ROWS:
+                    queue(i, batch)  # the rest waits for the deeper queue
+                    break
+                self._strip(i, batch, vecs, len(self.pivots[i]) - 1, i == last)
+
+    def _distinct(self, batch: np.ndarray) -> np.ndarray:
+        """The distinct non-identity rows of the batch, in first-seen order."""
+        batch = np.ascontiguousarray(batch[(batch != self.identity).any(axis=1)])
+        rows = batch.view(np.dtype((np.void, batch.shape[1] * batch.itemsize))).ravel()
+        return batch[np.sort(np.unique(rows, return_index=True)[1])]
+
+
 class SubgroupHandle:
-    """A subgroup of a level quotient: generators and one stabilizer chain.
+    """A subgroup of a level quotient: generators, the order once known,
+    and one stabilizer chain, built from the generators when first needed.
     With `depth` > 0 it is the stabilizer of the chain's first `depth` base
     points, read from the chain's tail (Holt, Eick and O'Brien 2005, 4.4)."""
 
     def __init__(self, parent: LevelQuotient, gens: Sequence[np.ndarray],
-                 chain: Optional[StabilizerChain] = None, depth: int = 0):
+                 chain: Optional[StabilizerChain] = None, depth: int = 0,
+                 order: Optional[int] = None):
         self.parent = parent
         self.gens = [np.asarray(g, dtype=np.int32) for g in gens]
         self._chain = chain
         self.depth = depth
+        self._order = order
 
     def chain(self) -> StabilizerChain:
         if self._chain is None:
@@ -271,7 +529,9 @@ class SubgroupHandle:
         return self._chain
 
     def order(self) -> int:
-        return self.chain().order(self.depth)
+        if self._order is None:
+            self._order = self.chain().order(self.depth)
+        return self._order
 
     def index(self) -> int:
         return self.parent.order() // self.order()
@@ -297,10 +557,43 @@ class LevelQuotient(SubgroupHandle):
         self.gen_perms: Dict[str, np.ndarray] = {
             group.format_word((x,)): self._images[x] for x in group.canonical_letters}
         super().__init__(self, self.gen_perms.values())
+        self._prime: Optional[int] = None
+        self._prime_known = False
+        self._sequence: Optional[LayeredSequence] = None
         self._lower_central: List[SubgroupHandle] = [self]
         self._derived: List[SubgroupHandle] = [self]
         self._rist: Dict[Tuple[int, ...], SubgroupHandle] = {}
         self._rist_level: Dict[int, SubgroupHandle] = {}
+        self._stabilizer_gens: Dict[int, List[np.ndarray]] = {}
+        self._suborbits: Dict[int, Tuple[int, ...]] = {}
+
+    def layered_prime(self) -> Optional[int]:
+        """p when G_n lies in W_n(p), so layered sequences serve; None when
+        the chain serves (decided once, on the generator images)."""
+        if not self._prime_known:
+            self._prime = _layered_prime(self.group, self.level, self.gens)
+            self._prime_known = True
+        return self._prime
+
+    def new_sequence(self, layers=None) -> LayeredSequence:
+        """An empty sequence over the given layers, by default the level
+        stabilizers (layer i reads the rotations at the depth-i vertices)."""
+        p, n = self.layered_prime(), self.level
+        if layers is None:
+            layers = [_depth_layer(p, n, i, np.arange(p ** i)) for i in range(n)]
+        return LayeredSequence(p, self.degree, layers)
+
+    def sequence(self) -> LayeredSequence:
+        """G_n's own sequence over the level stabilizers, built once."""
+        if self._sequence is None:
+            self._sequence = self.new_sequence().close(self.gens, self.gens)
+        return self._sequence
+
+    def order(self) -> int:
+        if self._order is None:
+            self._order = (self.sequence().order() if self.layered_prime()
+                           else self.chain().order())
+        return self._order
 
     def perm_of_word(self, word) -> np.ndarray:
         p = np.arange(self.degree, dtype=np.int32)
@@ -329,14 +622,14 @@ def level_quotient(group: GroupDefinition, level: int) -> LevelQuotient:
 
 # -- normal closures, commutators, series -------------------------------
 
+def _layered_handle(q: LevelQuotient, seq: LayeredSequence, start: int = 0) -> SubgroupHandle:
+    """The subgroup of the sequence's layers from `start` on; its generators
+    are those sequence elements, and its chain is built only if asked."""
+    return SubgroupHandle(q, seq.perms(start), order=seq.p ** seq.dimension(start))
 
-def _comm(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    # [p, q] = p^-1 q^-1 p q; composition is left-to-right application
-    return q[p[_pinv(q)[_pinv(p)]]]
 
-
-def normal_closure(q: LevelQuotient, seeds: Sequence[np.ndarray]) -> SubgroupHandle:
-    """Normal closure of the seeds under conjugation by the group generators."""
+def _chain_closure(q: LevelQuotient, seeds: Sequence[np.ndarray]) -> SubgroupHandle:
+    """Normal closure by growing a stabilizer chain, one conjugate at a time."""
     sub = StabilizerChain(q.degree)
     gens: List[np.ndarray] = []
     work = [np.asarray(s, dtype=np.int32) for s in seeds]
@@ -352,11 +645,28 @@ def normal_closure(q: LevelQuotient, seeds: Sequence[np.ndarray]) -> SubgroupHan
     return SubgroupHandle(q, gens, sub)
 
 
+def normal_closure(q: LevelQuotient, seeds: Sequence[np.ndarray]) -> SubgroupHandle:
+    """Normal closure of the seeds under conjugation by the group generators:
+    a layered sequence when G_n lies in W_n(p), else a stabilizer chain."""
+    if not q.layered_prime():
+        return _chain_closure(q, seeds)
+    return _layered_handle(q, q.new_sequence().close(seeds, q.gens))
+
+
 def commutator_subgroup(q: LevelQuotient, h1_gens: Sequence[np.ndarray],
                         h2_gens: Sequence[np.ndarray]) -> SubgroupHandle:
     """Normal closure of the commutators of the given generating sets."""
-    seeds = [_comm(x, y) for x in h1_gens for y in h2_gens]
-    return normal_closure(q, seeds)
+    ys = _stack(h2_gens, q.degree)
+    ys_inv = _pinv_rows(ys)
+
+    def seeds():
+        for i, x in enumerate(h1_gens):
+            # one generating set: [x, x] = 1 and [y, x] = [x, y]^-1, so one
+            # commutator per pair
+            k = i + 1 if h1_gens is h2_gens else 0
+            yield from _comm_rows(x, _pinv(x), ys[k:], ys_inv[k:])
+
+    return normal_closure(q, seeds())
 
 
 def _series(q: LevelQuotient, length: int, derived: bool) -> List[SubgroupHandle]:
@@ -432,6 +742,64 @@ def pointwise_stabilizer(q: LevelQuotient, points: Sequence[int]) -> SubgroupHan
     return SubgroupHandle(q, chain.stabilizer_generators(len(points)), chain, len(points))
 
 
+def _vertex_index(shape, level: int, vertex: Tuple[int, ...]) -> int:
+    """Position of a level-`level` vertex in lexicographic order."""
+    shape.check_vertex(vertex)
+    if len(vertex) != level:
+        raise ValueError(f"vertex of length {len(vertex)} is not on level {level}")
+    index = 0
+    for k, y in enumerate(vertex):
+        index = index * shape.branching(k) + y
+    return index
+
+
+def _stabilizer_generators(q: LevelQuotient, depth: int) -> List[np.ndarray]:
+    """Generators of the level stabilizer Stab_G(depth), kept per depth.
+
+    The sequence's elements below layer `depth` generate it.  When the
+    index times the number of generators is smaller, the Schreier
+    generators serve instead (fewer conjugators for a closure): the
+    residues of t*s for s a generator and t a normal word
+    e_m^a_m ... e_1^a_1 over the layers above `depth`, the
+    representative that `LayeredSequence.sift` strips.
+    """
+    hit = q._stabilizer_gens.get(depth)
+    if hit is None:
+        seq = q.sequence()
+        hit = seq.perms(depth)
+        if seq.p ** seq.dimension(0, depth) * len(q.gens) < len(hit):
+            words = seq.identity[None]
+            for e in seq.perms(0, depth):
+                powers = [seq.identity]
+                while len(powers) < seq.p:
+                    powers.append(e[powers[-1]])
+                words = np.concatenate([words[:, e_a] for e_a in powers])
+            hit = list(seq.sift(np.concatenate([s[words] for s in q.gens]), depth))
+        q._stabilizer_gens[depth] = hit
+    return hit
+
+
+def _layered_rist(q: LevelQuotient, vertex: Tuple[int, ...]) -> SubgroupHandle:
+    """rist(v) as the tail of a sequence of Stab_G(d), d = |v|, over the
+    rotations at the vertices of depths d..n-1 outside v's subtree first,
+    depth by depth, then at those inside it.  Stab_G(d) fixes v, so each
+    term (the elements with zero rotations so far) is normal in it, and
+    the terms past the outside layers fix every leaf outside the subtree.
+    """
+    p, n, d = q.layered_prime(), q.level, len(vertex)
+    v = _vertex_index(q.group.shape, d, vertex)
+    outside, inside = [], []
+    for j in range(d, n):
+        k = np.arange(p ** j)
+        mine = k // p ** (j - d) == v
+        if d:
+            outside.append(_depth_layer(p, n, j, k[~mine]))
+        inside.append(_depth_layer(p, n, j, k[mine]))
+    gens = _stabilizer_generators(q, d)
+    seq = q.new_sequence(outside + inside).close(gens, gens)
+    return _layered_handle(q, seq, len(outside))
+
+
 def rigid_stabilizer(group: GroupDefinition, level: int,
                      vertex: Tuple[int, ...]) -> SubgroupHandle:
     """Elements fixing every level vertex outside the subtree at `vertex`;
@@ -443,9 +811,13 @@ def rigid_stabilizer(group: GroupDefinition, level: int,
     q = level_quotient(group, level)
     rist = q._rist.get(vertex)
     if rist is None:
-        outside = [i for i, v in enumerate(group.shape.vertices(level))
-                   if v[:len(vertex)] != vertex]
-        rist = q._rist[vertex] = pointwise_stabilizer(q, outside)
+        if q.layered_prime():
+            rist = _layered_rist(q, vertex)
+        else:
+            outside = [i for i, v in enumerate(group.shape.vertices(level))
+                       if v[:len(vertex)] != vertex]
+            rist = pointwise_stabilizer(q, outside)
+        q._rist[vertex] = rist
     return rist
 
 
@@ -454,10 +826,11 @@ def rigid_level_stabilizer(group: GroupDefinition, level: int,
     """Product of the rigid stabilizers of all depth-`depth` vertices; built
     once per depth and kept on the quotient.
 
-    One prescribed chain per orbit of depth-`depth` vertices: with t in
+    One rigid stabilizer per orbit of depth-`depth` vertices: with t in
     G_n carrying v to u, rist(u) = rist(v)^t.  Vertex i owns the level
     points [i*w, (i+1)*w), so a breadth-first search over the generators
-    on these blocks finds each t.
+    on these blocks finds each t.  The supports are disjoint, so the
+    order is the product of the vertices' orders.
     """
     q = level_quotient(group, level)
     hit = q._rist_level.get(depth)
@@ -466,11 +839,12 @@ def rigid_level_stabilizer(group: GroupDefinition, level: int,
     verts = group.shape.vertices(depth)
     w = q.degree // len(verts)
     parts: Dict[int, List[np.ndarray]] = {}
+    order = 1
     for root, v in enumerate(verts):
         if root in parts:
             continue
-        base = rigid_stabilizer(group, level, v).gens
-        parts[root] = base
+        rist = rigid_stabilizer(group, level, v)
+        parts[root] = rist.gens
         queue = [(root, np.arange(q.degree, dtype=np.int32))]
         for i, t in queue:
             for c in q.gens:
@@ -478,51 +852,71 @@ def rigid_level_stabilizer(group: GroupDefinition, level: int,
                 if j not in parts:
                     tj = c[t]  # carries block root to block j
                     tinv = _pinv(tj)
-                    parts[j] = [tj[g[tinv]] for g in base]
+                    parts[j] = [tj[g[tinv]] for g in rist.gens]
                     queue.append((j, tj))
+        order *= rist.order() ** len(queue)
     gens = [g for i in range(len(verts)) for g in parts[i]]
-    hit = q._rist_level[depth] = SubgroupHandle(q, gens)
+    hit = q._rist_level[depth] = SubgroupHandle(q, gens, order=order)
     return hit
+
+
+# rows of Schreier generators gathered at once by `_stabilizer_orbit_sizes`
+_ORBIT_ROWS = 256
+
+
+def _stabilizer_orbit_sizes(q: LevelQuotient, pt: int) -> Tuple[int, ...]:
+    """Sorted orbit sizes of the stabilizer of `pt` on the level.
+
+    The stabilizer is generated by the Schreier generators
+    t_x s t_{s(x)}^-1 over a breadth-first transversal t of pt's orbit
+    (t_x carries pt to x).  Each point's label falls to the least label
+    among its images until no label changes: then labels are constant on
+    the orbits, each equal to the orbit's least point.
+    """
+    identity = np.arange(q.degree, dtype=np.int32)
+    orbit, rows, row_of = [pt], [identity], {pt: 0}
+    for r, x in enumerate(orbit):
+        for s in q.gens:
+            y = int(s[x])
+            if y not in row_of:
+                row_of[y] = len(orbit)
+                orbit.append(y)
+                rows.append(s[rows[r]])
+    trans = _stack(rows, q.degree)
+    trans_inv = _pinv_rows(trans)
+    points = np.array(orbit)
+    schreier = np.concatenate(
+        [np.take_along_axis(trans_inv[[row_of[int(y)] for y in s[points]]], s[trans], axis=1)
+         for s in q.gens] or [identity[None]])
+    labels = identity
+    while True:
+        least = labels.copy()
+        for k in range(0, len(schreier), _ORBIT_ROWS):
+            np.minimum(least, labels[schreier[k:k + _ORBIT_ROWS]].min(axis=0), out=least)
+        least = least[least]
+        if np.array_equal(least, labels):
+            break
+        labels = least
+    counts = np.bincount(labels)
+    return tuple(sorted(int(c) for c in counts[counts > 0]))
 
 
 def suborbit_profile(group: GroupDefinition, level: int,
                      basepoint: Optional[Tuple[int, ...]] = None) -> List[int]:
-    """Orbit sizes of the basepoint stabilizer on the level, sorted.
+    """Orbit sizes of the basepoint stabilizer on the level, sorted; built
+    once per basepoint and kept on the quotient.
 
     The default basepoint is the rightmost vertex (m, m, ..., m), the
-    level-n stage of the spine ray.  A basepoint in the orbit of the
-    chain's first base point has a stabilizer conjugate to that point's,
-    with the same orbit sizes, so the chain's level-1 generators serve.
+    level-n stage of the spine ray.
     """
     q = level_quotient(group, level)
-    verts = group.shape.vertices(level)
     if basepoint is None:
         basepoint = tuple(group.shape.branching(i) - 1 for i in range(level))
-    pt = verts.index(tuple(basepoint))
-    chain = q.chain()
-    if chain.levels and pt in chain.levels[0].transversal:
-        stab_gens = chain.stabilizer_generators(1)
-    else:
-        stab_gens = pointwise_stabilizer(q, [pt]).gens
-
-    parent = list(range(q.degree))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for g in stab_gens:
-        for x in range(q.degree):
-            rx, ry = find(x), find(int(g[x]))
-            if rx != ry:
-                parent[ry] = rx
-    sizes: Dict[int, int] = {}
-    for x in range(q.degree):
-        r = find(x)
-        sizes[r] = sizes.get(r, 0) + 1
-    return sorted(sizes.values())
+    pt = _vertex_index(group.shape, level, tuple(basepoint))
+    sizes = q._suborbits.get(pt)
+    if sizes is None:
+        sizes = q._suborbits[pt] = _stabilizer_orbit_sizes(q, pt)
+    return list(sizes)
 
 
 # -- ambient orders and Hausdorff ratios ----------------------------------

@@ -138,7 +138,7 @@ def test_infinite_certificates():
     bgg = builtin("BGg")
     res = order(bgg, "ta'")
     assert res.kind == "infinite"
-    k, v, sign, witness, _ = res.certificate
+    k, v, sign, witness, _, _ = res.certificate
     assert (k, v, sign) == (3, 2, 1)  # (x^3)psi = (*, *, x): vertex 3, 1-based
     dinf = builtin("Dinf")
     assert order(dinf, "ab").kind == "infinite"
@@ -152,7 +152,7 @@ def test_certificate_invariant():
     # section(witness^k, v) equals witness^sign
     bgg = builtin("BGg")
     res = order(bgg, "ta'")
-    k, v, sign, witness, _ = res.certificate
+    k, v, sign, witness, _, _ = res.certificate
     assert k >= 2
     power = bgg.reduce(tuple(witness) * k)
     root, secs = bgg.first_level_sections(power)
@@ -176,10 +176,11 @@ def test_cycle_certificate_links():
         assert group.shifted() is group
         for text in texts:
             res = order(group, text)
-            k, v, sign, witness, links = res.certificate
+            k, v, sign, witness, links, shift = res.certificate
             assert res.kind == "infinite" and sign == 1 and links[0][1] == v
             prev, product = witness, 1
-            for length, vertex, conj, word in links:
+            assert links[-1][4] == shift
+            for length, vertex, conj, word, _ in links:
                 root, secs = group.first_level_sections(group.reduce(tuple(prev) * length))
                 assert root[vertex] == vertex
                 assert equal(group, group.inverse_word(conj) + secs[vertex] + conj, word)

@@ -139,12 +139,12 @@ def _order_by_power_descent(group, word, memo, bound=1 << 20):
         hit = memo.get(key)
         if hit is not None:
             return hit, settled
-        link = step + (conj, w)
+        link = step + (conj, w, g.shift_index)
         if key in active:
             opened, at = active[key]
             if mult > opened:
                 links = tuple(path[at + 1:]) + (link,)
-                cert = (mult // opened, links[0][1], 1, w, links)
+                cert = (mult // opened, links[0][1], 1, w, links, g.shift_index)
                 return OrderResult("infinite", certificate=cert), settled
             return OrderResult("finite", 1), frozenset([key])
 
@@ -169,13 +169,13 @@ def _order_by_power_descent(group, word, memo, bound=1 << 20):
                 w_inv = g.reduce(g.inverse_word(w))
                 for v, t_word in rotations:
                     if t_word in (w, w_inv):
-                        cert = (len(cycle), v, 1 if t_word == w else -1, w, None)
+                        cert = (len(cycle), v, 1 if t_word == w else -1, w, None, g.shift_index)
                         break
                 else:
                     for v, t_word in rotations:
                         sign = _certificate_sign(g, w, t_word, CONJUGATOR_LENGTH)
                         if sign is not None:
-                            cert = (len(cycle), v, sign, w, None)
+                            cert = (len(cycle), v, sign, w, None, g.shift_index)
                             break
             reps.append((len(cycle),) + min(rotations, key=lambda r: len(r[1])))
         if cert is not None:

@@ -460,6 +460,34 @@ def test_mixed_arity_word_states_act_letter_by_letter():
             assert state.act(v) == image
 
 
+def test_mixed_arity_certificate_words_print_with_their_companion():
+    # the certificate's words use the letters of shifted companions whose
+    # arity differs from the root's; each carries its shift index, and the
+    # companion with that index prints it
+    from branchgroups.decision import order
+
+    group = _d6_spinal()
+    res = order(group, group.parse_word("a rs a rs a r^3 a r^5"))
+    assert repr(res) == "InfiniteCertified(k=16, vertex=1, sign=+1, depth=4)"
+    k, v, sign, witness, links, shift = res.certificate
+    words = [(witness, shift)]
+    for _, _, conj, word, link_shift in links:
+        words += [(conj, link_shift), (word, link_shift)]
+    assert {s for _, s in words} == {4, 5, 6, 7}
+
+    def prints_at_root(word):
+        try:
+            group.format_word(word)
+        except ValueError:  # a rooted letter of another arity
+            return False
+        return True
+
+    assert not all(prints_at_root(word) for word, _ in words)
+    for word, s in words:
+        text = group.format_word(word, group.companion(s))
+        assert text and "#" not in text
+
+
 def test_btable():
     klein = BTable.klein()
     assert klein.mult("b", "c") == "d"

@@ -5,9 +5,10 @@ from math import log
 import numpy as np
 import pytest
 
+from branchgroups import quotients
 from branchgroups.cli import parse_group_file
 from branchgroups.errors import ResourceBoundExceeded
-from branchgroups.groups import builtin
+from branchgroups.groups import _make_builtin, builtin
 from branchgroups.quotients import (
     SubgroupHandle,
     chain_from_generators,
@@ -561,16 +562,19 @@ def _orbit_sizes(degree, gens):
     return sorted(sizes)
 
 
-@pytest.mark.parametrize("name, level", [("Gg", 4), ("FGg", 3)])
-def test_suborbits_cached_chain_matches_pointwise_stabilizer(name, level):
-    # the profile reads a conjugate stabilizer off the cached chain; a chain
-    # based at the basepoint itself gives the same orbit sizes
+@pytest.mark.parametrize("name, level", [("Gg", 4), ("FGg", 3), ("G2", 2)])
+def test_suborbits_match_pointwise_stabilizer(name, level):
+    # the profile comes from Schreier generators of the basepoint's
+    # stabilizer and is kept per basepoint; a chain based at the basepoint
+    # gives the same orbit sizes
     g = builtin(name)
     q = level_quotient(g, level)
     for pt, vertex in enumerate(g.shape.vertices(level)):
-        assert pt in q.chain().levels[0].transversal  # the cached-chain path
         stab = pointwise_stabilizer(q, [pt])
         assert suborbit_profile(g, level, vertex) == _orbit_sizes(q.degree, stab.gens)
+        assert q._suborbits[pt] == tuple(suborbit_profile(g, level, vertex))
+    with pytest.raises(ValueError, match="not on level"):
+        suborbit_profile(g, level, (0,) * (level + 1))
 
 
 def test_full_aut_quotient_rigid_equals_level_stabilizer():
@@ -603,3 +607,77 @@ def test_format_order():
     assert format_order(1) == "1"
     assert format_order(2) == "2"
     assert format_order(12) == "12"
+
+
+# -- layered sequences against stabilizer chains ---------------------------
+
+# (group, top level): every level up to the top runs; each chain oracle
+# below takes under about 1 s at its top level
+_LAYERED_LEVELS = (("Gg", 6), ("Sg", 5), ("Dinf", 8), ("BSV", 6), ("FGg", 3),
+                   ("BGg", 3), ("GSg", 3), ("GS5", 2), ("GS7", 2))
+
+
+def _chain_series_orders(q, derived, terms):
+    """Orders of the first terms of a series, each term a chain-built
+    normal closure of the commutators of the previous term's generators."""
+    gens, orders = q.gens, [chain_from_generators(q.degree, q.gens).order()]
+    while orders[-1] > 1 and len(orders) < terms:
+        other = gens if derived else q.gens
+        seeds = [y[x[np.argsort(y)[np.argsort(x)]]] for x in gens for y in other]
+        sub = quotients._chain_closure(q, seeds)
+        gens = sub.gens
+        orders.append(sub.order())
+    return orders + [1] * (terms - len(orders))
+
+
+def _series_orders(q, derived, terms):
+    orders = [h.order() for h in quotients._series(q, terms - 1, derived)]
+    return orders + [1] * (terms - len(orders))
+
+
+@pytest.mark.parametrize("name, top", _LAYERED_LEVELS, ids=[n for n, _ in _LAYERED_LEVELS])
+def test_layered_sequences_match_stabilizer_chains(name, top):
+    # a fresh group (with its own caches) for each level, so every answer
+    # comes from the layered path and no chain of the quotient is built
+    p = builtin(name).shape.branching(0)
+    for level in range(1, top + 1):
+        g = _make_builtin(name)
+        q = level_quotient(g, level)
+        assert q.layered_prime() == p
+        assert q.order() == chain_from_generators(q.degree, q.gens).order()
+        for derived in (True, False):
+            assert _series_orders(q, derived, 4) == _chain_series_orders(q, derived, 4)
+        for depth in range(1, min(level, 2) + 1):
+            for vertex in g.shape.vertices(depth):
+                outside = [i for i, v in enumerate(g.shape.vertices(level))
+                           if v[:depth] != vertex]
+                assert (rigid_stabilizer(g, level, vertex).order()
+                        == pointwise_stabilizer(q, outside).order())
+        for pt in (0, q.degree - 1):
+            vertex = g.shape.vertices(level)[pt]
+            stab = pointwise_stabilizer(q, [pt])
+            assert suborbit_profile(g, level, vertex) == _orbit_sizes(q.degree, stab.gens)
+        assert q._chain is None
+
+
+@pytest.mark.parametrize("name", ["G2", "GS4"])
+def test_composite_branching_takes_the_chain_path(name):
+    g = _make_builtin(name)
+    q = level_quotient(g, 2)
+    assert q.layered_prime() is None
+    assert q.order() == _brute_force_order(q)
+    assert q._chain is not None  # the order came from the chain
+    assert rigid_level_stabilizer(g, 2, 1).order() == _rist_level_oracle(g, 2, 1).order()
+
+
+def test_layered_prime_needs_rotations_and_one_prime():
+    # a transposition of two of three children is no rotation; a regular
+    # 3-ary shape with rotations only qualifies
+    r = parse_group_file("group R\narity 3\nrooted a = (1 2)\n"
+                         "recursive b = (a, 1, b)\n")
+    assert level_quotient(r, 2).layered_prime() is None
+    t = parse_group_file("group T\narity 3\nrooted a = (1 2 3)\n"
+                         "recursive b = (a, 1, b)\n")
+    assert level_quotient(t, 3).layered_prime() == 3
+    assert level_quotient(t, 3).order() == chain_from_generators(
+        27, level_quotient(t, 3).gens).order()
