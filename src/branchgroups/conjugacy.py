@@ -93,7 +93,8 @@ class GgConjugacy:
         # pair fixpoint state (persists across queries)
         self.values: Dict[Tuple, frozenset] = {}
         self.recipes: Dict[Tuple, list] = {}
-        self.dependents: Dict[Tuple, set] = {}
+        # node -> the nodes whose recipes read it, in insertion order
+        self.dependents: Dict[Tuple, Dict[Tuple, None]] = {}
         self._created: List[Tuple] = []  # keys made by the running query
 
     # -- bootstrap ------------------------------------------------------
@@ -180,28 +181,12 @@ class GgConjugacy:
                 if chain.contains(block):
                     self.lift[i][j] = self.coset_of_perm(block)
 
-    # -- section words back in shift-0 naming ----------------------------
-
-    def sections(self, letters) -> Tuple[Tuple, List[Tuple]]:
-        """Root permutation and section words renamed into shift-0 letters.
-
-        The shifted companion's abstract letters correspond to the states
-        named one step along the b -> c -> d -> b spine rotation.
-        """
-        root, secs = self.group.first_level_sections(letters)
-        rho = {"b": "c", "c": "d", "d": "b"}
-        renamed = []
-        for s in secs:
-            renamed.append(tuple(
-                ("B", rho[x[1]]) if x[0] == "B" else x for x in s
-            ))
-        return root, [self.group.reduce(w) for w in renamed]
-
     # -- pair fixpoint ----------------------------------------------------
 
-    def _normalized(self, letters) -> Tuple[Tuple, int, int]:
-        """Cyclically reduce; return (word, left adjust, right adjust):
-        Q(w) parts recombine as c_left * Q(w_c) * inv(c_right)."""
+    def _normalized(self, letters) -> Tuple[Tuple, int]:
+        """Cyclically reduce; return (w_c, c) with c the coset of the
+        conjugator, w^conj = w_c.  For a pair (x, y) normalized to
+        (x_c, c_x) and (y_c, c_y): Q(x, y) = c_x * Q(x_c, y_c) * inv(c_y)."""
         wc, conj = self.group.cyclic_reduce(letters)
         c = self.coset_of_word(Word(self.group.reduce(conj), True)) if conj else 0
         return wc, c
@@ -232,7 +217,7 @@ class GgConjugacy:
             return key
         self._created.append(key)
         self.values[key] = frozenset()
-        self.dependents.setdefault(key, set())
+        self.dependents.setdefault(key, {})
         recipe = []
 
         g_trivial = is_trivial(self.group, Word(g, True))
@@ -246,8 +231,10 @@ class GgConjugacy:
             return key
         self.values[key] = self._short_witness_seeds(g, h)
 
-        g_root, g_secs = self.sections(g)
-        h_root, h_secs = self.sections(h)
+        # Gg's ring members share their letters, so the section words of
+        # a Gg word are Gg words
+        g_root, g_secs = self.group.first_level_sections(g)
+        h_root, h_secs = self.group.first_level_sections(h)
         if g_root != h_root:
             self.recipes[key] = []
             return key
@@ -256,7 +243,7 @@ class GgConjugacy:
             xc, cx = self._normalized(x)
             yc, cy = self._normalized(y)
             ckey = self.ensure(xc, yc)
-            self.dependents.setdefault(ckey, set()).add(key)
+            self.dependents.setdefault(ckey, {})[key] = None
             return (ckey, cx, cy)
 
         g1, g2 = g_secs
@@ -314,10 +301,15 @@ class GgConjugacy:
         return frozenset(out)
 
     def solve(self, keys):
-        """Run the least-fixpoint iteration from the new nodes until nothing grows."""
-        work = set(keys)
+        """Run the least-fixpoint iteration from the new nodes until nothing grows.
+
+        The worklist is a dict used as an ordered set, popped last in
+        first out, so the evaluation order depends only on the queries,
+        not on how letters hash.
+        """
+        work = dict.fromkeys(keys)
         while work:
-            k = work.pop()
+            k, _ = work.popitem()
             new = self._evaluate(k)
             if new != self.values[k]:
                 self.values[k] = new
@@ -337,7 +329,8 @@ class GgConjugacy:
                 for k in created:
                     table.pop(k, None)
             for deps in self.dependents.values():
-                deps.difference_update(created)
+                for k in created:
+                    deps.pop(k, None)
             raise
         base = self.values[key]
         ids = {self.mult[self.mult[c_g][z]][self.inv[c_h]] for z in base}

@@ -64,8 +64,7 @@ def is_trivial(group: GroupDefinition, word, cap: int = 2_000_000) -> bool:
         hit = memo.get(key)
         if hit:
             continue  # its whole closure is trivial
-        # a lone letter is nontrivial: reduce() removed identity letters,
-        # and a B-letter acts faithfully by the strong kernel intersection
+        # a lone letter is nontrivial: reduce() removed identity letters
         if hit is False or len(w) == 1:
             moved = True
         else:
@@ -375,14 +374,12 @@ def eta_weights(r: int, tol: float = 1e-14) -> Tuple[float, List[float]]:
 
 def word_weight(group: GroupDefinition, letters, taus: Sequence[float],
                 kernel_index) -> float:
-    """Weight of a word: tau_0 per A-letter, tau_i per B-letter where i is
-    the smallest level whose kernel contains the letter."""
+    """Weight of a word: tau_0 per rooted letter, tau_i per directed letter
+    where i is the smallest level whose kernel contains its B-name."""
     total = 0.0
     for letter in letters:
-        if letter[0] == "A":
-            total += taus[0]
-        else:
-            total += taus[kernel_index(letter[1])]
+        name = group._b_names.get(letter)
+        total += taus[0] if name is None else taus[kernel_index(name)]
     return total
 
 

@@ -6,24 +6,30 @@ flavors are implemented:
 * spinal: a rooted part A (permutations of the first alphabet), a finite
   directed part B (multiplication table), and an eventually periodic
   family of homomorphisms omega_i: B -> Sym(Y_{i+1}).  This covers the
-  defining-triple, GG-sequence, and GGS-vector constructions.  Words over
-  the canonical generating set are sequences of A-letters (permutations)
-  and B-letters (names); reduction merges adjacent letters of the same
-  kind through the group tables, giving the alternating normal form.
+  defining-triple, GG-sequence, and GGS-vector constructions.  Each
+  shifted companion is a member of a ring whose canonical letters are
+  its rooted states (one per nontrivial element of A) and its directed
+  states (one per nontrivial element of B); reduced words alternate
+  between the two kinds.
 
 * explicit recursion: generators given directly as wreath recursions
-  (mu = (1, mu^-1)a and the like).  A letter is an interned state; an
-  inverse letter carries the inverse state, computed once per state.
-  Reduction merges two adjacent letters through a per-group product
-  table when their product is the identity, a rooted state built from
-  two rooted letters, or a named generator or its inverse.  Reduced
-  words are shorter, not unique.
+  (mu = (1, mu^-1)a and the like); the canonical letters are the
+  generators and their inverses.
+
+In both flavors a letter is an interned state (a TreeAutomorphism), and
+an inverse letter is the inverse state, computed once per state.
+Reduction merges two adjacent letters through a per-group product table
+when their product is the identity, when both are rooted, or when the
+product is a canonical letter.  For spinal groups this gives the unique
+alternating normal form; for explicit groups reduced words are shorter,
+not unique.
 
 The first-level decomposition of a word is computed at the word level:
-a reduced word F = [a_0]b_1a_1...b_k[a_k] is rewritten as
+each child is followed through the letters, collecting their nontrivial
+sections.  For a spinal word F = [a_0]b_1a_1...b_k[a_k] this is
 b_1^{g_1}...b_k^{g_k} g with g_i the inverse of the a-prefix, and each
 factor contributes at most one letter to each child word, which bounds
-every child by (|F|+1)/2 letters for spinal groups.
+every child by (|F|+1)/2 letters.
 """
 
 from __future__ import annotations
@@ -42,7 +48,6 @@ from .automorphisms import (
     intern_word,
     invert,
     perm_from_cycles,
-    perm_inv,
     perm_mul,
     perm_order,
     format_perm,
@@ -64,15 +69,12 @@ class BTable:
     def __init__(self, names: Sequence[str], mult: Dict[Tuple[str, str], Optional[str]]):
         self.names = list(names)
         self._mult = dict(mult)
-        self._inv: Dict[str, str] = {}
         for x in self.names:
             for y in self.names:
                 if (x, y) not in self._mult:
                     raise ValidationError("directed part", f"missing product {x}*{y}")
-                if self._mult[(x, y)] is None:
-                    self._inv[x] = y
         for x in self.names:
-            if x not in self._inv:
+            if all(self._mult[(x, y)] is not None for y in self.names):
                 raise ValidationError("directed part", f"{x} has no inverse")
         self._orders: Dict[str, int] = {}
         for x in self.names:
@@ -88,9 +90,6 @@ class BTable:
         if y is None:
             return x
         return self._mult[(x, y)]
-
-    def inv(self, x: Optional[str]) -> Optional[str]:
-        return None if x is None else self._inv[x]
 
     def order_of(self, x: str) -> int:
         return self._orders[x]
@@ -146,8 +145,8 @@ class BTable:
 
 # -- word letters --------------------------------------------------------
 #
-# Spinal letters:   ('A', perm)  |  ('B', name)
-# Explicit letters: ('G', state)
+# A letter is an interned state (a TreeAutomorphism); a word is a tuple
+# of letters of one group, compared and hashed by state identity.
 
 
 def _is_rooted(state: TreeAutomorphism) -> bool:
@@ -180,7 +179,7 @@ class GroupDefinition:
     """A self-similar group with word machinery and generator states.
 
     Instances for the shifted companion groups are linked in a ring; only
-    the shift-0 member carries user-facing generator names and states.
+    the shift-0 member carries user-facing generator names.
     """
 
     def __init__(self, name, flavor, shape, shift_index=0):
@@ -192,18 +191,16 @@ class GroupDefinition:
         self.omega_maps: Optional[List[Dict[str, Perm]]] = None
         self._ring: List["GroupDefinition"] = [self]
         self._next_index = 0
-        self.gen_letters: Dict[str, Tuple] = {}
-        self.canonical_letters: List[Tuple] = []
-        self.states: Dict[str, TreeAutomorphism] = {}
+        self.canonical_letters: List[TreeAutomorphism] = []
+        self.states: Dict[str, TreeAutomorphism] = {}  # generator name -> state
         self.a_perms: List[Perm] = []
         self._memo_trivial: Dict = {}
         self._memo_order: Dict = {}
         self._quotients: Dict = {}  # level -> LevelQuotient, see level_quotient
-        self._directed_states: Dict = {}
-        self._rooted_states: Dict = {}  # A-letter -> rooted state, built once
+        self._b_names: Dict[TreeAutomorphism, str] = {}  # directed state -> B-name
         self._inverses: Dict = {}  # state -> inverse state, built once
-        # (state, state) -> what _merge returns for two G-letters; at most
-        # the square of the states that letters of reduced words carry
+        # (letter, letter) -> what _merge returns; at most the square of
+        # the states that letters of reduced words carry
         self._products: Dict = {}
         self._state_names: Optional[Dict] = None  # state -> generator name
 
@@ -233,51 +230,39 @@ class GroupDefinition:
 
     # -- letters and reduction --
 
-    def letter_inverse(self, letter):
-        if letter[0] == "A":
-            return ("A", perm_inv(letter[1]))
-        if letter[0] == "B":
-            return ("B", self.b_table.inv(letter[1]))
-        return ("G", self._inverse_state(letter[1]))
-
-    def _inverse_state(self, state: TreeAutomorphism) -> TreeAutomorphism:
-        inv = self._inverses.get(state)
+    def letter_inverse(self, letter: TreeAutomorphism) -> TreeAutomorphism:
+        inv = self._inverses.get(letter)
         if inv is None:
-            inv = self._inverses[state] = invert(state)
-            self._inverses[inv] = state
+            inv = self._inverses[letter] = invert(letter)
+            self._inverses[inv] = letter
         return inv
 
-    def letter_order(self, letter) -> Optional[int]:
-        if letter[0] == "A":
-            return perm_order(letter[1])
-        if letter[0] == "B":
-            return self.b_table.order_of(letter[1])
-        if _is_rooted(letter[1]):
-            return perm_order(letter[1].root_perm)
+    def letter_order(self, letter: TreeAutomorphism) -> Optional[int]:
+        """The order of a rooted or directed letter; None for the others."""
+        name = self._b_names.get(letter)
+        if name is not None:
+            return self.b_table.order_of(name)
+        if _is_rooted(letter):
+            return perm_order(letter.root_perm)
         return None
 
     def _merge(self, x, y):
         """Merge two adjacent letters; None = cancel, False = not mergeable."""
-        if x[0] == "A" and y[0] == "A":
-            p = perm_mul(x[1], y[1])
-            return None if p == identity_perm(len(p)) else ("A", p)
-        if x[0] == "B" and y[0] == "B":
-            z = self.b_table.mult(x[1], y[1])
-            return None if z is None else ("B", z)
-        if x[0] == "G" and y[0] == "G":
-            key = (x[1], y[1])
-            if key not in self._products:
-                self._products[key] = self._product_letter(x[1], y[1])
-            return self._products[key]
-        return False
+        try:
+            return self._products[(x, y)]
+        except KeyError:
+            merged = self._products[(x, y)] = self._product_letter(x, y)
+            return merged
 
     def _product_letter(self, f: TreeAutomorphism, g: TreeAutomorphism):
-        """The merged letter of two states, as _merge reports it."""
+        """The merged letter of two states: None for the identity, the
+        product when both are rooted or it is a canonical letter, and
+        False otherwise."""
         s = compose(f, g)
         if s.is_identity:
             return None
-        if (_is_rooted(f) and _is_rooted(g)) or s in self._names():
-            return ("G", s)
+        if (_is_rooted(f) and _is_rooted(g)) or s in self.canonical_letters:
+            return s
         return False
 
     def _push(self, out: list, letter) -> None:
@@ -293,17 +278,13 @@ class GroupDefinition:
                 out.append(merged)
 
     def reduce(self, letters) -> Tuple:
-        """Reduced form: the unique alternating form for spinal groups; for
-        explicit groups a shorter word with no mergeable neighbours."""
+        """Reduced form: a word with no identity letter and no mergeable
+        neighbours; for spinal groups the unique alternating form of
+        rooted and directed letters."""
         out: list = []
         for letter in letters:
-            if letter[0] == "A" and letter[1] == identity_perm(len(letter[1])):
-                continue
-            if letter[0] == "B" and letter[1] is None:
-                continue
-            if letter[0] == "G" and letter[1].is_identity:
-                continue
-            self._push(out, letter)
+            if not letter.is_identity:
+                self._push(out, letter)
         return tuple(out)
 
     def inverse_word(self, letters) -> Tuple:
@@ -327,40 +308,22 @@ class GroupDefinition:
     def first_level_sections(self, letters) -> Tuple[Perm, List[Tuple]]:
         """Root permutation and reduced section words of the children.
 
-        The section words live in the shifted group; for spinal groups
-        each has at most one letter per B-letter of the input.
+        Each child is followed through the word; where it ends is its
+        image under the root permutation.  The section words live in the
+        shifted group; for spinal groups each has at most one letter per
+        directed letter of the input.
         """
         m = self.shape.branching(0)
         child = self.shifted()
         out: List[List] = [[] for _ in range(m)]
-        if self.is_spinal:
-            spine = m - 1
-            prefix = identity_perm(m)
-            for letter in letters:
-                if letter[0] == "A":
-                    prefix = perm_mul(prefix, letter[1])
-                else:
-                    b = letter[1]
-                    for i in range(m):
-                        j = prefix[i]
-                        if j == spine:
-                            out[i].append(("B", b))
-                        else:
-                            p = self.omega_maps[j].get(b)
-                            if p is not None:
-                                out[i].append(("A", p))
-            return prefix, [child.reduce(w) for w in out]
-        # explicit flavor: follow each child through the word; where it
-        # ends is its image under the root permutation
         root = []
         for i in range(m):
             pos = i
             for letter in letters:
-                state = letter[1]
-                sec = state.children[pos]
-                pos = state.root_perm[pos]
+                sec = letter.children[pos]
+                pos = letter.root_perm[pos]
                 if not sec.is_identity:
-                    out[i].append(("G", sec))
+                    out[i].append(sec)
             root.append(pos)
         return tuple(root), [child.reduce(w) for w in out]
 
@@ -386,7 +349,9 @@ class GroupDefinition:
         companion for section words).  Each letter is named by its state,
         so a section prints as the generator it equals, an inverse
         generator as ``name'``, and an alias such as ``t`` wins over the
-        name it aliases.
+        name it aliases.  A letter that is no generator prints in cycle
+        notation when rooted, by its B-name when it is a directed letter
+        of ``group``, and as ``#serial`` otherwise.
         """
         if isinstance(letters, Word):
             letters = letters.letters
@@ -396,10 +361,10 @@ class GroupDefinition:
         names = self._names()
         parts = []
         for letter in letters:
-            label = names.get(owner.state_of_letter(letter))
-            if label is None:  # a letter that is no generator
-                label = (format_perm(letter[1]) if letter[0] == "A"
-                         else f"#{letter[1].serial}" if letter[0] == "G" else letter[1])
+            label = names.get(letter)
+            if label is None:
+                label = (format_perm(letter.root_perm) if _is_rooted(letter)
+                         else owner._b_names.get(letter, f"#{letter.serial}"))
             parts.append(label)
         return " ".join(parts) if any(len(p) > 1 for p in parts) else "".join(parts)
 
@@ -407,36 +372,30 @@ class GroupDefinition:
         """State -> generator name; later names (aliases) win, and a state
         with no name of its own takes its inverse's name primed."""
         if self._state_names is None:
-            names = {self.state_of_letter(x): nm for nm, x in self.gen_letters.items()}
+            names = {state: nm for nm, state in self.states.items()}
             for state, nm in list(names.items()):
-                names.setdefault(self._inverse_state(state), nm + "'")
+                names.setdefault(self.letter_inverse(state), nm + "'")
             self._state_names = names
         return self._state_names
 
     # -- states --
 
-    def state_of_letter(self, letter) -> TreeAutomorphism:
-        if letter[0] == "G":
-            return letter[1]
-        if letter[0] == "B":
-            return self._directed_states[letter[1]]
-        state = self._rooted_states.get(letter)
-        if state is None:
-            state = self._rooted_states[letter] = rooted_state(self.shape, letter[1])
-        return state
+    def state_of_letter(self, letter: TreeAutomorphism) -> TreeAutomorphism:
+        """A letter is its own state."""
+        return letter
 
     def state_of_word(self, word) -> TreeAutomorphism:
         letters = word.letters if isinstance(word, Word) else tuple(word)
-        factors = [(self.state_of_letter(x), 1) for x in letters]
-        return intern_word(self.shape, factors)
+        return intern_word(self.shape, [(x, 1) for x in letters])
 
     # -- random words (for tests) --
 
     def random_reduced_word(self, length: int, rng) -> Tuple:
         letters = []
         if self.is_spinal:
-            a_letters = [("A", p) for p in self.a_perms]
-            b_letters = [("B", b) for b in self.b_table.names]
+            rooted = len(self.a_perms)
+            a_letters = self.canonical_letters[:rooted]
+            b_letters = self.canonical_letters[rooted:]
             start_with_a = rng.random() < 0.5
             for i in range(length):
                 pick_a = start_with_a == (i % 2 == 0)
@@ -458,7 +417,7 @@ class GroupDefinition:
 
 def _parse_word_text(group: GroupDefinition, text: str):
     """Parse 'a(bd)^2c' style words; inverses as x' or x^-1."""
-    names = sorted(group.gen_letters, key=len, reverse=True)
+    names = sorted(group.states, key=len, reverse=True)
     pos = 0
     n = len(text)
 
@@ -489,7 +448,7 @@ def _parse_word_text(group: GroupDefinition, text: str):
             for name in names:
                 if text.startswith(name, pos):
                     pos += len(name)
-                    seq.append(_apply_suffix([[group.gen_letters[name]]]))
+                    seq.append(_apply_suffix([[group.states[name]]]))
                     break
             else:
                 raise ValueError(f"unknown generator at column {pos + 1}: {text[pos:]!r}")
@@ -517,8 +476,9 @@ def _parse_word_text(group: GroupDefinition, text: str):
                     pos += 1
                 if sign == -1:
                     flat = [group.letter_inverse(x) for x in reversed(flat)]
-                if len(flat) == 1 and flat[0][0] in "AB":
-                    k %= group.letter_order(flat[0])
+                order = group.letter_order(flat[0]) if len(flat) == 1 else None
+                if order:  # a letter of known order: reduce the exponent
+                    k %= order
                 flat = flat * k
         return flat
 
@@ -697,19 +657,20 @@ def from_triple(
             ]
             g.a_perms = [p for p in _perm_closure(images, m_k)
                          if p != identity_perm(m_k)]
-        g.canonical_letters = [("A", p) for p in g.a_perms] + [
-            ("B", x) for x in t.b_table.names
-        ]
         g._memo_trivial = ring[0]._memo_trivial
         g._memo_order = ring[0]._memo_order
+    _build_directed_states(ring, t, total, pre)
+    for g in ring:  # rooted letters first, then directed ones
+        g.canonical_letters = ([rooted_state(g.shape, p) for p in g.a_perms]
+                               + list(g._b_names))
 
     root = ring[0]
-    _build_directed_states(root, t, total, pre)
     _name_spinal_generators(root, t)
     return root
 
 
-def _build_directed_states(root: GroupDefinition, t: DefiningTriple, total: int, pre: int):
+def _build_directed_states(ring: List[GroupDefinition], t: DefiningTriple,
+                           total: int, pre: int):
     """Intern the directed part of every ring member in one machine run.
 
     Atom (x, k) is the element x of ring member k: it fixes the root, its
@@ -728,32 +689,27 @@ def _build_directed_states(root: GroupDefinition, t: DefiningTriple, total: int,
             entries.append((((x, spine), 1),))
             atoms[(x, k)] = (shape.shift(k), identity_perm(shape.branching(k)), entries)
     states = intern_atoms(atoms)
-    for k in range(total):
-        root._ring[k]._directed_states = {x: states[(x, k)] for x in t.b_table.names}
+    for k, g in enumerate(ring):
+        g._b_names = {states[(x, k)]: x for x in t.b_table.names}
 
 
 def _name_spinal_generators(root: GroupDefinition, t: DefiningTriple):
     shape = root.shape
     m = shape.branching(0)
-    # name A-elements: powers of a single generator when A is cyclic
-    a_letters = {}
+    # name the rooted letters: powers of a single generator when A is cyclic
     if len(t.a_gens) == 1 and len(root.a_perms) == perm_order(t.a_gens[0]) - 1:
         gen = t.a_gens[0]
         p = gen
         k = 1
         while p != identity_perm(m):
-            a_letters["a" if k == 1 else f"a^{k}"] = ("A", p)
+            root.states["a" if k == 1 else f"a^{k}"] = rooted_state(shape, p)
             p = perm_mul(p, gen)
             k += 1
     else:
         for p in root.a_perms:
-            a_letters[format_perm(p)] = ("A", p)
-    for nm, letter in a_letters.items():
-        root.gen_letters[nm] = letter
-        root.states[nm] = rooted_state(shape, letter[1])
-    for x in t.b_table.names:
-        root.gen_letters[x] = ("B", x)
-        root.states[x] = root._directed_states[x]
+            root.states[format_perm(p)] = rooted_state(shape, p)
+    for state, x in root._b_names.items():
+        root.states[x] = state
 
 
 # -- GGS and Grigorchuk constructions ------------------------------------
@@ -861,11 +817,10 @@ def explicit_group(
     for nm, st in states.items():
         if st.is_identity:
             raise ValidationError("generators", f"{nm} is the identity")
-        g.gen_letters[nm] = ("G", st)
         g.states[nm] = st
-        g.canonical_letters.append(("G", st))
-        if g._inverse_state(st) is not st:
-            g.canonical_letters.append(("G", g._inverse_state(st)))
+        g.canonical_letters.append(st)
+        if g.letter_inverse(st) is not st:
+            g.canonical_letters.append(g.letter_inverse(st))
     return g
 
 
@@ -953,12 +908,11 @@ def _make_builtin(key: str) -> GroupDefinition:
 
 
 def _alias_directed(g: GroupDefinition, alias: str):
-    g.gen_letters[alias] = g.gen_letters["b"]
     g.states[alias] = g.states["b"]
     for k in range(2, len(g.b_table)):
         nm = f"b^{k}"
-        if nm in g.gen_letters:
-            g.gen_letters[f"{alias}^{k}"] = g.gen_letters[nm]
+        if nm in g.states:
+            g.states[f"{alias}^{k}"] = g.states[nm]
 
 
 # -- GGS torsion criterion -------------------------------------------------

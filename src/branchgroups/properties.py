@@ -111,7 +111,6 @@ def check_right_action_laws(cases: int, seed: int) -> int:
     group = builtin("Gg")
     rng = random.Random(seed)
     failures = 0
-    pool = [group.state_of_letter(x) for x in group.canonical_letters]
     for _ in range(cases):
         f = group.state_of_word(
             Word(group.random_reduced_word(rng.randint(1, 5), rng), True)

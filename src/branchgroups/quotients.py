@@ -552,8 +552,7 @@ class LevelQuotient(SubgroupHandle):
         self.level = level
         self.degree = group.shape.level_size(level)
         # letter -> image array, filled as words use letters
-        self._images = {x: _state_images(group.state_of_letter(x), level)
-                        for x in group.canonical_letters}
+        self._images = {x: _state_images(x, level) for x in group.canonical_letters}
         self.gen_perms: Dict[str, np.ndarray] = {
             group.format_word((x,)): self._images[x] for x in group.canonical_letters}
         super().__init__(self, self.gen_perms.values())
@@ -600,8 +599,7 @@ class LevelQuotient(SubgroupHandle):
         for letter in self.group.word(word).letters:
             image = self._images.get(letter)
             if image is None:
-                image = self._images[letter] = _state_images(
-                    self.group.state_of_letter(letter), self.level)
+                image = self._images[letter] = _state_images(letter, self.level)
             p = image[p]
         return p
 
@@ -860,7 +858,7 @@ def rigid_level_stabilizer(group: GroupDefinition, level: int,
     return hit
 
 
-# rows of Schreier generators gathered at once by `_stabilizer_orbit_sizes`
+# rows of Schreier generators made and joined at once by `_stabilizer_orbit_sizes`
 _ORBIT_ROWS = 256
 
 
@@ -869,9 +867,11 @@ def _stabilizer_orbit_sizes(q: LevelQuotient, pt: int) -> Tuple[int, ...]:
 
     The stabilizer is generated by the Schreier generators
     t_x s t_{s(x)}^-1 over a breadth-first transversal t of pt's orbit
-    (t_x carries pt to x).  Each point's label falls to the least label
-    among its images until no label changes: then labels are constant on
-    the orbits, each equal to the orbit's least point.
+    (t_x carries pt to x).  They are made _ORBIT_ROWS rows at a time, and
+    each block joins the orbits found so far (union-find): every point
+    points at the least point of its orbit, and while some generator
+    maps a point into another orbit, the larger of the two least points
+    is hooked under the smaller.
     """
     identity = np.arange(q.degree, dtype=np.int32)
     orbit, rows, row_of = [pt], [identity], {pt: 0}
@@ -883,21 +883,27 @@ def _stabilizer_orbit_sizes(q: LevelQuotient, pt: int) -> Tuple[int, ...]:
                 orbit.append(y)
                 rows.append(s[rows[r]])
     trans = _stack(rows, q.degree)
+    del rows
     trans_inv = _pinv_rows(trans)
     points = np.array(orbit)
-    schreier = np.concatenate(
-        [np.take_along_axis(trans_inv[[row_of[int(y)] for y in s[points]]], s[trans], axis=1)
-         for s in q.gens] or [identity[None]])
-    labels = identity
-    while True:
-        least = labels.copy()
-        for k in range(0, len(schreier), _ORBIT_ROWS):
-            np.minimum(least, labels[schreier[k:k + _ORBIT_ROWS]].min(axis=0), out=least)
-        least = least[least]
-        if np.array_equal(least, labels):
-            break
-        labels = least
-    counts = np.bincount(labels)
+    root = np.arange(q.degree, dtype=np.int32)
+    for s in q.gens:
+        for k in range(0, len(orbit), _ORBIT_ROWS):
+            back = [row_of[int(y)] for y in s[points[k:k + _ORBIT_ROWS]]]
+            block = np.take_along_axis(trans_inv[back], s[trans[k:k + _ORBIT_ROWS]], axis=1)
+            while True:
+                ends = root[block]
+                apart = ends != root  # x and its image lie in different orbits
+                if not apart.any():
+                    break
+                ends, starts = ends[apart], np.broadcast_to(root, block.shape)[apart]
+                np.minimum.at(root, np.maximum(ends, starts), np.minimum(ends, starts))
+                while True:  # point every point at its root again
+                    up = root[root]
+                    if np.array_equal(up, root):
+                        break
+                    root = up
+    counts = np.bincount(root)
     return tuple(sorted(int(c) for c in counts[counts > 0]))
 
 

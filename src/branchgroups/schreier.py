@@ -134,7 +134,7 @@ def schreier_graph(group: GroupDefinition, level: int) -> SchreierGraph:
     pairs = _generator_pairs(group)
     involutions = {label: inv for label, _, inv in pairs}
     for label, letter, is_inv in pairs:
-        images = quotient.perm_of_state(group.state_of_letter(letter)).tolist()
+        images = quotient.perm_of_state(letter).tolist()
         for i, j in enumerate(images):
             # fold an involution to one undirected edge per pair; indices
             # compare as the lexicographically ordered vertices do

@@ -39,7 +39,7 @@ def delta_matrix(group: GroupDefinition, level: int) -> np.ndarray:
     mat = np.zeros((quotient.degree, quotient.degree), dtype=np.float64)
     idx = np.arange(quotient.degree)
     for letter in group.canonical_letters:
-        mat[idx, quotient.perm_of_state(group.state_of_letter(letter))] += 1.0
+        mat[idx, quotient.perm_of_state(letter)] += 1.0
     return mat
 
 

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from branchgroups.automorphisms import rooted_state
 from branchgroups.conjugacy import (
     GgConjugacy,
     are_conjugate,
@@ -303,7 +304,7 @@ def test_failed_query_leaves_no_node(gg, monkeypatch):
     ctx.q_set(gg.word("b"), gg.word("aba"))
     values = dict(ctx.values)
     recipes = dict(ctx.recipes)
-    dependents = {k: set(v) for k, v in ctx.dependents.items()}
+    dependents = {k: dict(v) for k, v in ctx.dependents.items()}
     monkeypatch.setattr(conjugacy, "is_trivial", flaky)
     with pytest.raises(KeyboardInterrupt):
         ctx.q_set(gg.word("ab"), gg.word("ba"))
@@ -357,8 +358,58 @@ def test_coset_memo_over_the_whole_quotient():
 
 
 def test_rooted_letter_state_is_cached(gg):
+    # a letter is its own state; the rooted letter is the interned one
     for letter in gg.canonical_letters:
-        assert gg.state_of_letter(letter) is gg.state_of_letter(letter)
-    a = gg.gen_letters["a"]
-    assert a[0] == "A"
-    assert gg.state_of_letter(a) is gg.state_of_letter(("A", a[1]))
+        assert gg.state_of_letter(letter) is letter
+    a = gg.states["a"]
+    assert a in gg.canonical_letters
+    assert a is rooted_state(gg.shape, a.root_perm)
+
+
+_COUNT_EVALUATIONS = """
+import hashlib, random
+from branchgroups import conjugacy
+from branchgroups.groups import Word, builtin
+
+ctx = conjugacy.GgConjugacy.instance()
+evaluate, calls = ctx._evaluate, [0]
+
+def counted(key):
+    calls[0] += 1
+    return evaluate(key)
+
+ctx._evaluate = counted
+gg = builtin("Gg")
+rng = random.Random(1)
+answers = hashlib.sha1()
+for _ in range(200):
+    g = gg.random_reduced_word(rng.randint(2, 16), rng)
+    f = gg.random_reduced_word(rng.randint(1, 8), rng)
+    h = gg.reduce(gg.inverse_word(f) + g + f)
+    for x, y in ((g, h), (g, gg.random_reduced_word(rng.randint(2, 16), rng))):
+        q = conjugacy.q_set(Word(x, True), Word(y, True))
+        answers.update(repr(sorted(q.ids)).encode())
+print(calls[0], answers.hexdigest())
+"""
+
+
+def test_fixpoint_work_is_the_same_in_every_process():
+    # letters hash by object identity, so nothing in the fixpoint may
+    # depend on set order: fresh interpreters with different hash seeds
+    # and heap layouts evaluate the same nodes the same number of times
+    import os
+    import subprocess
+    import sys
+
+    import branchgroups
+
+    src = os.path.dirname(os.path.dirname(branchgroups.__file__))
+    runs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", _COUNT_EVALUATIONS], env=env,
+                             capture_output=True, text=True, check=True, timeout=300)
+        runs.append(out.stdout.split())
+    assert runs[0] == runs[1]
+    assert int(runs[0][0]) > 0

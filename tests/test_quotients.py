@@ -577,6 +577,17 @@ def test_suborbits_match_pointwise_stabilizer(name, level):
         suborbit_profile(g, level, (0,) * (level + 1))
 
 
+def test_suborbits_join_across_generator_blocks(monkeypatch):
+    # with blocks of three Schreier generator rows, most orbits are
+    # joined by generators of different blocks
+    monkeypatch.setattr(quotients, "_ORBIT_ROWS", 3)
+    for name, level in (("Gg", 5), ("FGg", 3), ("G2", 3)):
+        q = level_quotient(builtin(name), level)
+        for pt in (0, q.degree // 3, q.degree - 1):
+            expected = _orbit_sizes(q.degree, pointwise_stabilizer(q, [pt]).gens)
+            assert list(quotients._stabilizer_orbit_sizes(q, pt)) == expected
+
+
 def test_full_aut_quotient_rigid_equals_level_stabilizer():
     # finitary flips x_i at the leftmost level-i vertex generate the full
     # automorphism quotient of the binary tree; there the rigid level
