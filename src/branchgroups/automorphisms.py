@@ -40,6 +40,9 @@ _INTERN_LOCK = threading.RLock()
 _INTERN: dict = {}
 _SERIAL = [0]
 
+# most intermediate words one run of the section-closure machine expands
+SECTION_CLOSURE_CAP = 200_000
+
 
 # -- permutation helpers (0-based image tuples) ------------------------
 
@@ -140,10 +143,6 @@ class TreeAutomorphism:
         for y in vertex:
             state = state.children[y]
         return state
-
-    def decompose(self) -> Tuple[Perm, Tuple["TreeAutomorphism", ...]]:
-        """Root permutation and the tuple of first-level sections."""
-        return self.root_perm, self.children
 
     def __mul__(self, other: "TreeAutomorphism") -> "TreeAutomorphism":
         return compose(self, other)
@@ -293,7 +292,7 @@ def _inverse_word(word):
     return tuple((f, -e) for f, e in reversed(word))
 
 
-def _word_machine(starts, atoms=None, cap=200_000):
+def _word_machine(starts, atoms=None, cap=SECTION_CLOSURE_CAP):
     """Expand formal words into their section closure, minimize, intern.
 
     A node is a (shape, word) pair; a word is a tuple of (factor, +-1)
@@ -376,8 +375,9 @@ def _word_machine(starts, atoms=None, cap=200_000):
             child_cache[node] = ch
             if len(child_cache) > cap:
                 raise ResourceBoundExceeded(
-                    f"section closure exceeded {cap} intermediate words; "
-                    "the element may not be finite-state"
+                    f"section closure exceeded {cap} intermediate words "
+                    "(automorphisms.SECTION_CLOSURE_CAP); the element may not "
+                    "be finite-state"
                 )
         return ch
 
@@ -403,7 +403,7 @@ def rooted_state(shape: TreeShape, perm: Sequence[int]) -> TreeAutomorphism:
     return intern_atoms({"rooted": (shape, perm, [()] * m)})["rooted"]
 
 
-def intern_atoms(atoms: dict, cap: int = 200_000) -> dict:
+def intern_atoms(atoms: dict) -> dict:
     """Resolve a system of recursive definitions into interned states.
 
     ``atoms`` maps a key to (shape, root permutation, entries): one entry
@@ -413,13 +413,13 @@ def intern_atoms(atoms: dict, cap: int = 200_000) -> dict:
     Returns key -> interned state.
     """
     starts = [(shape, ((key, 1),)) for key, (shape, _, _) in atoms.items()]
-    return dict(zip(atoms, _word_machine(starts, atoms, cap)))
+    return dict(zip(atoms, _word_machine(starts, atoms)))
 
 
 def intern_word(
     shape: TreeShape,
     word: Iterable[Tuple[TreeAutomorphism, int]],
-    cap: int = 200_000,
+    cap: int = SECTION_CLOSURE_CAP,
 ) -> TreeAutomorphism:
     """Evaluate a formal word of states into a single interned state.
 
@@ -434,35 +434,33 @@ def intern_word(
     return _word_machine([(shape, tuple(flat))], cap=cap)[0]
 
 
-def compose(f: TreeAutomorphism, g: TreeAutomorphism, cap: int = 200_000) -> TreeAutomorphism:
+def compose(f: TreeAutomorphism, g: TreeAutomorphism) -> TreeAutomorphism:
     """Product fg under the right action: act(fg, u) = act(g, act(f, u))."""
     if f.shape != g.shape:
         raise ShapeMismatch(f"{f.shape!r} vs {g.shape!r}")
-    return intern_word(f.shape, [(f, 1), (g, 1)], cap=cap)
+    return intern_word(f.shape, [(f, 1), (g, 1)])
 
 
-def invert(f: TreeAutomorphism, cap: int = 200_000) -> TreeAutomorphism:
-    return intern_word(f.shape, [(f, -1)], cap=cap)
+def invert(f: TreeAutomorphism) -> TreeAutomorphism:
+    return intern_word(f.shape, [(f, -1)])
 
 
 def compose_all(
     states: Sequence[TreeAutomorphism],
     shape: Optional[TreeShape] = None,
-    cap: int = 200_000,
 ) -> TreeAutomorphism:
     """Product of a list of states (empty product = identity)."""
     if not states:
         if shape is None:
             raise ValueError("empty product needs an explicit shape")
         return identity_state(shape)
-    return intern_word(states[0].shape, [(s, 1) for s in states], cap=cap)
+    return intern_word(states[0].shape, [(s, 1) for s in states])
 
 
 def build_recursive(
     shape: TreeShape,
     rooted: dict,
     recursive: dict,
-    cap: int = 200_000,
 ) -> dict:
     """Resolve a system of mutually recursive generator definitions.
 
@@ -492,7 +490,7 @@ def build_recursive(
             raise ValueError(f"{name}: expected {m} entries, got {len(entries)}")
         perm = tuple(rperm) if rperm is not None else identity_perm(m)
         atoms[name] = (shape, perm, [as_factors(entry) for entry in entries])
-    states.update(intern_atoms(atoms, cap))
+    states.update(intern_atoms(atoms))
     return states
 
 
@@ -503,7 +501,7 @@ class Portrait:
     """Decorated finite tree describing an automorphism.
 
     Interior vertices carry root permutations; leaves carry the section
-    state (None when only the permutation skeleton is requested).
+    state.
     """
 
     __slots__ = ("perm", "children", "section")
@@ -537,7 +535,6 @@ def portrait(
     f: TreeAutomorphism,
     depth: Optional[int] = None,
     profile: Optional[Callable[[int, TreeAutomorphism], bool]] = None,
-    keep_sections: bool = True,
     node_cap: int = 1 << 16,
 ) -> Portrait:
     """Portrait of f, cut at a fixed depth or at a profile.
@@ -561,7 +558,7 @@ def portrait(
         if budget[0] < 0:
             raise ResourceBoundExceeded(f"portrait exceeded {node_cap} nodes")
         if profile(level, state):
-            return Portrait(section=state if keep_sections else None)
+            return Portrait(section=state)
         return Portrait(
             perm=state.root_perm,
             children=tuple(build(c, level + 1) for c in state.children),

@@ -168,49 +168,6 @@ def _parse_recursion(rhs: str, shape: TreeShape, rooted: dict, line_no: int):
     return (entries, root_perm)
 
 
-def format_group_file(group: GroupDefinition) -> str:
-    """Inverse of parse_group_file for explicit-recursion groups."""
-    shape = group.shape
-    lines = [f"group {group.name}"]
-    if not shape.prefix and len(shape.cycle) == 1:
-        lines.append(f"arity {shape.cycle[0]}")
-    else:
-        seq = " ".join(str(m) for m in shape.prefix + shape.cycle)
-        lines.append(f"arity seq {seq} cycle {len(shape.cycle)}")
-    rooted_names = {}
-    for name, state in group.states.items():
-        if all(c.is_identity for c in state.children):
-            lines.append(f"rooted {name} = {format_perm(state.root_perm)}")
-            rooted_names[state.root_perm] = name
-    for name, state in group.states.items():
-        if all(c.is_identity for c in state.children):
-            continue
-        entries = []
-        for child in state.children:
-            if child.is_identity:
-                entries.append("1")
-                continue
-            for nm, st in group.states.items():
-                if st is child:
-                    entries.append(nm)
-                    break
-                if st is not child and child is st.inverse():
-                    entries.append(f"{nm}^-1")
-                    break
-            else:
-                raise ValueError(f"section of {name} is not a named generator")
-        root = ""
-        if state.root_perm != tuple(range(len(state.root_perm))):
-            nm = rooted_names.get(state.root_perm)
-            if nm is None:
-                raise ValueError(
-                    f"root permutation of {name} is not a named rooted generator"
-                )
-            root = f" {nm}"
-        lines.append(f"recursive {name} = ({', '.join(entries)}){root}")
-    return "\n".join(lines) + "\n"
-
-
 def load_group(source: str) -> GroupDefinition:
     """A built-in name, or a path to a .grp definition file."""
     if os.path.sep in source or source.endswith(".grp") or os.path.exists(source):
@@ -219,12 +176,16 @@ def load_group(source: str) -> GroupDefinition:
     return builtin(source)
 
 
-def level(text: str) -> int:
-    """argparse type for a tree level: a non-negative integer."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"level must be non-negative, got {value}")
-    return value
+def non_negative(what: str):
+    """argparse type for a level or a count: a non-negative integer."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"{what} must be non-negative, got {value}")
+        return value
+
+    parse.__name__ = what  # argparse names the type in "invalid <what> value"
+    return parse
 
 
 # -- subcommands -----------------------------------------------------------
@@ -254,7 +215,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("order", help="element order with certificate")
     p.add_argument("group")
     p.add_argument("word")
-    p.add_argument("--bound", type=int, default=1 << 20)
+    p.add_argument("--bound", type=non_negative("bound"), default=decision.ORDER_BOUND)
 
     p = sub.add_parser("conj", help="conjugacy in the first Grigorchuk group")
     p.add_argument("group")
@@ -263,20 +224,20 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("quotient", help="finite level quotient invariants")
     p.add_argument("group")
-    p.add_argument("--level", type=level, required=True)
+    p.add_argument("--level", type=non_negative("level"), required=True)
     p.add_argument("--order", action="store_true")
-    p.add_argument("--ranks", type=int, metavar="KMAX",
+    p.add_argument("--ranks", type=non_negative("count"), metavar="KMAX",
                    help="log_p |gamma_k/gamma_{k+1}| for k = 1..KMAX, p the prime of "
                         "the root branching index; the F_p-rank only when the "
                         "factor is elementary abelian")
-    p.add_argument("--derived", type=int, metavar="KMAX")
+    p.add_argument("--derived", type=non_negative("count"), metavar="KMAX")
     p.add_argument("--suborbits", action="store_true")
     p.add_argument("--hausdorff", action="store_true")
     p.add_argument("--rist", metavar="VERTEX")
 
     p = sub.add_parser("schreier", help="Schreier graph of the level action")
     p.add_argument("group")
-    p.add_argument("--level", type=level, required=True)
+    p.add_argument("--level", type=non_negative("level"), required=True)
     p.add_argument("--dot", metavar="PATH")
     p.add_argument("--growth", action="store_true")
     p.add_argument("--diameter", action="store_true")
@@ -285,7 +246,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("spectrum", help="spectrum of the Hecke-Laplace operator")
     p.add_argument("group")
-    p.add_argument("--level", type=level, required=True)
+    p.add_argument("--level", type=non_negative("level"), required=True)
     p.add_argument("--csv", metavar="PATH")
     p.add_argument("--closed-form", action="store_true")
 
@@ -293,17 +254,17 @@ def main(argv=None) -> int:
     group_arg = p.add_mutually_exclusive_group(required=True)
     group_arg.add_argument("--name")
     group_arg.add_argument("--file")
-    p.add_argument("--depth", type=int, default=2)
+    p.add_argument("--depth", type=non_negative("depth"), default=2)
     p.add_argument("--verify", metavar="GROUP", nargs="?", const="auto")
 
     p = sub.add_parser("ball", help="ball sizes (growth values)")
     p.add_argument("group")
-    p.add_argument("--radius", type=int, required=True)
+    p.add_argument("--radius", type=non_negative("radius"), required=True)
     p.add_argument("--list", action="store_true")
 
     p = sub.add_parser("torsion-growth", help="max element order on a ball")
     p.add_argument("group")
-    p.add_argument("--radius", type=int, required=True)
+    p.add_argument("--radius", type=non_negative("radius"), required=True)
 
     try:
         args = parser.parse_args(argv)

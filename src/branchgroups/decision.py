@@ -39,17 +39,24 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .automorphisms import identity_perm
 from .errors import ResourceBoundExceeded
 from .groups import GroupDefinition, Word
 from .quotients import level_quotient
 
+# most words one section closure of `is_trivial` may hold
+TRIVIAL_CLOSURE_CAP = 2_000_000
+# default largest order `order` computes before it answers Unknown
+ORDER_BOUND = 1 << 20
+# width of the bracket `eta_weights` bisects down to
+ETA_TOLERANCE = 1e-14
+
 # -- triviality ----------------------------------------------------------
 
 
-def is_trivial(group: GroupDefinition, word, cap: int = 2_000_000) -> bool:
+def is_trivial(group: GroupDefinition, word) -> bool:
     """Word problem: does the word represent the identity?"""
     letters = group.word(word).letters
     if not letters:
@@ -77,8 +84,10 @@ def is_trivial(group: GroupDefinition, word, cap: int = 2_000_000) -> bool:
         for s in reversed(sections):  # first section on top: depth first
             k = child.memo_key(s)
             if s and k not in seen:
-                if len(seen) >= cap:
-                    raise ResourceBoundExceeded(f"section closure exceeded {cap} words")
+                if len(seen) >= TRIVIAL_CLOSURE_CAP:
+                    raise ResourceBoundExceeded(
+                        f"section closure exceeded {TRIVIAL_CLOSURE_CAP} words "
+                        "(decision.TRIVIAL_CLOSURE_CAP)")
                 seen.add(k)
                 stack.append((child, s))
     for key in seen:
@@ -133,7 +142,7 @@ CONJUGATOR_LENGTH = 4
 _SETTLED = frozenset()  # no provisional value behind a result
 
 
-def order(group: GroupDefinition, word, bound: int = 1 << 20) -> OrderResult:
+def order(group: GroupDefinition, word, bound: int = ORDER_BOUND) -> OrderResult:
     """Order of an element by pruned period decomposition.
 
     Returns Finite(k) with k = lcm over the cycles c of the root
@@ -330,16 +339,17 @@ def growth_values(group: GroupDefinition, radius: int) -> List[int]:
     return list(itertools.accumulate(counts))
 
 
-def torsion_growth(group: GroupDefinition, radius: int, bound: int = 1 << 20) -> int:
+def torsion_growth(group: GroupDefinition, radius: int) -> int:
     """Largest finite element order on the ball of the given radius."""
     best = 1
     for w in ball(group, radius):
-        res = order(group, w, bound=bound)
+        res = order(group, w)
         if res.kind == "finite":
             best = max(best, res.value)
         else:
             raise ResourceBoundExceeded(
-                f"element {group.format_word(w)} has no finite order within bound"
+                f"element {group.format_word(w)} has no finite order within "
+                f"bound {ORDER_BOUND} (decision.ORDER_BOUND)"
             )
     return best
 
@@ -347,7 +357,7 @@ def torsion_growth(group: GroupDefinition, radius: int, bound: int = 1 << 20) ->
 # -- eta weights (growth estimates machinery) -------------------------------
 
 
-def eta_weights(r: int, tol: float = 1e-14) -> Tuple[float, List[float]]:
+def eta_weights(r: int) -> Tuple[float, List[float]]:
     """The contraction root eta_r and the weights (tau_0, ..., tau_r).
 
     eta_r is the root in (0,1) of x^r + x^{r-1} + x^{r-2} - 2, found by
@@ -361,7 +371,7 @@ def eta_weights(r: int, tol: float = 1e-14) -> Tuple[float, List[float]]:
         return x**r + x ** (r - 1) + x ** (r - 2) - 2
 
     lo, hi = 0.0, 1.0
-    while hi - lo > tol:
+    while hi - lo > ETA_TOLERANCE:
         mid = (lo + hi) / 2
         if f(mid) < 0:
             lo = mid
@@ -370,46 +380,6 @@ def eta_weights(r: int, tol: float = 1e-14) -> Tuple[float, List[float]]:
     eta = (lo + hi) / 2
     taus = [1 - eta**r] + [eta**r + eta ** (r - i) - 1 for i in range(1, r + 1)]
     return eta, taus
-
-
-def word_weight(group: GroupDefinition, letters, taus: Sequence[float],
-                kernel_index) -> float:
-    """Weight of a word: tau_0 per rooted letter, tau_i per directed letter
-    where i is the smallest level whose kernel contains its B-name."""
-    total = 0.0
-    for letter in letters:
-        name = group._b_names.get(letter)
-        total += taus[0] if name is None else taus[kernel_index(name)]
-    return total
-
-
-def kernel_index_fn(group: GroupDefinition):
-    """smallest i >= 1 with b in Ker(omega_i), counted from the given
-    (possibly shifted) group, for GG-flavored groups."""
-    horizon = len(group._ring) + 1
-
-    def idx(bname: str) -> int:
-        g = group
-        for i in range(horizon):
-            if all(bname not in omega for omega in g.omega_maps):
-                return i + 1
-            g = g.shifted()
-        raise ValueError(f"{bname} lies in no kernel within one period")
-
-    return idx
-
-
-def level_section_lengths(group: GroupDefinition, letters, depth: int) -> int:
-    """Total length |L_depth(F)| of the level-``depth`` section words."""
-    words = [(group, tuple(letters))]
-    for _ in range(depth):
-        nxt = []
-        for g, w in words:
-            _, secs = g.first_level_sections(w)
-            child = g.shifted()
-            nxt.extend((child, s) for s in secs)
-        words = nxt
-    return sum(len(w) for _, w in words)
 
 
 def canonical_portrait_depth(group: GroupDefinition, word) -> int:

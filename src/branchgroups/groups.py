@@ -348,10 +348,12 @@ class GroupDefinition:
         The letters belong to ``group`` (default: this group; a shifted
         companion for section words).  Each letter is named by its state,
         so a section prints as the generator it equals, an inverse
-        generator as ``name'``, and an alias such as ``t`` wins over the
-        name it aliases.  A letter that is no generator prints in cycle
-        notation when rooted, by its B-name when it is a directed letter
-        of ``group``, and as ``#serial`` otherwise.
+        generator as ``name'``, a section of an explicit generator as its
+        recursion entry, and an alias such as ``t`` wins over the name it
+        aliases.  A letter that is no generator prints in cycle notation
+        when rooted, by its B-name when it is a directed letter of
+        ``group`` or else of the first ring member in shift order that
+        has it, and as ``#serial`` otherwise.
         """
         if isinstance(letters, Word):
             letters = letters.letters
@@ -362,9 +364,11 @@ class GroupDefinition:
         parts = []
         for letter in letters:
             label = names.get(letter)
-            if label is None:
-                label = (format_perm(letter.root_perm) if _is_rooted(letter)
-                         else owner._b_names.get(letter, f"#{letter.serial}"))
+            if label is None and _is_rooted(letter):
+                label = format_perm(letter.root_perm)
+            elif label is None:
+                label = next((m._b_names[letter] for m in (owner, *owner._ring)
+                              if letter in m._b_names), f"#{letter.serial}")
             parts.append(label)
         return " ".join(parts) if any(len(p) > 1 for p in parts) else "".join(parts)
 
@@ -387,26 +391,6 @@ class GroupDefinition:
     def state_of_word(self, word) -> TreeAutomorphism:
         letters = word.letters if isinstance(word, Word) else tuple(word)
         return intern_word(self.shape, [(x, 1) for x in letters])
-
-    # -- random words (for tests) --
-
-    def random_reduced_word(self, length: int, rng) -> Tuple:
-        letters = []
-        if self.is_spinal:
-            rooted = len(self.a_perms)
-            a_letters = self.canonical_letters[:rooted]
-            b_letters = self.canonical_letters[rooted:]
-            start_with_a = rng.random() < 0.5
-            for i in range(length):
-                pick_a = start_with_a == (i % 2 == 0)
-                letters.append(rng.choice(a_letters if pick_a else b_letters))
-        else:
-            while len(letters) < length:
-                letter = rng.choice(self.canonical_letters)
-                if letters and self._merge(letters[-1], letter) is not False:
-                    continue
-                letters.append(letter)
-        return self.reduce(letters)
 
     def __repr__(self):
         return f"GroupDefinition({self.name!r}, flavor={self.flavor!r})"
@@ -799,10 +783,8 @@ def grigorchuk_2group(
         [level(s) for s in prefix],
         [level(s) for s in cycle],
     )
-    g = from_triple(t, name=name or f"G_{''.join(map(str, prefix + cycle))}",
-                    flavor="GG-sequence")
-    g.omega_sequence = (prefix, cycle)
-    return g
+    return from_triple(t, name=name or f"G_{''.join(map(str, prefix + cycle))}",
+                       flavor="GG-sequence")
 
 
 def explicit_group(
@@ -821,6 +803,14 @@ def explicit_group(
         g.canonical_letters.append(st)
         if g.letter_inverse(st) is not st:
             g.canonical_letters.append(g.letter_inverse(st))
+    # a section that is no generator (nor an inverse one) prints as the
+    # recursion entry that defines it, such as x^2
+    names = g._names()
+    for nm, (entries, _) in recursive.items():
+        for child, entry in zip(states[nm].children, entries):
+            if not child.is_identity:
+                text = " ".join(ref if exp == 1 else f"{ref}^{exp}" for ref, exp in entry)
+                names.setdefault(child, text if len(entry) == 1 else f"({text})")
     return g
 
 

@@ -18,10 +18,14 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .decision import is_trivial
-from .groups import GroupDefinition, Word, builtin
+from .errors import ResourceBoundExceeded
+from .groups import GroupDefinition, Word
 
 # free words are tuples of (symbol, +-1)
 FreeWord = Tuple[Tuple[str, int], ...]
+
+# most words the closure of the iterated relators under the twists may hold
+TWIST_CLOSURE_CAP = 4096
 
 
 def free_reduce(word: Sequence[Tuple[str, int]]) -> FreeWord:
@@ -210,7 +214,7 @@ class EndomorphicPresentation:
     def ascending(self) -> bool:
         return not self.fixed
 
-    def _twist_closure(self, words: List[FreeWord], cap: int = 4096) -> List[FreeWord]:
+    def _twist_closure(self, words: List[FreeWord]) -> List[FreeWord]:
         out = list(words)
         seen = set(out)
         frontier = list(out)
@@ -220,8 +224,10 @@ class EndomorphicPresentation:
                 for chi in self.twists:
                     v = chi.apply(w)
                     if v and v not in seen:
-                        if len(seen) >= cap:
-                            raise RuntimeError("twist closure does not terminate")
+                        if len(seen) >= TWIST_CLOSURE_CAP:
+                            raise ResourceBoundExceeded(
+                                f"twist closure exceeded {TWIST_CLOSURE_CAP} words "
+                                "(presentations.TWIST_CLOSURE_CAP)")
                         seen.add(v)
                         out.append(v)
                         nxt.append(v)
@@ -424,26 +430,6 @@ def hnn_presentation_relators() -> List[FreeWord]:
     ]
 
 
-def hnn_defines_substitution() -> bool:
-    """Check that the t-relators encode the substitution: the relator
-    x^t * w = 1 forces x^t = w^{-1} = phi(x) for x in {a, c, d}, where
-    equality is read after simple reductions in the group's tables."""
-    gg = builtin("Gg")
-    phi = Substitution.parse("phi", {"a": "aca", "c": "cd", "d": "c"})
-    rels = hnn_presentation_relators()[3:]
-    for rel in rels:
-        # rel = t' x t w : strip the stable-letter conjugation
-        if rel[0] != ("t", -1) or rel[2] != ("t", 1):
-            return False
-        x = rel[1][0]
-        w = free_reduce(rel[3:])
-        image = translate(free_inverse(w), gg, {})
-        expected = translate(phi.apply(_p(x)), gg, {})
-        if image.letters != expected.letters:
-            return False
-    return True
-
-
 def parse_presentation_file(text: str):
     """Line-oriented presentation files ('#' comments):
 
@@ -511,13 +497,3 @@ def parse_presentation_file(text: str):
     )
     return pres, group_name, amap
 
-
-def mutate_relator(relator: FreeWord, position: int, alphabet: Sequence[str],
-                   replacement_index: int) -> FreeWord:
-    """Replace the letter at `position` by another alphabet symbol."""
-    sym, exp = relator[position]
-    choices = [s for s in alphabet if s != sym]
-    new_sym = choices[replacement_index % len(choices)]
-    mutated = list(relator)
-    mutated[position] = (new_sym, exp)
-    return free_reduce(tuple(mutated))

@@ -721,13 +721,18 @@ def lower_central_ranks(group: GroupDefinition, level: int, kmax: int) -> List[i
     return ranks + [0] * (kmax - len(ranks))
 
 
-def nilpotency_class(group: GroupDefinition, level: int, kcap: int = 128) -> int:
+# most lower central terms `nilpotency_class` computes
+NILPOTENCY_CLASS_CAP = 128
+
+
+def nilpotency_class(group: GroupDefinition, level: int) -> int:
     """Least c with gamma_{c+1} trivial in the level quotient."""
-    series = _series(level_quotient(group, level), kcap, derived=False)
+    series = _series(level_quotient(group, level), NILPOTENCY_CLASS_CAP, derived=False)
     for k, h in enumerate(series):
         if h.order() == 1:
             return k
-    raise ResourceBoundExceeded(f"nilpotency class exceeds {kcap}")
+    raise ResourceBoundExceeded(f"nilpotency class exceeds {NILPOTENCY_CLASS_CAP} "
+                                "(quotients.NILPOTENCY_CLASS_CAP)")
 
 
 # -- rigid stabilizers, parabolic suborbits ------------------------------

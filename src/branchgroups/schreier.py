@@ -332,13 +332,3 @@ def substitutional_expand(name: str, level: int) -> SchreierGraph:
         return schreier_graph(builtin(name), 0)
     return substitution_rules(name).graph_at_level(level)
 
-
-def growth_series_product(exponents: Sequence[int], coefficient: int) -> List[int]:
-    """Coefficients of prod_i (1 + coefficient * X^(e_i))."""
-    out = [1]
-    for e in exponents:
-        new = out + [0] * e
-        for i, c in enumerate(out):
-            new[i + e] += coefficient * c
-        out = new
-    return out

@@ -142,17 +142,6 @@ def bgg_reference(level: int, depth: Optional[int] = None) -> np.ndarray:
     return np.sort(np.array(sorted(vals)))
 
 
-def one_sided_hausdorff(values: np.ndarray, reference: np.ndarray) -> float:
-    """max over values of the distance to the nearest reference point."""
-    ref = np.sort(reference)
-    pos = np.searchsorted(ref, values)
-    best = np.full(len(values), np.inf)
-    for shift in (-1, 0):
-        idx = np.clip(pos + shift, 0, len(ref) - 1)
-        best = np.minimum(best, np.abs(values - ref[idx]))
-    return float(best.max())
-
-
 # closed-form or containment references, by group name
 _REFERENCES = {
     "Gg": gg_closed_form,
@@ -163,13 +152,13 @@ _REFERENCES = {
 
 
 def spectral_report(group_or_name, level: int) -> SpectralReport:
-    """Compute the spectrum and compare against the reference its group
-    has in `_REFERENCES`, if any."""
+    """Compute the spectrum and compare it, from level 1 on, against the
+    reference its group has in `_REFERENCES`, if any."""
     group = builtin(group_or_name) if isinstance(group_or_name, str) else group_or_name
     eigs = spectrum_eigenvalues(group, level)
     report = SpectralReport(group.name, level, eigs)
     reference = _REFERENCES.get(group.name)
-    if reference is not None:
+    if reference is not None and level >= 1:
         ref = report.reference = reference(level)
         if group.name == "Gg" and len(ref) == len(eigs):
             report.max_deviation = float(np.max(np.abs(eigs - ref)))

@@ -77,13 +77,13 @@ def test_shape_mismatch():
 def test_decompose_worked_example(gg):
     # g = abacadacabadac = (cabab, ba) a
     g = gg.state_of_word(gg.parse_word("abacadacabadac"))
-    root, sections = g.decompose()
+    root, sections = g.root_perm, g.children
     assert root == (1, 0)
     assert sections[0] is gg.state_of_word(gg.parse_word("cabab"))
     assert sections[1] is gg.state_of_word(gg.parse_word("ba"))
     # b = ((), (a, c))
     b = gg.states["b"]
-    root_b, secs_b = b.decompose()
+    root_b, secs_b = b.root_perm, b.children
     assert root_b == (0, 1)
     assert secs_b == (gg.states["a"], gg.states["c"])
 

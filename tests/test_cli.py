@@ -2,14 +2,15 @@ import random
 
 import pytest
 
-from branchgroups import decision, quotients, schreier, spectra
+from oracles import format_group_file, random_reduced_word
+
+from branchgroups import decision, presentations, quotients, schreier, spectra
 from branchgroups.cli import (
     EXIT_FALSE,
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_USAGE,
     GroupFileError,
-    format_group_file,
     main,
     parse_group_file,
 )
@@ -215,6 +216,15 @@ def test_cli_eval_names_inverse_generators(capsys):
     assert "#" not in out
 
 
+def test_cli_eval_names_sections_by_recursion_entries(tmp_path, capsys):
+    # x^2 is no generator; it prints as the entry that defines it, where
+    # it used to print as a serial number that depended on the process
+    path = tmp_path / "x.grp"
+    path.write_text("group X\narity 2\nrooted a = (1 2)\nrecursive x = (x^2, a) a\n")
+    assert main(["eval", str(path), "x"]) == EXIT_OK
+    assert capsys.readouterr().out == "root: (1 2)\nsection 1: x^2\nsection 2: a\n"
+
+
 def test_cli_eval_names_sections_by_aliases(capsys):
     # section words are named by state, so the directed b^2 prints as t^2
     assert main(["eval", "GSg", "t a t' a'"]) == EXIT_OK
@@ -251,6 +261,18 @@ def test_cli_schreier_and_spectrum(tmp_path, capsys):
     assert main(["spectrum", "Gg", "--level", "3", "--csv", str(csv),
                  "--closed-form"]) == EXIT_OK
     assert csv.read_text().startswith("level,index,eigenvalue")
+
+
+def test_cli_twist_closure_bound_exits_3(tmp_path, monkeypatch, capsys):
+    # chi turns every word into a longer one, so the closure never ends;
+    # a small bound keeps the run cheap
+    monkeypatch.setattr(presentations, "TWIST_CLOSURE_CAP", 8)
+    path = tmp_path / "loop.pres"
+    path.write_text("alphabet a b\ntwist chi: a -> a b\niterated a\n")
+    assert main(["present", "--file", str(path)]) == EXIT_RESOURCE
+    err = capsys.readouterr().err
+    assert err == ("resource bound exceeded: twist closure exceeded 8 words "
+                   "(presentations.TWIST_CLOSURE_CAP)\n")
 
 
 def test_cli_present(capsys):
@@ -292,6 +314,27 @@ def test_parse_presentation_file_errors():
         parse_presentation_file("bogus thing\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["ball", "Gg", "--radius", "-1"],
+    ["torsion-growth", "Gg", "--radius", "-1"],
+    ["present", "--name", "gg", "--depth", "-1"],
+    ["quotient", "Gg", "--level", "3", "--ranks", "-1"],
+    ["quotient", "Gg", "--level", "3", "--derived", "-2"],
+    ["order", "Gg", "ab", "--bound", "-5"],
+])
+def test_cli_negative_count_is_usage_error(capsys, argv):
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "must be non-negative" in err and "Traceback" not in err
+
+
+def test_cli_spectrum_at_level_0(capsys):
+    # Delta_0 = [4] for both; Gg's closed form starts at level 1
+    for name in ("Gg", "FGg"):
+        assert main(["spectrum", name, "--level", "0", "--closed-form"]) == EXIT_OK
+        assert capsys.readouterr().out == "1 eigenvalues in [4.000000, 4.000000]\n"
+
+
 def test_cli_ball_and_torsion(capsys):
     assert main(["ball", "Gg", "--radius", "2"]) == EXIT_OK
     assert "gamma(2) = 11" in capsys.readouterr().out
@@ -310,7 +353,7 @@ def test_word_printer_parser_roundtrip():
     for name in ("Gg", "FGg", "BSV"):
         g = builtin(name)
         for _ in range(170):
-            w = g.random_reduced_word(rng.randint(0, 10), rng)
+            w = random_reduced_word(g, rng.randint(0, 10), rng)
             printed = g.format_word(w)
             reparsed = g.parse_word(printed)
             assert reparsed.letters == w, (name, printed)

@@ -1,6 +1,8 @@
 import random
 from concurrent.futures import ThreadPoolExecutor
 
+from oracles import random_reduced_word
+
 from branchgroups.decision import is_trivial, order
 from branchgroups.groups import Word, builtin
 
@@ -9,7 +11,7 @@ def test_concurrent_interning_consistent():
     # products built concurrently intern to the same states
     gg = builtin("Gg")
     rng = random.Random(211)
-    words = [gg.random_reduced_word(rng.randint(1, 8), rng) for _ in range(60)]
+    words = [random_reduced_word(gg, rng.randint(1, 8), rng) for _ in range(60)]
 
     def build(w):
         return gg.state_of_word(Word(w, True))
@@ -24,7 +26,7 @@ def test_concurrent_interning_consistent():
 def test_concurrent_decisions_deterministic():
     gg = builtin("Gg")
     rng = random.Random(223)
-    words = [Word(gg.random_reduced_word(rng.randint(1, 10), rng), True)
+    words = [Word(random_reduced_word(gg, rng.randint(1, 10), rng), True)
              for _ in range(40)]
     serial = [(is_trivial(gg, w), order(gg, w).value) for w in words]
 

@@ -4,6 +4,8 @@ import random
 import numpy as np
 import pytest
 
+from oracles import random_reduced_word
+
 from branchgroups.automorphisms import rooted_state
 from branchgroups.conjugacy import (
     GgConjugacy,
@@ -68,8 +70,8 @@ def test_trivial_to_nontrivial_is_empty():
 def test_random_conjugate_pairs(gg):
     rng = random.Random(41)
     for _ in range(120):
-        g = gg.random_reduced_word(rng.randint(1, 8), rng)
-        f = gg.random_reduced_word(rng.randint(0, 6), rng)
+        g = random_reduced_word(gg, rng.randint(1, 8), rng)
+        f = random_reduced_word(gg, rng.randint(0, 6), rng)
         gf = gg.reduce(gg.inverse_word(f) + g + f)
         qs = q_set(Word(g, True), Word(gf, True))
         assert qs, (gg.format_word(g), gg.format_word(f))
@@ -80,8 +82,8 @@ def test_symmetry(gg):
     # Kf in Q(g,h) iff Kf^-1 in Q(h,g)
     rng = random.Random(43)
     for _ in range(60):
-        g = Word(gg.random_reduced_word(rng.randint(1, 6), rng), True)
-        h = Word(gg.random_reduced_word(rng.randint(1, 6), rng), True)
+        g = Word(random_reduced_word(gg, rng.randint(1, 6), rng), True)
+        h = Word(random_reduced_word(gg, rng.randint(1, 6), rng), True)
         assert q_set(g, h).inverse() == q_set(h, g)
 
 
@@ -107,8 +109,8 @@ def test_consistency_with_quotients(gg):
 
     checked = 0
     while checked < 60:
-        g = Word(gg.random_reduced_word(rng.randint(1, 8), rng), True)
-        h = Word(gg.random_reduced_word(rng.randint(1, 8), rng), True)
+        g = Word(random_reduced_word(gg, rng.randint(1, 8), rng), True)
+        h = Word(random_reduced_word(gg, rng.randint(1, 8), rng), True)
         if are_conjugate(g, h):
             assert cycle_type(q6.perm_of_word(g)) == cycle_type(q6.perm_of_word(h))
             checked += 1
@@ -167,9 +169,9 @@ def test_conjugacy_is_transitive(gg):
     rng = random.Random(59)
     triples = 0
     while triples < 30:
-        g = Word(gg.random_reduced_word(rng.randint(1, 6), rng), True)
-        f1 = gg.random_reduced_word(rng.randint(0, 4), rng)
-        f2 = gg.random_reduced_word(rng.randint(0, 4), rng)
+        g = Word(random_reduced_word(gg, rng.randint(1, 6), rng), True)
+        f1 = random_reduced_word(gg, rng.randint(0, 4), rng)
+        f2 = random_reduced_word(gg, rng.randint(0, 4), rng)
         h = Word(gg.reduce(gg.inverse_word(f1) + g.letters + tuple(f1)), True)
         k = Word(gg.reduce(gg.inverse_word(f2) + h.letters + tuple(f2)), True)
         assert are_conjugate(g, h) and are_conjugate(h, k)
@@ -195,8 +197,8 @@ def test_witness_soundness_logged(gg):
     rng = random.Random(53)
     found, missed = 0, 0
     for _ in range(25):
-        g = Word(gg.random_reduced_word(rng.randint(1, 5), rng), True)
-        f = gg.random_reduced_word(rng.randint(0, 4), rng)
+        g = Word(random_reduced_word(gg, rng.randint(1, 5), rng), True)
+        f = random_reduced_word(gg, rng.randint(0, 4), rng)
         h = Word(gg.reduce(gg.inverse_word(f) + g.letters + tuple(f)), True)
         qs = q_set(g, h)
         for cid in list(qs.ids)[:2]:
@@ -240,11 +242,11 @@ def _query_stream(gg, count, seed):
     rng = random.Random(seed)
     pairs = []
     while len(pairs) < count:
-        g = gg.random_reduced_word(rng.randint(2, 16), rng)
-        f = gg.random_reduced_word(rng.randint(1, 8), rng)
+        g = random_reduced_word(gg, rng.randint(2, 16), rng)
+        f = random_reduced_word(gg, rng.randint(1, 8), rng)
         pairs.append((g, gg.reduce(gg.inverse_word(f) + g + f)))
-        pairs.append((gg.random_reduced_word(rng.randint(2, 16), rng),
-                      gg.random_reduced_word(rng.randint(2, 16), rng)))
+        pairs.append((random_reduced_word(gg, rng.randint(2, 16), rng),
+                      random_reduced_word(gg, rng.randint(2, 16), rng)))
     return [(Word(g, True), Word(h, True)) for g, h in pairs[:count]]
 
 
@@ -368,6 +370,7 @@ def test_rooted_letter_state_is_cached(gg):
 
 _COUNT_EVALUATIONS = """
 import hashlib, random
+from oracles import random_reduced_word
 from branchgroups import conjugacy
 from branchgroups.groups import Word, builtin
 
@@ -383,10 +386,10 @@ gg = builtin("Gg")
 rng = random.Random(1)
 answers = hashlib.sha1()
 for _ in range(200):
-    g = gg.random_reduced_word(rng.randint(2, 16), rng)
-    f = gg.random_reduced_word(rng.randint(1, 8), rng)
+    g = random_reduced_word(gg, rng.randint(2, 16), rng)
+    f = random_reduced_word(gg, rng.randint(1, 8), rng)
     h = gg.reduce(gg.inverse_word(f) + g + f)
-    for x, y in ((g, h), (g, gg.random_reduced_word(rng.randint(2, 16), rng))):
+    for x, y in ((g, h), (g, random_reduced_word(gg, rng.randint(2, 16), rng))):
         q = conjugacy.q_set(Word(x, True), Word(y, True))
         answers.update(repr(sorted(q.ids)).encode())
 print(calls[0], answers.hexdigest())
@@ -404,10 +407,11 @@ def test_fixpoint_work_is_the_same_in_every_process():
     import branchgroups
 
     src = os.path.dirname(os.path.dirname(branchgroups.__file__))
+    tests = os.path.dirname(os.path.abspath(__file__))
     runs = []
     for seed in ("1", "2"):
-        env = dict(os.environ, PYTHONHASHSEED=seed,
-                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+            [src, tests, os.environ.get("PYTHONPATH", "")]))
         out = subprocess.run([sys.executable, "-c", _COUNT_EVALUATIONS], env=env,
                              capture_output=True, text=True, check=True, timeout=300)
         runs.append(out.stdout.split())

@@ -4,6 +4,8 @@ import random
 import numpy as np
 import pytest
 
+from oracles import random_reduced_word
+
 from branchgroups.decision import (
     ball,
     canonical_portrait_depth,
@@ -64,7 +66,7 @@ def test_equal_examples(gg):
 def test_soundness_vs_quotients(gg):
     rng = random.Random(31)
     for _ in range(60):
-        w = Word(gg.random_reduced_word(rng.randint(1, 12), rng), True)
+        w = Word(random_reduced_word(gg, rng.randint(1, 12), rng), True)
         claims_trivial = is_trivial(gg, w)
         for level in (3, 5, 6):
             q = level_quotient(gg, level)
@@ -103,7 +105,7 @@ def test_order_solves_no_word_problem():
     group = _gg_explicit()
     rng = random.Random(5)
     for _ in range(50):
-        w = Word(group.random_reduced_word(rng.randint(1, 20), rng), True)
+        w = Word(random_reduced_word(group, rng.randint(1, 20), rng), True)
         assert order(group, w).kind == "finite"
     assert group._memo_order and not group._memo_trivial
 
@@ -122,7 +124,7 @@ def test_order_matches_quotient_stabilization(gg):
 def test_order_divisor_property(gg):
     rng = random.Random(7)
     for _ in range(20):
-        w = Word(gg.random_reduced_word(rng.randint(1, 6), rng), True)
+        w = Word(random_reduced_word(gg, rng.randint(1, 6), rng), True)
         res = order(gg, w)
         assert res.kind == "finite"
         k = res.value
@@ -219,7 +221,7 @@ def test_gsg_is_torsion_on_short_words():
     gsg = builtin("GSg")
     rng = random.Random(2)
     for _ in range(25):
-        w = Word(gsg.random_reduced_word(rng.randint(1, 4), rng), True)
+        w = Word(random_reduced_word(gsg, rng.randint(1, 4), rng), True)
         res = order(gsg, w, bound=3**9)
         assert res.kind == "finite"
         assert res.value == 3 ** max(0, (res.value.bit_length() // 2)) or res.value % 3 == 0 or res.value == 1
@@ -295,7 +297,7 @@ def test_canonical_portrait_depth(gg):
     rng = random.Random(4)
     for _ in range(80):
         n = rng.randint(1, 24)
-        w = Word(gg.random_reduced_word(n, rng), True)
+        w = Word(random_reduced_word(gg, n, rng), True)
         bound = max(1, (len(w.letters) - 1).bit_length()) + 1
         assert canonical_portrait_depth(gg, w) <= bound
 
@@ -315,3 +317,14 @@ def test_trivial_explicit_flavor():
         bsv.inverse_word(lam) + bsv.inverse_word(lam_t) + lam + lam_t
     )
     assert is_trivial(bsv, Word(comm, True))
+
+
+def test_section_closure_cap_names_its_constant(monkeypatch):
+    from branchgroups import decision
+    from branchgroups.errors import ResourceBoundExceeded
+    from branchgroups.groups import grigorchuk_2group
+
+    # a fresh group, whose memo cannot answer the word already
+    monkeypatch.setattr(decision, "TRIVIAL_CLOSURE_CAP", 1)
+    with pytest.raises(ResourceBoundExceeded, match=r"1 words \(decision\.TRIVIAL_CLOSURE_CAP\)"):
+        is_trivial(grigorchuk_2group(), "(ab)^16")

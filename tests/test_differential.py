@@ -13,6 +13,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from oracles import random_reduced_word  # noqa: E402
 from test_groups import _d6_spinal  # noqa: E402
 
 from branchgroups.automorphisms import perm_order  # noqa: E402
@@ -272,7 +273,7 @@ def test_order_formula_matches_power_descent(name):
     group, memo = ORACLE_GROUPS[name](), {}
     rng = random.Random(name)
     for _ in range(80):
-        w = Word(group.random_reduced_word(rng.randint(1, 14), rng), True)
+        w = Word(random_reduced_word(group, rng.randint(1, 14), rng), True)
         new, old = order(group, w), _order_by_power_descent(group, w, memo)
         assert old.kind != "unknown", group.format_word(w)
         assert _same_order(new, old), (group.format_word(w), new, old)

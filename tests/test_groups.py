@@ -1,5 +1,7 @@
 import pytest
 
+from oracles import random_reduced_word
+
 from branchgroups.automorphisms import build_recursive, perm_from_cycles
 from branchgroups.errors import ValidationError
 from branchgroups.groups import (
@@ -207,7 +209,7 @@ def test_first_level_section_contraction():
     for name in ("Gg", "Sg", "FGg", "BGg", "GSg", "G2"):
         g = builtin(name)
         for _ in range(200):
-            w = g.random_reduced_word(rng.randint(1, 14), rng)
+            w = random_reduced_word(g, rng.randint(1, 14), rng)
             _, secs = g.first_level_sections(w)
             for s in secs:
                 assert len(s) <= (len(w) + 1) / 2
@@ -270,7 +272,7 @@ def test_second_grigorchuk_torsion_cross_check():
     g2 = builtin("G2")
     rng = random.Random(67)
     for _ in range(20):
-        w = g2.random_reduced_word(rng.randint(1, 3), rng)
+        w = random_reduced_word(g2, rng.randint(1, 3), rng)
         res = order(g2, w, bound=1 << 12)
         assert res.kind == "finite"
 
@@ -375,7 +377,7 @@ def test_nonabelian_directed_part_mixed_arity():
     # contraction holds on this mixed-arity tree as well
     rng = random.Random(71)
     for _ in range(100):
-        w = group.random_reduced_word(rng.randint(1, 12), rng)
+        w = random_reduced_word(group, rng.randint(1, 12), rng)
         root, secs = group.first_level_sections(w)
         assert all(len(s) <= (len(w) + 1) / 2 for s in secs)
         if root == (0, 1):
@@ -451,7 +453,7 @@ def test_mixed_arity_word_states_act_letter_by_letter():
     assert {group.shape.branching(i) for i in range(5)} == {2, 3}
     rng = random.Random(83)
     for _ in range(40):
-        w = group.random_reduced_word(rng.randint(1, 12), rng)
+        w = random_reduced_word(group, rng.randint(1, 12), rng)
         state = group.state_of_word(w)
         for v in vertices:
             image = v
@@ -481,6 +483,17 @@ def test_mixed_arity_certificate_words_print_with_their_companion():
         assert group.format_word(word)
         text = group.format_word(word, group.companion(s))
         assert text and "#" not in text
+
+
+def test_root_names_directed_letters_of_its_companions():
+    # the root looks a directed letter up in the ring, in shift order, so
+    # the witness prints as it does through its companion, not as #serial
+    from branchgroups.decision import order
+
+    group = _d6_spinal()
+    _, _, _, witness, _, shift = order(group, "a rs a rs a r^3 a r^5").certificate
+    assert group.format_word(witness) == "rs (1 3)"
+    assert group.format_word(witness, group.companion(shift)) == "rs (1 3)"
 
 
 def test_btable():
@@ -548,7 +561,7 @@ def test_first_level_sections_match_the_omega_maps():
     for root in spinal:
         for group in root._ring:
             for _ in range(60):
-                w = group.random_reduced_word(rng.randint(0, 16), rng)
+                w = random_reduced_word(group, rng.randint(0, 16), rng)
                 assert group.first_level_sections(w) == _omega_sections(group, w)
 
 

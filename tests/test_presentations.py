@@ -3,6 +3,8 @@ import random
 import numpy as np
 import pytest
 
+from oracles import hnn_defines_substitution, mutate_relator
+
 from branchgroups.decision import is_trivial
 from branchgroups.groups import builtin
 from branchgroups.presentations import (
@@ -10,9 +12,7 @@ from branchgroups.presentations import (
     format_free_word,
     free_inverse,
     free_reduce,
-    hnn_defines_substitution,
     hnn_presentation_relators,
-    mutate_relator,
     parse_free_word,
     presentation,
     translate,

@@ -7,16 +7,17 @@ copies here use smaller counts so the default test run stays quick.
 import hashlib
 import random
 
-from branchgroups.groups import builtin
-from branchgroups.properties import (
-    _random_stab3_word,
+from oracles import (
     check_contraction,
     check_eta_shortening,
     check_portrait_depth_bound,
     check_reduce_confluence,
     check_right_action_laws,
     check_shortening,
+    random_stab3_word,
 )
+
+from branchgroups.groups import builtin
 
 
 def test_section_contraction_quick():
@@ -32,7 +33,7 @@ def test_three_quarters_shortening_quick():
 def test_stab3_words_fix_level_three_and_are_pinned():
     gg = builtin("Gg")
     rng = random.Random(907)
-    words = [_random_stab3_word(gg, rng) for _ in range(40)]
+    words = [random_stab3_word(gg, rng) for _ in range(40)]
     for w in words:
         state = gg.state_of_word(w)
         assert all(state.act(v) == v for v in gg.shape.vertices(3))

@@ -1,11 +1,12 @@
 import pytest
 
+from oracles import growth_series_product
+
 from branchgroups.cli import parse_group_file
 from branchgroups.groups import builtin
 from branchgroups.schreier import (
     SchreierGraph,
     _generator_pairs,
-    growth_series_product,
     schreier_graph,
     substitution_rules,
     substitutional_expand,

@@ -3,6 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import one_sided_hausdorff
+
 from branchgroups.groups import builtin
 from branchgroups.spectra import (
     bareiss_determinant,
@@ -11,7 +13,6 @@ from branchgroups.spectra import (
     fgg_reference,
     gg_closed_form,
     julia_set_approx,
-    one_sided_hausdorff,
     phi_check,
     phi_values,
     spectral_report,
