@@ -345,7 +345,11 @@ def _dispatch(args) -> int:
     if cmd == "order":
         result = decision.order(group, args.word, bound=args.bound)
         print(result)
-        return EXIT_RESOURCE if result.kind == "unknown" else EXIT_OK
+        if result.kind == "unknown":
+            print(f"resource bound exceeded: no finite order up to the bound {args.bound} "
+                  "(raise it with --bound)", file=sys.stderr)
+            return EXIT_RESOURCE
+        return EXIT_OK
 
     if cmd == "conj":
         if group.name != "Gg":

@@ -340,12 +340,17 @@ def growth_values(group: GroupDefinition, radius: int) -> List[int]:
 
 
 def torsion_growth(group: GroupDefinition, radius: int) -> int:
-    """Largest finite element order on the ball of the given radius."""
+    """Largest finite element order on the ball of the given radius; an
+    element of certified infinite order is a ValueError."""
     best = 1
     for w in ball(group, radius):
-        res = order(group, w)
+        res = order(group, w, ORDER_BOUND)
         if res.kind == "finite":
             best = max(best, res.value)
+        elif res.kind == "infinite":
+            raise ValueError(f"element {group.format_word(w)} has infinite order, "
+                             f"certified by {res!r}; torsion growth is defined "
+                             "for torsion groups only")
         else:
             raise ResourceBoundExceeded(
                 f"element {group.format_word(w)} has no finite order within "

@@ -30,12 +30,19 @@ sections.  For a spinal word F = [a_0]b_1a_1...b_k[a_k] this is
 b_1^{g_1}...b_k^{g_k} g with g_i the inverse of the a-prefix, and each
 factor contributes at most one letter to each child word, which bounds
 every child by (|F|+1)/2 letters.
+
+Words are parsed by ``parse_letters``, whose grammar the free words of
+presentations share: generator names read by longest match, ' and ^-k
+for inverses, ^k for powers, parentheses, [x,y] and x^y.  A power that
+would expand past ``WORD_LENGTH_CAP`` letters raises ResourceBoundExceeded.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import re
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .automorphisms import (
@@ -53,7 +60,7 @@ from .automorphisms import (
     format_perm,
     rooted_state,
 )
-from .errors import ValidationError
+from .errors import ResourceBoundExceeded, ValidationError
 from .shapes import TreeShape
 
 # -- finite directed part ----------------------------------------------
@@ -173,6 +180,114 @@ class Word:
 
     def __repr__(self):
         return f"Word({self.letters!r})"
+
+
+# -- word syntax -----------------------------------------------------------
+#
+# One grammar serves group words and the free words of presentations:
+#
+#     word   ::= factor*                whitespace and '*' separate factors
+#     factor ::= atom suffix*
+#     atom   ::= symbol | '1' | '(' word ')' | '[' word ',' word ']'
+#     suffix ::= "'" | '^' ['-'] digits | '^' symbol "'"* | '^(' word ')'
+#
+# with [x,y] = x'y'xy and x^y = y'xy; a suffix follows its atom with no
+# space.  Symbols are read by longest match from an alphabet, or are
+# single word characters when there is none.
+
+# most letters a power w^k may expand to
+WORD_LENGTH_CAP = 1 << 20
+
+# token kinds by regex group: a power, a suffix mark (' or ^( ), a
+# conjugating symbol, an atom mark, a symbol; group 6 is anything else
+_POWER, _MARK, _CONJ, _ATOM, _SYMBOL = range(1, 6)
+
+
+@functools.lru_cache(maxsize=64)
+def _tokens(alphabet: Optional[Tuple[str, ...]]):
+    symbol = (r"\w" if alphabet is None  # longest match first; (?!) matches nothing
+              else "|".join(map(re.escape, sorted(alphabet, key=len, reverse=True))) or "(?!)")
+    return re.compile(rf"(\^-?\d+)|(\^\(|')|(\^(?:{symbol}))|[\s*]*(?:([1()\[\],])|({symbol})"
+                      r"|([^\s*]))").finditer
+
+
+def parse_letters(text: str, alphabet: Optional[Tuple[str, ...]], letter, inverse, order) -> list:
+    """The letters of a word text, expanded (see the grammar above).
+
+    ``letter`` maps a symbol to a letter and ``inverse`` inverts one; the
+    exponent of a single letter is taken modulo ``order(letter)`` (when
+    not None) before it is expanded.  A malformed text is a ValueError.
+    """
+    tokens = [(m.lastindex, m[m.lastindex], m.start(m.lastindex))
+              for m in _tokens(alphabet)(text)]
+    tokens.append((0, "", len(text)))
+    i = 0
+
+    def expect(mark):
+        nonlocal i
+        if tokens[i][1] != mark:
+            raise ValueError(f"missing {mark!r} at column {tokens[i][2] + 1}")
+        i += 1
+
+    def invert(w):
+        return [inverse(x) for x in reversed(w)]
+
+    def word():
+        """Factors with their suffixes, up to a closing mark or the end."""
+        nonlocal i
+        out = []
+        while True:
+            kind, value, _ = tokens[i]
+            if kind != _SYMBOL and (kind != _ATOM or value in ")],"):
+                return out
+            i += 1
+            if kind == _SYMBOL:
+                part = [letter(value)]
+            elif value == "(":
+                part = word()
+                expect(")")
+            elif value == "[":
+                x = word()
+                expect(",")
+                y = word()
+                expect("]")
+                part = invert(x) + invert(y) + x + y
+            else:
+                part = []
+            while tokens[i][0] in (_POWER, _MARK, _CONJ):
+                kind, value, _ = tokens[i]
+                i += 1
+                if kind == _POWER:
+                    k = int(value[1:])
+                    if k < 0:
+                        part, k = invert(part), -k
+                    if len(part) == 1 and (n := order(part[0])):
+                        k %= n
+                    if len(part) * k > WORD_LENGTH_CAP:
+                        raise ResourceBoundExceeded(
+                            f"a power expands to {len(part) * k} letters, over the bound "
+                            f"{WORD_LENGTH_CAP} (groups.WORD_LENGTH_CAP)")
+                    part = part * k
+                elif value == "'":
+                    part = invert(part)
+                else:  # x^y or x^(w)
+                    if kind == _CONJ:
+                        by = [letter(value[1:])]
+                        while tokens[i][:2] == (_MARK, "'"):
+                            i += 1
+                            by = invert(by)
+                    else:
+                        by = word()
+                        expect(")")
+                    part = invert(by) + part + by
+            out += part
+
+    letters = word()
+    kind, value, col = tokens[i]
+    if kind:
+        raise ValueError(f"{'dangling' if value == '^' else 'unexpected'} {value!r} "
+                         f"at column {col + 1}")
+    return letters
 
 
 class GroupDefinition:
@@ -330,7 +445,8 @@ class GroupDefinition:
     # -- parsing and printing (shift-0 only) --
 
     def parse_word(self, text: str) -> Word:
-        letters = _parse_word_text(self, text)
+        letters = parse_letters(text, tuple(self.states), self.states.__getitem__,
+                                self.letter_inverse, self.letter_order)
         return Word(self.reduce(letters), reduced=True)
 
     def word(self, text_or_letters) -> Word:
@@ -394,82 +510,6 @@ class GroupDefinition:
 
     def __repr__(self):
         return f"GroupDefinition({self.name!r}, flavor={self.flavor!r})"
-
-
-# -- tokenizer for word syntax -------------------------------------------
-
-
-def _parse_word_text(group: GroupDefinition, text: str):
-    """Parse 'a(bd)^2c' style words; inverses as x' or x^-1."""
-    names = sorted(group.states, key=len, reverse=True)
-    pos = 0
-    n = len(text)
-
-    def parse_seq(depth):
-        nonlocal pos
-        seq = []
-        while pos < n:
-            ch = text[pos]
-            if ch.isspace() or ch == "*":
-                pos += 1
-                continue
-            if ch == ")":
-                if depth == 0:
-                    raise ValueError(f"unbalanced ')' at column {pos + 1}")
-                return seq
-            if ch == "(":
-                pos += 1
-                inner = parse_seq(depth + 1)
-                if pos >= n or text[pos] != ")":
-                    raise ValueError("missing ')'")
-                pos += 1
-                seq.append(_apply_suffix(inner))
-                continue
-            if ch == "1":
-                pos += 1
-                seq.append([])
-                continue
-            for name in names:
-                if text.startswith(name, pos):
-                    pos += len(name)
-                    seq.append(_apply_suffix([[group.states[name]]]))
-                    break
-            else:
-                raise ValueError(f"unknown generator at column {pos + 1}: {text[pos:]!r}")
-        return seq
-
-    def _apply_suffix(chunk):
-        """Handle ' and ^k after an atom or a parenthesized group."""
-        nonlocal pos
-        flat = [x for part in chunk for x in part]
-        while pos < n and text[pos] in "'^":
-            if text[pos] == "'":
-                pos += 1
-                flat = [group.letter_inverse(x) for x in reversed(flat)]
-            else:
-                pos += 1
-                sign = 1
-                if pos < n and text[pos] == "-":
-                    sign = -1
-                    pos += 1
-                if pos >= n or not text[pos].isdigit():
-                    raise ValueError(f"bad exponent at column {pos + 1}")
-                k = 0
-                while pos < n and text[pos].isdigit():
-                    k = 10 * k + int(text[pos])
-                    pos += 1
-                if sign == -1:
-                    flat = [group.letter_inverse(x) for x in reversed(flat)]
-                order = group.letter_order(flat[0]) if len(flat) == 1 else None
-                if order:  # a letter of known order: reduce the exponent
-                    k %= order
-                flat = flat * k
-        return flat
-
-    seq = parse_seq(0)
-    if pos != n:
-        raise ValueError(f"unbalanced ')' at column {pos + 1}")
-    return [x for part in seq for x in part]
 
 
 # -- spinal construction -------------------------------------------------

@@ -6,10 +6,12 @@ the free group on S by Q together with every image of R under the monoid
 generated by Phi.  Substitutions act on free words only; they need not
 descend to group endomorphisms (for the Gupta-Sidki group they do not).
 
-Expansion enumerates compositions of at most `depth` substitutions
-breadth-first and deduplicates the resulting reduced words.  Verification
-maps each expanded relator into a target group through a declared
-alphabet dictionary and runs the word-problem oracle.
+Free words are tuples of (symbol, +-1), written in the syntax of group
+words (``groups.parse_letters``) and freely reduced.  Expansion
+enumerates compositions of at most `depth` substitutions breadth-first
+and deduplicates the resulting reduced words.  Verification maps each
+expanded relator into a target group through a declared alphabet
+dictionary and runs the word-problem oracle.
 """
 
 from __future__ import annotations
@@ -19,9 +21,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .decision import is_trivial
 from .errors import ResourceBoundExceeded
-from .groups import GroupDefinition, Word
+from .groups import GroupDefinition, Word, parse_letters
 
-# free words are tuples of (symbol, +-1)
 FreeWord = Tuple[Tuple[str, int], ...]
 
 # most words the closure of the iterated relators under the twists may hold
@@ -45,112 +46,17 @@ def free_inverse(word: Sequence[Tuple[str, int]]) -> FreeWord:
 
 
 def parse_free_word(text: str, alphabet: Sequence[str] = ()) -> FreeWord:
-    """Parse words like "a c' (d^a)^2 [x,y]".
+    """Parse words like "a c' (d^a)^2 [x,y]", freely reduced.
 
-    Supports juxtaposition, ' for inverses, ^int for powers, ^word for
-    conjugation (x^w = w' x w), parentheses, and [x,y] commutators.
+    The syntax is the one of group words (``groups.parse_letters``):
+    juxtaposition, ' and ^-k for inverses, ^k for powers, x^y and x^(w)
+    for conjugation (x^w = w' x w), parentheses and [x,y] commutators.
     Symbols are single letters, or, when an alphabet is given, its
     symbols read by longest match ("tau^2" over tau, mu); a symbol
     outside the alphabet is a ValueError.
     """
-    pos = 0
-    n = len(text)
-
-    def symbol() -> str:
-        nonlocal pos
-        sym = text[pos]
-        if alphabet:
-            sym = max((s for s in alphabet if text.startswith(s, pos)), key=len, default="")
-            if not sym:
-                raise ValueError(f"symbol outside the alphabet at column {pos + 1}")
-        pos += len(sym)
-        return sym
-
-    def parse_seq(closers) -> List[FreeWord]:
-        nonlocal pos
-        seq: List[FreeWord] = []
-        while pos < n:
-            ch = text[pos]
-            if ch.isspace() or ch == "*":
-                pos += 1
-                continue
-            if ch in closers:
-                return seq
-            if ch == "(":
-                pos += 1
-                inner = parse_seq(")")
-                if pos >= n or text[pos] != ")":
-                    raise ValueError("missing ')'")
-                pos += 1
-                seq.append(suffix(concat(inner)))
-            elif ch == "[":
-                pos += 1
-                left = parse_seq(",")
-                if pos >= n or text[pos] != ",":
-                    raise ValueError("missing ',' in commutator")
-                pos += 1
-                right = parse_seq("]")
-                if pos >= n or text[pos] != "]":
-                    raise ValueError("missing ']'")
-                pos += 1
-                x, y = concat(left), concat(right)
-                comm = free_reduce(free_inverse(x) + free_inverse(y) + x + y)
-                seq.append(suffix(comm))
-            elif ch == "1":
-                pos += 1
-                seq.append(())
-            elif ch.isalnum() or ch == "_":
-                seq.append(suffix(((symbol(), 1),)))
-            else:
-                raise ValueError(f"unexpected {ch!r} at column {pos + 1}")
-        return seq
-
-    def suffix(word: FreeWord) -> FreeWord:
-        nonlocal pos
-        out = word
-        while pos < n and text[pos] in "'^":
-            if text[pos] == "'":
-                pos += 1
-                out = free_inverse(out)
-            else:
-                pos += 1
-                if pos < n and (text[pos].isdigit() or text[pos] == "-"):
-                    sign = 1
-                    if text[pos] == "-":
-                        sign = -1
-                        pos += 1
-                    k = 0
-                    while pos < n and text[pos].isdigit():
-                        k = 10 * k + int(text[pos])
-                        pos += 1
-                    base = out if sign > 0 else free_inverse(out)
-                    out = free_reduce(base * k)
-                elif pos < n and text[pos] == "(":
-                    pos += 1
-                    inner = concat(parse_seq(")"))
-                    pos += 1
-                    out = free_reduce(free_inverse(inner) + out + inner)
-                elif pos < n:
-                    # single-symbol conjugation: x^a means a' x a
-                    conj: FreeWord = ((symbol(), 1),)
-                    while pos < n and text[pos] == "'":
-                        conj = free_inverse(conj)
-                        pos += 1
-                    out = free_reduce(free_inverse(conj) + out + conj)
-                else:
-                    raise ValueError("dangling '^'")
-        return out
-
-    def concat(parts: List[FreeWord]) -> FreeWord:
-        out: FreeWord = ()
-        for p in parts:
-            out = free_reduce(out + p)
-        return out
-
-    result = concat(parse_seq(""))
-    if pos != n:
-        raise ValueError(f"unexpected {text[pos]!r} at column {pos + 1}")
-    return result
+    return free_reduce(parse_letters(text, tuple(alphabet) or None, lambda s: (s, 1),
+                                     lambda x: (x[0], -x[1]), lambda x: None))
 
 
 def format_free_word(word: FreeWord) -> str:
@@ -311,8 +217,7 @@ def verify(presentation: EndomorphicPresentation, group: GroupDefinition,
 # -- the built-in presentations -------------------------------------------
 
 
-def _p(text: str) -> FreeWord:
-    return parse_free_word(text)
+_p = parse_free_word
 
 
 _PRESENTATIONS: Dict[str, Tuple] = {}
@@ -375,37 +280,23 @@ def _make_presentation(key: str):
         phi = Substitution.parse("phi", {"a": "r^(a')", "r": "r"})
         chi1 = Substitution.parse("chi1", {"a": "a", "r": "r'"})
         chi2 = Substitution.parse("chi2", {"a": "a'", "r": "r"})
-        r_block1 = _p("r r^(a') r' r^a r")         # r^{1+a^-1-1+a+1}
-        r_block2 = _p("r r^a r^(a')")              # r^{1+a+a^-1}
-        r_block3 = _p("r^a r r^(a')")              # r^{a+1+a^-1}
         relators = (
             _p("a^3"),
-            free_reduce(free_inverse(r_block1) + _p("a'") + r_block1 + _p("a")),
-            free_reduce(
-                free_reduce(_p("a") + free_inverse(r_block2) + _p("a'") + r_block2)
-                + free_reduce(free_inverse(r_block3) + _p("a'") + r_block3 + _p("a"))
-            ),
+            _p("a'^(r r^(a') r' r^a r) a"),  # r^{1+a^-1-1+a+1}
+            _p("a a'^(r r^a r^(a')) a'^(r^a r r^(a')) a"),  # r^{1+a+a^-1}, r^{a+1+a^-1}
         )
         pres = EndomorphicPresentation("fgg", ("a", "r"), (), (phi,), relators,
                                        twists=(chi1, chi2))
         return pres, "FGg", {"r": "t"}
     if key == "gsg":
-        phi = Substitution.parse("phi", {
-            "t": "t",
-            "u": "u't v'  t u v t'".replace(" ", ""),
-            "v": "t' v u t v' t u'".replace(" ", ""),
-        })
+        phi = Substitution.parse("phi", {"t": "t", "u": "u't v' t u v t'",
+                                         "v": "t' v u t v' t u'"})
         chi = Substitution.parse("chi", {"t": "t'", "u": "u'", "v": "v'"})
         fixed = (_p("a^3"), _p("t^3"), _p("u' t^a"), _p("v' t^(a')"))
-        relators = (
-            _p("(tuv)^3"),
-            free_reduce(_p("[v,t]") + _p("[vt,u'tv'u]")),
-        )
+        relators = (_p("(tuv)^3"), _p("[v,t] [vt,u'tv'u]"))
         pres = EndomorphicPresentation("gsg", ("a", "t", "u", "v"), fixed,
                                        (phi,), relators, twists=(chi,))
-        # u = t^a = a^-1 t a and v = t^(a^-1) = a t a^-1, spelled out
-        # because the group word syntax has no conjugation operator
-        return pres, "GSg", {"u": "a^2ta", "v": "ata^2"}
+        return pres, "GSg", {"u": "t^a", "v": "t^(a')"}
     if key == "bsv":
         phi = Substitution.parse("phi", {"T": "T^2", "L": "T^2 L' T^2"})
         relators = (_p("[L,L^T]"), _p("[L,L^(T^3)]"))

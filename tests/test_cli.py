@@ -4,7 +4,7 @@ import pytest
 
 from oracles import format_group_file, random_reduced_word
 
-from branchgroups import decision, presentations, quotients, schreier, spectra
+from branchgroups import decision, groups, presentations, quotients, schreier, spectra
 from branchgroups.cli import (
     EXIT_FALSE,
     EXIT_OK,
@@ -340,6 +340,71 @@ def test_cli_ball_and_torsion(capsys):
     assert "gamma(2) = 11" in capsys.readouterr().out
     assert main(["torsion-growth", "Gg", "--radius", "1"]) == EXIT_OK
     assert "pi(1) = 2" in capsys.readouterr().out
+
+
+def test_cli_torsion_growth_of_infinite_order_is_usage_error(capsys):
+    # raising the order bound cannot help an element of infinite order
+    assert main(["torsion-growth", "BGg", "--radius", "2"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: element at has infinite order, certified by "
+                          "InfiniteCertified(k=3, vertex=3, sign=+1)")
+    assert err.count("\n") == 1
+
+
+def test_cli_torsion_growth_past_the_order_bound_exits_3(tmp_path, monkeypatch, capsys):
+    # a fresh group, so that no order is remembered from another test
+    path = tmp_path / "gg.grp"
+    path.write_text(GG_FILE)
+    monkeypatch.setattr(decision, "ORDER_BOUND", 4)
+    assert main(["torsion-growth", str(path), "--radius", "2"]) == EXIT_RESOURCE
+    err = capsys.readouterr().err
+    assert err.endswith(" has no finite order within bound 4 (decision.ORDER_BOUND)\n")
+    assert err.count("\n") == 1
+
+
+def test_cli_order_names_its_bound(tmp_path, capsys):
+    path = tmp_path / "gg.grp"
+    path.write_text(GG_FILE)
+    assert main(["order", str(path), "ab", "--bound", "3"]) == EXIT_RESOURCE
+    out, err = capsys.readouterr()
+    assert out == "Unknown(bound reached)\n"
+    assert err == ("resource bound exceeded: no finite order up to the bound 3 "
+                   "(raise it with --bound)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["trivial", "Gg", "(ab)^99999999999"],
+    ["order", "Gg", "(ab)^9999999"],
+])
+def test_cli_long_powers_exit_3_before_expanding(capsys, argv):
+    # the expanded length is checked before a letter is allocated
+    assert main(argv) == EXIT_RESOURCE
+    err = capsys.readouterr().err
+    assert err.startswith("resource bound exceeded: a power expands to ")
+    assert err.endswith("(groups.WORD_LENGTH_CAP)\n") and err.count("\n") == 1
+
+
+def test_cli_long_powers_in_presentation_files_exit_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(groups, "WORD_LENGTH_CAP", 8)
+    path = tmp_path / "long.pres"
+    path.write_text("alphabet a b\niterated (ab)^5\n")
+    assert main(["present", "--file", str(path)]) == EXIT_RESOURCE
+    assert capsys.readouterr().err == (
+        "resource bound exceeded: a power expands to 10 letters, over the bound 8 "
+        "(groups.WORD_LENGTH_CAP)\n")
+
+
+@pytest.mark.parametrize("text", ["x", "(ab", "a^", "ab]"])
+def test_cli_malformed_words_are_usage_errors(capsys, text):
+    assert main(["trivial", "Gg", text]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_words_take_commutators_and_conjugates():
+    assert main(["equal", "Gg", "[a,b]", "a'b'ab"]) == EXIT_OK
+    assert main(["equal", "Gg", "b^a", "aba"]) == EXIT_OK
+    assert main(["trivial", "Gg", "[d,d^a]"]) == EXIT_OK
 
 
 def test_cli_group_file(tmp_path):

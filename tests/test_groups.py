@@ -1,9 +1,13 @@
+import hashlib
+import random
+
 import pytest
 
 from oracles import random_reduced_word
 
+from branchgroups import groups
 from branchgroups.automorphisms import build_recursive, perm_from_cycles
-from branchgroups.errors import ValidationError
+from branchgroups.errors import ResourceBoundExceeded, ValidationError
 from branchgroups.groups import (
     BTable,
     DefiningTriple,
@@ -565,16 +569,94 @@ def test_first_level_sections_match_the_omega_maps():
                 assert group.first_level_sections(w) == _omega_sections(group, w)
 
 
-def test_exponent_of_an_explicit_rooted_letter_is_reduced():
-    # a rooted letter of an explicit group has a known order, so its
-    # exponent is taken modulo it instead of being expanded
+def _gg_twin():
+    """Gg written as a wreath recursion: b = (a, c), c = (a, d), d = (1, b)."""
     flip = perm_from_cycles(2, [[0, 1]])
-    gg = explicit_group("Gg", TreeShape.regular(2), {"a": flip}, {
+    return explicit_group("Gg", TreeShape.regular(2), {"a": flip}, {
         "b": ([[("a", 1)], [("c", 1)]], None),
         "c": ([[("a", 1)], [("d", 1)]], None),
         "d": ([[], [("b", 1)]], None),
     })
+
+
+def test_exponent_of_an_explicit_rooted_letter_is_reduced():
+    # a rooted letter of an explicit group has a known order, so its
+    # exponent is taken modulo it instead of being expanded
+    gg = _gg_twin()
     assert gg.parse_word("a^10000001").letters == (gg.states["a"],)
     assert gg.parse_word("a^1000000000000000001").letters == (gg.states["a"],)
     assert gg.parse_word("a^-10000000").letters == ()
     assert gg.parse_word("b^3").letters == (gg.states["b"],)
+
+
+def _word_texts(group, rng, count):
+    """Word texts over a group's names and aliases, with primes, ^k, ^-k
+    and nested parentheses, in the syntax that group words had before
+    they took commutators and conjugates."""
+    names = sorted(group.states)
+
+    def factor(depth):
+        r = rng.random()
+        if depth < 2 and r < 0.2:
+            text = "(" + word(depth + 1) + ")"
+        elif r < 0.25:
+            return "1"
+        else:
+            text = rng.choice(names)
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            text += rng.choice(("'", f"^{rng.randint(0, 6)}", f"^-{rng.randint(1, 6)}"))
+        return text
+
+    def word(depth):
+        parts = [factor(depth) for _ in range(rng.randint(1, 4))]
+        return "".join(p + rng.choice(("", "", " ", "*")) for p in parts).strip(" *")
+
+    return [word(0) for _ in range(count)]
+
+
+def test_parsed_words_are_pinned():
+    # recorded before group words and free words shared one parser: each
+    # text keeps its reduced word on every built-in, the explicit twin of
+    # Gg and the mixed-arity D_6 group
+    rng = random.Random(14)
+    lines = []
+    for g in [builtin(name) for name in BUILTINS] + [_gg_twin(), _d6_spinal()]:
+        for text in _word_texts(g, rng, 60):
+            lines.append(f"{g.name}\t{text}\t{g.format_word(g.parse_word(text))}")
+    assert (len(lines), hashlib.sha1("\n".join(lines).encode()).hexdigest()) == (
+        720, "9bcb539801a59105bf801144d3b46b18899d25fa")
+
+
+def test_word_syntax_commutators_and_conjugates():
+    gg = builtin("Gg")
+    assert gg.parse_word("[a,b]") == gg.parse_word("a'b'ab")
+    assert gg.parse_word("b^a") == gg.parse_word("aba")
+    assert gg.parse_word("b^(ac)") == gg.parse_word("c'a'bac")
+    assert gg.parse_word("[b^a,c]^2 d") == gg.parse_word("(aba c aba c)^2 d")
+    # a prime after a conjugating name inverts the conjugator
+    gsg = builtin("GSg")
+    assert gsg.parse_word("t^a") == gsg.parse_word("a^2ta")
+    assert gsg.parse_word("t^a'") == gsg.parse_word("t^(a')") == gsg.parse_word("ata^2")
+    assert gsg.parse_word("t^a'^2") == gsg.parse_word("(ata^2)^2")
+
+
+@pytest.mark.parametrize("text", ["x", "ab x", "ab)", "(ab", "[a,b", "[a b]", "a^", "a^ b",
+                                  "a '", "a^-"])
+def test_word_syntax_rejects_malformed_text(text):
+    with pytest.raises(ValueError):
+        builtin("Gg").parse_word(text)
+
+
+def test_power_length_is_checked_before_expanding(monkeypatch):
+    monkeypatch.setattr(groups, "WORD_LENGTH_CAP", 8)
+    gg, twin = builtin("Gg"), _gg_twin()
+    assert len(gg.parse_word("(ab)^4")) == 8
+    with pytest.raises(ResourceBoundExceeded, match=r"over the bound 8 \(groups\.WORD_LENGTH_CAP\)"):
+        gg.parse_word("(ab)^5")
+    with pytest.raises(ResourceBoundExceeded):
+        gg.parse_word("((ab)^2)^3")
+    with pytest.raises(ResourceBoundExceeded):
+        twin.parse_word("b^9")  # b has no known order in the twin
+    # a single letter's exponent is reduced before the check
+    assert gg.parse_word("a^1000000000000000001") == gg.parse_word("a")
+    assert gg.parse_word("b^-1000000000000000001") == gg.parse_word("b")

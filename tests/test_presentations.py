@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 
 from oracles import hnn_defines_substitution, mutate_relator
 
+from branchgroups import groups
 from branchgroups.decision import is_trivial
+from branchgroups.errors import ResourceBoundExceeded
 from branchgroups.groups import builtin
 from branchgroups.presentations import (
     Substitution,
@@ -201,3 +204,38 @@ def test_mutation_negative_control():
             if not is_trivial(gg, translate(mutated, gg, amap)):
                 nontrivial += 1
     assert nontrivial / total >= 0.95
+
+
+def test_builtin_expansions_are_pinned():
+    # recorded before group words and free words shared one parser
+    names = ("lysionok", "gg_ascending", "sg", "fgg", "gsg", "bsv")
+    relators = [presentation(name)[0].expand(3) for name in names]
+    assert (sum(map(len, relators)), hashlib.sha1(repr(relators).encode()).hexdigest()) == (
+        123, "9a414736753d7e66623e8e3f22c2228bf00fc16b")
+
+
+def test_gsg_map_conjugates_t():
+    # u = t^a and v = t^(a'), once spelled a^2ta and ata^2 for want of a
+    # conjugation in the group word syntax: the letters are the same
+    gsg = builtin("GSg")
+    pres, _, amap = presentation("gsg")
+    assert amap == {"u": "t^a", "v": "t^(a')"}
+    spelled = {"u": "a^2ta", "v": "ata^2"}
+    for rel in pres.expand(3):
+        assert translate(rel, gsg, amap).letters == translate(rel, gsg, spelled).letters
+
+
+@pytest.mark.parametrize("text", ["a^(b", "a^ b", "a^-", "a^'", "(a]", "a,b"])
+def test_parse_free_word_rejects_malformed_text(text):
+    with pytest.raises(ValueError):
+        parse_free_word(text)
+
+
+def test_free_word_power_length_is_checked(monkeypatch):
+    monkeypatch.setattr(groups, "WORD_LENGTH_CAP", 8)
+    assert len(parse_free_word("(ab)^4")) == 8
+    with pytest.raises(ResourceBoundExceeded, match=r"groups\.WORD_LENGTH_CAP"):
+        parse_free_word("(ab)^5")
+    # free words know no letter orders, so a single letter is expanded too
+    with pytest.raises(ResourceBoundExceeded):
+        parse_free_word("a^9")
