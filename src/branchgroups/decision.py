@@ -171,6 +171,10 @@ def order(group: GroupDefinition, word, bound: int = ORDER_BOUND) -> OrderResult
         key = g.memo_key(w)
         hit = memo.get(key)
         if hit is not None:
+            # a remembered order past the bound is Unknown, as a fresh
+            # search of the same word finds
+            if hit.kind == "finite" and hit.value > bound:
+                return OrderResult("unknown"), _SETTLED
             return hit, _SETTLED
         link = step + (conj, w, g.shift_index)
         if key in active:

@@ -607,13 +607,30 @@ class LevelQuotient(SubgroupHandle):
         return _state_images(state, self.level)
 
 
+# most vertices of a level that a level quotient or a Schreier graph is built on
+LEVEL_DEGREE_CAP = 1 << 17
+
+
+def check_level_degree(group: GroupDefinition, level: int) -> None:
+    """Raise ResourceBoundExceeded, before anything is allocated, when the
+    level has more than LEVEL_DEGREE_CAP vertices."""
+    if level < 0:
+        raise ValueError(f"level must be non-negative, got {level}")
+    size = 1
+    for i in range(level):
+        size *= group.shape.branching(i)
+        if size > LEVEL_DEGREE_CAP:
+            raise ResourceBoundExceeded(
+                f"level {level} has more than {LEVEL_DEGREE_CAP} vertices, the bound "
+                "on the level degree (quotients.LEVEL_DEGREE_CAP)")
+
+
 def level_quotient(group: GroupDefinition, level: int) -> LevelQuotient:
     """The group's level quotient, built once and kept on the group; callers
     share it and must treat it (and its chain) as read-only."""
-    if level < 0:
-        raise ValueError(f"level must be non-negative, got {level}")
     q = group._quotients.get(level)
     if q is None:
+        check_level_degree(group, level)
         q = group._quotients[level] = LevelQuotient(group, level)
     return q
 

@@ -17,11 +17,14 @@ vertex/edge sets, not by isomorphism search.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
-from typing import Dict, List, Sequence, Tuple
+from collections import defaultdict
+from itertools import count
+from typing import Dict, List, Sequence, Set, Tuple
+
+import numpy as np
 
 from .groups import GroupDefinition, builtin
-from .quotients import level_quotient
+from .quotients import check_level_degree, level_quotient
 from .shapes import format_vertex
 
 Vertex = Tuple[int, ...]
@@ -62,24 +65,62 @@ class SchreierGraph:
                 adj[v].append((u, label))
         return adj
 
+    def _neighbours(self) -> List[Set[int]]:
+        """Undirected neighbour indices of each vertex (positions in
+        ``vertices``), without loops or repeated edges."""
+        index = {v: i for i, v in enumerate(self.vertices)}
+        nbrs = [set() for _ in self.vertices]
+        for u, v, _ in self.edges:
+            i, j = index[u], index[v]
+            if i != j:
+                nbrs[i].add(j)
+                nbrs[j].add(i)
+        return nbrs
+
     def distances_from(self, start: Vertex) -> Dict[Vertex, int]:
-        return _distances(self.adjacency(), start)
+        dist = _distances(self._neighbours(), self.vertices.index(tuple(start)))
+        return {v: d for v, d in zip(self.vertices, dist) if d >= 0}
 
     def growth(self) -> Tuple[int, List[int]]:
         """(diameter, growth sequence from the basepoint).
 
         The growth sequence counts vertices at each distance from the
-        basepoint; the diameter is the maximum pairwise distance.
+        basepoint.  The diameter is the largest distance between two
+        vertices of the underlying undirected graph (edge directions and
+        labels are ignored).  It is found exactly by eccentricity bounds
+        (Takes and Kosters, "Determining the diameter of small world
+        networks", CIKM 2011): a search from v, of eccentricity e, gives
+        every w the bounds max(d(v,w), e - d(v,w)) <= ecc(w) <= e + d(v,w),
+        and searches continue from vertices whose bounds differ until the
+        largest lower bound meets the largest upper bound.  The first
+        search is the one from the basepoint; the worst case is one
+        search per vertex.
         """
-        adj = self.adjacency()
-        dist = _distances(adj, self.basepoint)
-        if len(dist) != len(self.vertices):
+        nbrs = self._neighbours()
+        dist = _distances(nbrs, self.vertices.index(self.basepoint))
+        if min(dist) < 0:
             raise ValueError("graph is not connected")
-        series = [0] * (max(dist.values()) + 1)
-        for d in dist.values():
+        series = [0] * (max(dist) + 1)
+        for d in dist:
             series[d] += 1
-        diameter = max(max(_distances(adj, v).values()) for v in self.vertices)
-        return diameter, series
+        lower = np.zeros(len(nbrs), dtype=np.int64)
+        upper = np.full(len(nbrs), len(nbrs), dtype=np.int64)
+        for turn in count():
+            d = np.array(dist, dtype=np.int64)
+            e = int(d.max())
+            np.maximum(lower, np.maximum(d, e - d), out=lower)
+            np.minimum(upper, e + d, out=upper)
+            diameter = int(lower.max())
+            if diameter == upper.max():
+                return diameter, series
+            # alternate between the open vertex of largest upper bound and
+            # the one of smallest lower bound; each search closes a vertex
+            open_ = lower < upper
+            if turn % 2:
+                v = int(np.argmin(np.where(open_, lower, len(nbrs))))
+            else:
+                v = int(np.argmax(np.where(open_, upper, -1)))
+            dist = _distances(nbrs, v)
 
     def to_dot(self) -> str:
         """Deterministic DOT output; involution edges are undirected."""
@@ -97,16 +138,22 @@ class SchreierGraph:
         return "\n".join(lines) + "\n"
 
 
-def _distances(adj, start: Vertex) -> Dict[Vertex, int]:
-    """Breadth-first distances from `start` over an adjacency map."""
-    dist = {start: 0}
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
-        for y, _ in adj[x]:
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                queue.append(y)
+def _distances(nbrs: List[Set[int]], start: int) -> List[int]:
+    """Breadth-first distances from vertex index `start`, -1 where
+    unreachable."""
+    dist = [-1] * len(nbrs)
+    dist[start] = 0
+    frontier = [start]
+    depth = 0
+    while frontier:
+        depth += 1
+        reached = []
+        for x in frontier:
+            for y in nbrs[x]:
+                if dist[y] < 0:
+                    dist[y] = depth
+                    reached.append(y)
+        frontier = reached
     return dist
 
 
@@ -128,8 +175,8 @@ def _generator_pairs(group: GroupDefinition):
 
 def schreier_graph(group: GroupDefinition, level: int) -> SchreierGraph:
     """Direct construction from the level action."""
+    quotient = level_quotient(group, level)  # checks the level degree first
     verts = group.shape.vertices(level)
-    quotient = level_quotient(group, level)
     edges: List[Edge] = []
     pairs = _generator_pairs(group)
     involutions = {label: inv for label, _, inv in pairs}
@@ -328,6 +375,7 @@ def substitution_rules(name: str) -> SubstitutionRules:
 
 def substitutional_expand(name: str, level: int) -> SchreierGraph:
     """Schreier graph at a level from the substitutional rules alone."""
+    check_level_degree(builtin(name), level)
     if level == 0:
         return schreier_graph(builtin(name), 0)
     return substitution_rules(name).graph_at_level(level)

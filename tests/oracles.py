@@ -347,3 +347,38 @@ def growth_series_product(exponents: Sequence[int], coefficient: int) -> List[in
             new[i + e] += coefficient * c
         out = new
     return out
+
+
+def growth_by_all_sources(graph) -> Tuple[int, List[int]]:
+    """Oracle for `SchreierGraph.growth`: the basepoint's growth series and
+    the largest distance from any source, over the underlying undirected
+    graph.
+
+    Every source is searched at once: bit v of ``balls[w]`` is set when w
+    lies within the current radius of v, and one round widens every ball by
+    one edge.  The diameter is the radius at which every ball is the whole
+    graph.
+    """
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    nbrs = [set() for _ in graph.vertices]
+    for u, v, _ in graph.edges:
+        nbrs[index[u]].add(index[v])
+        nbrs[index[v]].add(index[u])
+    full = (1 << len(nbrs)) - 1
+    balls = [1 << i for i in range(len(nbrs))]
+    base = index[graph.basepoint]
+    sizes = [1]
+    radius = 0
+    while any(b != full for b in balls):
+        widened = []
+        for i, b in enumerate(balls):
+            for j in nbrs[i]:
+                b |= balls[j]
+            widened.append(b)
+        if widened == balls:
+            raise ValueError("graph is not connected")
+        balls = widened
+        radius += 1
+        sizes.append(balls[base].bit_count())
+    sizes = sizes[:sizes.index(len(nbrs)) + 1]
+    return radius, [1] + [b - a for a, b in zip(sizes, sizes[1:])]

@@ -263,6 +263,20 @@ def test_cli_schreier_and_spectrum(tmp_path, capsys):
     assert csv.read_text().startswith("level,index,eigenvalue")
 
 
+@pytest.mark.parametrize("name, level, diameter", [("Gg", 12, 4095), ("FGg", 7, 127)])
+def test_cli_deep_schreier_diameters(capsys, name, level, diameter):
+    assert main(["schreier", name, "--level", str(level), "--diameter"]) == EXIT_OK
+    assert capsys.readouterr().out.endswith(f"\ndiameter: {diameter}\n")
+
+
+def test_cli_level_degree_bound_exits_3(capsys):
+    # the level size is compared with the bound before a vertex is built
+    assert main(["schreier", "Gg", "--level", "40"]) == EXIT_RESOURCE
+    assert capsys.readouterr().err == (
+        f"resource bound exceeded: level 40 has more than {quotients.LEVEL_DEGREE_CAP} "
+        "vertices, the bound on the level degree (quotients.LEVEL_DEGREE_CAP)\n")
+
+
 def test_cli_twist_closure_bound_exits_3(tmp_path, monkeypatch, capsys):
     # chi turns every word into a longer one, so the closure never ends;
     # a small bound keeps the run cheap

@@ -17,7 +17,7 @@ from branchgroups.decision import (
     torsion_growth,
 )
 from branchgroups.automorphisms import perm_from_cycles
-from branchgroups.groups import Word, builtin, explicit_group
+from branchgroups.groups import Word, builtin, explicit_group, grigorchuk_2group
 from branchgroups.quotients import level_quotient
 from branchgroups.shapes import TreeShape
 
@@ -108,6 +108,25 @@ def test_order_solves_no_word_problem():
         w = Word(random_reduced_word(group, rng.randint(1, 20), rng), True)
         assert order(group, w).kind == "finite"
     assert group._memo_order and not group._memo_trivial
+
+
+def test_order_bound_holds_after_remembered_orders(gg):
+    # an order remembered from an unbounded call must not answer past a
+    # bound: each call gives what it gives in a fresh process
+    assert repr(order(gg, "ab")) == "Finite(16)"
+    assert repr(order(gg, "ab", bound=3)) == "Unknown(bound reached)"
+    assert repr(order(gg, "ab", bound=16)) == "Finite(16)"
+    rng = random.Random(15)
+    texts = [gg.format_word(random_reduced_word(gg, rng.randint(1, 12), rng))
+             for _ in range(12)]
+    warm = grigorchuk_2group(name="Gg")
+    for text in texts:
+        order(warm, text)
+    for text in texts:
+        for bound in (1, 2, 4, 8, 15):
+            fresh = grigorchuk_2group(name="Gg")
+            assert repr(order(warm, text, bound=bound)) == repr(
+                order(fresh, text, bound=bound)), (text, bound)
 
 
 def test_order_matches_quotient_stabilization(gg):

@@ -1,8 +1,13 @@
+import hashlib
+import random
+
 import pytest
 
-from oracles import growth_series_product
+from oracles import growth_by_all_sources, growth_series_product
 
+from branchgroups import quotients
 from branchgroups.cli import parse_group_file
+from branchgroups.errors import ResourceBoundExceeded
 from branchgroups.groups import builtin
 from branchgroups.schreier import (
     SchreierGraph,
@@ -74,16 +79,96 @@ def test_schreier_graph_matches_vertex_action(name):
             schreier_graph_by_act(group, n)), (name, n)
 
 
+BUILTINS = ["Gg", "G2", "FGg", "BGg", "GSg", "Sg", "BSV", "Dinf", "GS5"]
+
+
 def test_growth_matches_breadth_first_search_from_every_vertex():
+    # BSV's edges are directed; its diameter is that of the undirected graph
+    for name in BUILTINS + ["file"]:
+        group = parse_group_file(GG_GRP) if name == "file" else builtin(name)
+        for n in range(7):
+            graphs = [schreier_graph(group, n)]
+            if name in ("Gg", "FGg", "BGg", "GSg"):
+                graphs.append(substitutional_expand(name, n))
+            for g in graphs:
+                assert g.growth() == growth_by_all_sources(g), (name, n)
+    # distances_from, from every vertex, gives the same diameter
     for name in ("Gg", "FGg", "BSV", "G2"):
         for n in range(4):
             g = schreier_graph(builtin(name), n)
-            dist = g.distances_from(g.basepoint)
-            series = [0] * (max(dist.values()) + 1)
-            for d in dist.values():
-                series[d] += 1
             diameter = max(max(g.distances_from(v).values()) for v in g.vertices)
-            assert g.growth() == (diameter, series), (name, n)
+            assert g.growth()[0] == diameter, (name, n)
+
+
+def _graph(n, edges, basepoint=0):
+    labels = sorted({label for _, _, label in edges})
+    return SchreierGraph([(i,) for i in range(n)],
+                         [((u,), (v,), label) for u, v, label in edges],
+                         (basepoint,), labels, dict.fromkeys(labels, True))
+
+
+def _random_connected_multigraph(rng):
+    n = rng.randint(1, 40)
+    # a random spanning tree, then loops, parallel edges and chords
+    edges = [(rng.randrange(i), i, rng.choice("ab")) for i in range(1, n)]
+    for _ in range(rng.randint(0, 2 * n)):
+        kind = rng.random()
+        if kind < 0.2:
+            v = rng.randrange(n)
+            edges.append((v, v, rng.choice("abc")))
+        elif kind < 0.4 and edges:
+            edges.append(rng.choice(edges))
+        else:
+            edges.append((rng.randrange(n), rng.randrange(n), rng.choice("abc")))
+    return _graph(n, edges, rng.randrange(n))
+
+
+def test_growth_of_random_connected_multigraphs():
+    rng = random.Random(15)
+    for case in range(200):
+        g = _random_connected_multigraph(rng)
+        assert g.growth() == growth_by_all_sources(g), case
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 12])
+def test_growth_of_paths_cycles_stars_and_complete_graphs(n):
+    path = _graph(n, [(i, i + 1, "a") for i in range(n - 1)])
+    cycle = _graph(n, [(i, (i + 1) % n, "a") for i in range(n)], n // 2)
+    star = _graph(n, [(0, i, "a") for i in range(1, n)], n - 1)
+    complete = _graph(n, [(i, j, "a") for i in range(n) for j in range(i + 1, n)])
+    assert path.growth() == (n - 1, [1] * n)
+    assert cycle.growth()[0] == n // 2
+    assert star.growth() == (min(n - 1, 2), [1, 1, n - 2][:min(n, 3)])
+    assert complete.growth() == (min(n - 1, 1), [1, n - 1][:min(n, 2)])
+    for g in (path, cycle, star, complete):
+        assert g.growth() == growth_by_all_sources(g), n
+
+
+def test_growth_rejects_a_disconnected_graph():
+    with pytest.raises(ValueError, match="not connected"):
+        _graph(3, [(0, 1, "a")]).growth()
+
+
+def test_growth_of_every_builtin_is_pinned():
+    # computed with a breadth-first search from every vertex, as growth()
+    # found the diameter before it used eccentricity bounds
+    lines = [f"{name} {n} {schreier_graph(builtin(name), n).growth()}"
+             for name in BUILTINS for n in range(8)]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "c42af3c16d2f9644c5bc09576e4d38f3020e207f77c4512842dff255a9f65d74"
+
+
+def test_level_degree_is_checked_before_building(monkeypatch):
+    monkeypatch.setattr(quotients, "LEVEL_DEGREE_CAP", 64)
+    gg = parse_group_file(GG_GRP)  # no level kept from other tests
+    assert len(schreier_graph(gg, 6).vertices) == 64
+    for build in (lambda: schreier_graph(gg, 7),
+                  lambda: quotients.level_quotient(gg, 7),
+                  lambda: substitutional_expand("FGg", 4)):
+        with pytest.raises(ResourceBoundExceeded,
+                           match=r"more than 64 vertices.*quotients\.LEVEL_DEGREE_CAP"):
+            build()
+    assert 7 not in gg._quotients
 
 
 def test_gg_level_one():
