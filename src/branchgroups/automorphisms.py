@@ -17,8 +17,8 @@ entry on the shifted shape.  The identity is the empty word, a rooted
 state or a generator is an atom, and products and inverses are words of
 states.  A node's sections are words on the shifted shape (each section
 of a product f*g is the product f_u * g_{u^f}); the reachable closure is
-minimized and interned.  A node cap guards against words that are not
-finite-state.
+minimized and interned.  A cap on the nodes and one on the letters of a
+node word guard against words that are not finite-state.
 
 Vertices are 0-based letter tuples; permutations are 0-based image tuples.
 The composition convention is the right action: u^(fg) = (u^f)^g, hence
@@ -42,6 +42,9 @@ _SERIAL = [0]
 
 # most intermediate words one run of the section-closure machine expands
 SECTION_CLOSURE_CAP = 200_000
+# most letters one of those words may hold; at least groups.WORD_LENGTH_CAP,
+# so that every word the parser accepts still interns
+SECTION_WORD_CAP = 1 << 20
 
 
 # -- permutation helpers (0-based image tuples) ------------------------
@@ -299,7 +302,7 @@ def _word_machine(starts, atoms=None, cap=SECTION_CLOSURE_CAP):
     pairs whose factors are interned states or keys of ``atoms``.  The
     sections of a node are words on the shifted shape, so every node
     carries its tree shape.  Returns the interned state of each start
-    node, in order; ``cap`` bounds the number of expanded nodes.
+    node, in order; ``cap`` bounds the expanded nodes, SECTION_WORD_CAP their letters.
     """
     atoms = atoms or {}
     for key, (shape, _, entries) in atoms.items():
@@ -346,6 +349,10 @@ def _word_machine(starts, atoms=None, cap=SECTION_CLOSURE_CAP):
             perm_cache[node] = p
         return p
 
+    def exceeded(bound):
+        raise ResourceBoundExceeded(
+            f"section closure exceeded {bound}; the element may not be finite-state")
+
     def children_of(node):
         ch = child_cache.get(node)
         if ch is None:
@@ -371,14 +378,13 @@ def _word_machine(starts, atoms=None, cap=SECTION_CLOSURE_CAP):
                         else:
                             pos = pinv(p)[pos]
                             factors.extend(_inverse_word(entries[pos]))
+                        if len(factors) > SECTION_WORD_CAP:  # only atoms lengthen a word
+                            exceeded(f"{SECTION_WORD_CAP} letters in one word "
+                                     "(automorphisms.SECTION_WORD_CAP)")
                 ch.append((below, normalize(factors)))
             child_cache[node] = ch
             if len(child_cache) > cap:
-                raise ResourceBoundExceeded(
-                    f"section closure exceeded {cap} intermediate words "
-                    "(automorphisms.SECTION_CLOSURE_CAP); the element may not "
-                    "be finite-state"
-                )
+                exceeded(f"{cap} intermediate words (automorphisms.SECTION_CLOSURE_CAP)")
         return ch
 
     nodes = [(shape, normalize(word)) for shape, word in starts]

@@ -6,7 +6,9 @@ Group files are line-oriented; '#' starts a comment:
     arity <m>            |  arity seq <m1> <m2> ... cycle <k>
     rooted <g> = (<cycle notation>)             # e.g. rooted a = (1 2 3)
     recursive <g> = (<entry>,...,<entry>) [<rooted name>]
-        entry ::= generator | generator^<int> | 1
+        entry ::= a group word (1, products, ', ^k, [x,y], x^y) over all generators
+
+Branching indices are at most quotients.LEVEL_DEGREE_CAP.
 
 Exit codes: 0 success/true, 1 predicate false, 2 usage or parse error,
 3 resource bound exceeded.
@@ -16,14 +18,16 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
+from itertools import groupby
 from typing import Optional
 
-from . import decision, quotients, schreier, spectra
+from . import decision, presentations, quotients, schreier, spectra
 from .conjugacy import q_set
-from .errors import ResourceBoundExceeded, ValidationError
-from .groups import GroupDefinition, builtin, explicit_group
-from .automorphisms import format_perm, perm_from_cycles
+from .errors import ResourceBoundExceeded
+from .groups import GroupDefinition, builtin, explicit_group, parse_letters, parse_list, read_lines
+from .automorphisms import format_perm, perm_from_cycles, perm_order
 from .shapes import TreeShape, format_vertex, parse_vertex
 
 EXIT_OK = 0
@@ -33,10 +37,7 @@ EXIT_RESOURCE = 3
 
 
 class GroupFileError(ValueError):
-    def __init__(self, line_no: int, column: int, message: str):
-        self.line_no = line_no
-        self.column = column
-        super().__init__(f"line {line_no}, column {column}: {message}")
+    """A malformed group file; an error on a line names the line."""
 
 
 def parse_group_file(text: str) -> GroupDefinition:
@@ -45,127 +46,88 @@ def parse_group_file(text: str) -> GroupDefinition:
     shape: Optional[TreeShape] = None
     rooted: dict = {}
     recursive: dict = {}
-    order: list = []
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        head = tokens[0]
+    def entry_word(text: str) -> list:
+        """An entry as (name, exponent) pairs, each run of one name folded
+        into one pair, so that explicit_group names a section such as x^2."""
+        letters = parse_letters(text, (*rooted, *recursive), lambda s: (s, 1),
+                                lambda x: (x[0], -x[1]),
+                                lambda x: perm_order(rooted[x[0]]) if x[0] in rooted else None)
+        runs = [(ref, sum(exp for _, exp in run)) for ref, run in groupby(letters, lambda x: x[0])]
+        return [(ref, exp) for ref, exp in runs if exp]
+
+    def directive(head: str, rest: str):
+        nonlocal name, shape
+        tokens = rest.split()
         if head == "group":
-            if len(tokens) != 2:
-                raise GroupFileError(line_no, 1, "expected: group <name>")
-            name = tokens[1]
+            if len(tokens) != 1:
+                raise ValueError("expected: group <name>")
+            name = rest
         elif head == "arity":
-            if len(tokens) >= 2 and tokens[1] == "seq":
-                try:
-                    cyc_at = tokens.index("cycle")
-                except ValueError:
-                    raise GroupFileError(line_no, 1, "arity seq needs 'cycle <k>'")
-                try:
-                    seq = [int(t) for t in tokens[2:cyc_at]]
-                    k = int(tokens[cyc_at + 1])
-                except (ValueError, IndexError):
-                    raise GroupFileError(line_no, 1, "bad arity sequence")
-                if k < 1 or k > len(seq):
-                    raise GroupFileError(line_no, 1, f"cycle length {k} out of range")
-                shape = TreeShape(tuple(seq[:-k]), tuple(seq[-k:]))
-            elif len(tokens) == 2:
-                try:
-                    m = int(tokens[1])
-                except ValueError:
-                    raise GroupFileError(line_no, 1, f"bad arity {tokens[1]!r}")
-                shape = TreeShape.regular(m)
+            if tokens[:1] == ["seq"]:
+                indices, _, k = rest[3:].partition("cycle")
+            elif len(tokens) == 1:
+                indices, k = rest, "1"
             else:
-                raise GroupFileError(line_no, 1, "expected: arity <m>")
+                raise ValueError("expected: arity <m> or arity seq <m1> ... cycle <k>")
+            try:
+                seq, k = [int(t) for t in indices.split()], int(k)
+            except ValueError:
+                raise ValueError(f"bad arity {rest!r}")
+            if not 1 <= k <= len(seq):
+                raise ValueError(f"cycle length {k} out of range")
+            if max(seq) > quotients.LEVEL_DEGREE_CAP:
+                raise ResourceBoundExceeded(
+                    f"branching index {max(seq)} is over the bound {quotients.LEVEL_DEGREE_CAP} "
+                    "on the level degree (quotients.LEVEL_DEGREE_CAP)")
+            shape = TreeShape(tuple(seq[:-k]), tuple(seq[-k:]))
         elif head in ("rooted", "recursive"):
             if shape is None:
-                raise GroupFileError(line_no, 1, "arity must come before generators")
-            body = line[len(head):].strip()
-            if "=" not in body:
-                raise GroupFileError(line_no, 1, "expected '='")
-            gen_name, rhs = (part.strip() for part in body.split("=", 1))
+                raise ValueError("arity must come before generators")
+            gen_name, eq, rhs = (part.strip() for part in rest.partition("="))
+            if not eq:
+                raise ValueError("expected '='")
             if not gen_name.isidentifier():
-                raise GroupFileError(line_no, 1, f"bad generator name {gen_name!r}")
+                raise ValueError(f"bad generator name {gen_name!r}")
             if gen_name in rooted or gen_name in recursive:
-                raise GroupFileError(line_no, 1, f"duplicate generator {gen_name!r}")
+                raise ValueError(f"duplicate generator {gen_name!r}")
             if head == "rooted":
-                rooted[gen_name] = _parse_cycles(rhs, shape.branching(0), line_no)
-            else:
-                recursive[gen_name] = _parse_recursion(
-                    rhs, shape, rooted, line_no
-                )
-            order.append(gen_name)
-        else:
-            raise GroupFileError(line_no, 1, f"unknown directive {head!r}")
+                rooted[gen_name] = _parse_cycles(rhs, shape.branching(0))
+                return None
+            close = rhs.rfind(")")
+            if not rhs.startswith("(") or close < 0:
+                raise ValueError("expected: (<entry>, ..., <entry>) [<rooted name>]")
+            m, tail = shape.branching(0), rhs[close + 1:].strip()
+            recursive[gen_name] = None  # named now; its entries are read after the last line
 
+            def finish():
+                entries = parse_list(rhs[1:close], entry_word)
+                if len(entries) != m:
+                    raise ValueError(f"expected {m} entries, got {len(entries)}")
+                if tail and tail not in rooted:
+                    raise ValueError(f"unknown rooted name {tail!r}")
+                recursive[gen_name] = (entries, rooted.get(tail))
+            return finish
+        else:
+            raise ValueError(f"unknown directive {head!r}")
+        return None
+
+    read_lines(text, directive, GroupFileError)
     if name is None:
-        raise GroupFileError(1, 1, "missing 'group <name>'")
+        raise GroupFileError("missing 'group <name>'")
     if shape is None:
-        raise GroupFileError(1, 1, "missing 'arity'")
-    for gen_name, (entries, _) in recursive.items():
-        for entry in entries:
-            for ref, _exp in entry:
-                if ref not in rooted and ref not in recursive:
-                    raise GroupFileError(1, 1, f"unknown symbol {ref!r} in {gen_name}")
+        raise GroupFileError("missing 'arity'")
     return explicit_group(name, shape, rooted, recursive)
 
 
-def _parse_cycles(rhs: str, m: int, line_no: int):
-    rhs = rhs.strip()
-    if not (rhs.startswith("(") and rhs.endswith(")")):
-        raise GroupFileError(line_no, 1, "cycle notation must be parenthesized")
-    cycles = []
-    for chunk in rhs[1:-1].split(")("):
-        pts = chunk.split()
-        if not all(p.isdigit() for p in pts):
-            raise GroupFileError(line_no, 1, f"bad cycle {chunk!r}")
-        pts = [int(p) - 1 for p in pts]
-        if any(p < 0 or p >= m for p in pts):
-            raise GroupFileError(line_no, 1, f"cycle point out of range 1..{m}")
-        cycles.append(pts)
+def _parse_cycles(rhs: str, m: int):
+    if not re.fullmatch(r"(\([\d\s]*\))+", rhs):
+        raise ValueError(f"bad cycle notation {rhs!r}")
+    cycles = [[int(p) - 1 for p in cycle.split()] for cycle in re.findall(r"\(([^)]*)\)", rhs)]
+    points = [p for cycle in cycles for p in cycle]
+    if len(set(points)) < len(points) or any(not 0 <= p < m for p in points):
+        raise ValueError(f"cycle points must be distinct and in 1..{m}")
     return perm_from_cycles(m, cycles)
-
-
-def _parse_recursion(rhs: str, shape: TreeShape, rooted: dict, line_no: int):
-    rhs = rhs.strip()
-    if not rhs.startswith("("):
-        raise GroupFileError(line_no, 1, "recursion must start with '('")
-    close = rhs.rfind(")")
-    if close < 0:
-        raise GroupFileError(line_no, 1, "missing ')'")
-    inner = rhs[1:close]
-    tail = rhs[close + 1:].strip()
-    entries = []
-    for part in inner.split(","):
-        part = part.strip()
-        if part == "1":
-            entries.append([])
-            continue
-        if "^" in part:
-            base, exp_text = part.split("^", 1)
-            try:
-                exp = int(exp_text)
-            except ValueError:
-                raise GroupFileError(line_no, 1, f"bad exponent {exp_text!r}")
-        else:
-            base, exp = part, 1
-        base = base.strip()
-        if not base.isidentifier():
-            raise GroupFileError(line_no, 1, f"bad entry {part!r}")
-        entries.append([(base, exp)])
-    if len(entries) != shape.branching(0):
-        raise GroupFileError(
-            line_no, 1,
-            f"expected {shape.branching(0)} entries, got {len(entries)}",
-        )
-    root_perm = None
-    if tail:
-        if tail not in rooted:
-            raise GroupFileError(line_no, 1, f"unknown rooted name {tail!r}")
-        root_perm = rooted[tail]
-    return (entries, root_perm)
 
 
 def load_group(source: str) -> GroupDefinition:
@@ -273,7 +235,7 @@ def main(argv=None) -> int:
 
     try:
         return _dispatch(args)
-    except (GroupFileError, ValidationError, ValueError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceBoundExceeded as exc:
@@ -292,27 +254,20 @@ def _dispatch(args) -> int:
     cmd = args.command
 
     if cmd == "present":
-        from .presentations import (
-            format_free_word,
-            parse_presentation_file,
-            presentation,
-            verify as verify_presentation,
-        )
-
         if args.file:
             with open(args.file) as fh:
-                pres, gname, amap = parse_presentation_file(fh.read())
+                pres, gname, amap = presentations.parse_presentation_file(fh.read())
         else:
-            pres, gname, amap = presentation(args.name)
+            pres, gname, amap = presentations.presentation(args.name)
         relators = pres.expand(args.depth)
 
         for rel in relators:
-            print(format_free_word(rel))
+            print(presentations.format_free_word(rel))
         if args.verify is not None:
             target = gname if args.verify == "auto" else args.verify
             if target is None:
                 raise ValueError("no verification group declared; pass --verify GROUP")
-            rep = verify_presentation(pres, builtin(target), args.depth, amap)
+            rep = presentations.verify(pres, builtin(target), args.depth, amap)
             if rep.ok:
                 print(f"all {rep.total} relators trivial in {target}")
                 return EXIT_OK

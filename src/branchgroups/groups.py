@@ -32,9 +32,10 @@ factor contributes at most one letter to each child word, which bounds
 every child by (|F|+1)/2 letters.
 
 Words are parsed by ``parse_letters``, whose grammar the free words of
-presentations share: generator names read by longest match, ' and ^-k
-for inverses, ^k for powers, parentheses, [x,y] and x^y.  A power that
-would expand past ``WORD_LENGTH_CAP`` letters raises ResourceBoundExceeded.
+presentations and the entries of group files share: generator names
+read by longest match, ' and ^-k for inverses, ^k for powers,
+parentheses, [x,y] and x^y.  A word that would expand past
+``WORD_LENGTH_CAP`` letters raises ResourceBoundExceeded.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import functools
 import itertools
 import math
 import re
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .automorphisms import (
     Perm,
@@ -195,7 +196,7 @@ class Word:
 # space.  Symbols are read by longest match from an alphabet, or are
 # single word characters when there is none.
 
-# most letters a power w^k may expand to
+# most letters a parsed word, or a power inside it, may expand to
 WORD_LENGTH_CAP = 1 << 20
 
 # token kinds by regex group: a power, a suffix mark (' or ^( ), a
@@ -211,12 +212,20 @@ def _tokens(alphabet: Optional[Tuple[str, ...]]):
                       r"|([^\s*]))").finditer
 
 
+def check_word_length(letters: int, what: str) -> None:
+    """Raise ResourceBoundExceeded when ``what`` would pass WORD_LENGTH_CAP."""
+    if letters > WORD_LENGTH_CAP:
+        raise ResourceBoundExceeded(f"{what} expands to {letters} letters, over the bound "
+                                    f"{WORD_LENGTH_CAP} (groups.WORD_LENGTH_CAP)")
+
+
 def parse_letters(text: str, alphabet: Optional[Tuple[str, ...]], letter, inverse, order) -> list:
     """The letters of a word text, expanded (see the grammar above).
 
     ``letter`` maps a symbol to a letter and ``inverse`` inverts one; the
     exponent of a single letter is taken modulo ``order(letter)`` (when
-    not None) before it is expanded.  A malformed text is a ValueError.
+    not None) before it is expanded.  A malformed text is a ValueError,
+    and a word or power past WORD_LENGTH_CAP is refused before it is built.
     """
     tokens = [(m.lastindex, m[m.lastindex], m.start(m.lastindex))
               for m in _tokens(alphabet)(text)]
@@ -263,10 +272,7 @@ def parse_letters(text: str, alphabet: Optional[Tuple[str, ...]], letter, invers
                         part, k = invert(part), -k
                     if len(part) == 1 and (n := order(part[0])):
                         k %= n
-                    if len(part) * k > WORD_LENGTH_CAP:
-                        raise ResourceBoundExceeded(
-                            f"a power expands to {len(part) * k} letters, over the bound "
-                            f"{WORD_LENGTH_CAP} (groups.WORD_LENGTH_CAP)")
+                    check_word_length(len(part) * k, "a power")
                     part = part * k
                 elif value == "'":
                     part = invert(part)
@@ -280,6 +286,7 @@ def parse_letters(text: str, alphabet: Optional[Tuple[str, ...]], letter, invers
                         by = word()
                         expect(")")
                     part = invert(by) + part + by
+            check_word_length(len(out) + len(part), "a word")
             out += part
 
     letters = word()
@@ -288,6 +295,40 @@ def parse_letters(text: str, alphabet: Optional[Tuple[str, ...]], letter, invers
         raise ValueError(f"{'dangling' if value == '^' else 'unexpected'} {value!r} "
                          f"at column {col + 1}")
     return letters
+
+
+def parse_list(text: str, parse: Callable[[str], object]) -> list:
+    """``parse`` of each part of a comma-separated list, split only at
+    commas outside brackets and parentheses, so a part may hold [x,y]."""
+    parts, depth, start = [], 0, 0
+    for i, char in enumerate(text):
+        depth += (char in "([") - (char in ")]")
+        if char == "," and depth == 0:
+            parts.append(parse(text[start:i].strip()))
+            start = i + 1
+    parts.append(parse(text[start:].strip()))
+    return parts
+
+
+def read_lines(text: str, directive: Callable, error: type = ValueError) -> None:
+    """The line loop of group and presentation files: ``directive(head,
+    rest)`` gets each line's first word and the rest, past '#' comments
+    and blank lines.  A callable it returns runs after the last line, when
+    every name is defined.  A ValueError from either is raised again as
+    ``error``, prefixed "line N: ".
+    """
+    steps = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        words = raw.split("#", 1)[0].strip().split(None, 1)
+        if words:
+            steps.append((line_no, directive, words[0], "".join(words[1:])))
+    for line_no, step, *args in steps:  # the callables directives return join the end
+        try:
+            finish = step(*args)
+        except ValueError as exc:
+            raise error(f"line {line_no}: {exc}") from exc
+        if finish is not None:
+            steps.append((line_no, finish))
 
 
 class GroupDefinition:

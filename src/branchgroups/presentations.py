@@ -21,7 +21,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .decision import is_trivial
 from .errors import ResourceBoundExceeded
-from .groups import GroupDefinition, Word, parse_letters
+from .groups import (GroupDefinition, Word, check_word_length, parse_letters, parse_list,
+                     read_lines)
 
 FreeWord = Tuple[Tuple[str, int], ...]
 
@@ -85,9 +86,12 @@ class Substitution:
         return Substitution(name, {s: parse_free_word(w) for s, w in images.items()})
 
     def apply(self, word: FreeWord) -> FreeWord:
+        """The freely reduced image, refused past groups.WORD_LENGTH_CAP."""
+        images = [(self.images.get(sym, ((sym, 1),)), exp) for sym, exp in word]
+        check_word_length(sum(len(image) * abs(exp) for image, exp in images),
+                          f"the image under {self.name}")
         out: List[Tuple[str, int]] = []
-        for sym, exp in word:
-            image = self.images.get(sym, ((sym, 1),))
+        for image, exp in images:
             if exp < 0:
                 image = free_inverse(image)
             for _ in range(abs(exp)):
@@ -333,6 +337,9 @@ def parse_presentation_file(text: str):
         map <symbol> -> <group word>     # translation for verification
         group <builtin name>             # default verification target
 
+    Words are group words over the alphabet declared above them, so a
+    list may hold [x,y]; a malformed line is a ValueError naming the line.
+
     Returns (presentation, group name or None, alphabet map).
     """
     name = "anonymous"
@@ -344,47 +351,37 @@ def parse_presentation_file(text: str):
     amap: Dict[str, str] = {}
     group_name: Optional[str] = None
 
-    def parse_images(body: str) -> Dict[str, FreeWord]:
-        images = {}
-        for part in body.split(","):
-            if "->" not in part:
-                raise ValueError(f"expected 's -> word' in {part!r}")
-            sym, word = (x.strip() for x in part.split("->", 1))
-            images[sym] = parse_free_word(word, alphabet)
-        return images
+    def image(part: str) -> Tuple[str, FreeWord]:
+        sym, arrow, word = part.partition("->")
+        if not arrow:
+            raise ValueError(f"expected 's -> word' in {part!r}")
+        return sym.strip(), parse_free_word(word, alphabet)
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
-        try:
-            if head == "presentation":
-                name = rest
-            elif head == "alphabet":
-                alphabet = tuple(rest.split())
-            elif head in ("substitution", "twist"):
-                sub_name, _, body = rest.partition(":")
-                sub = Substitution(sub_name.strip(), parse_images(body))
-                (substitutions if head == "substitution" else twists).append(sub)
-            elif head == "fixed":
-                fixed.append(parse_free_word(rest, alphabet))
-            elif head == "iterated":
-                iterated.append(parse_free_word(rest, alphabet))
-            elif head == "map":
-                sym, _, target = rest.partition("->")
-                amap[sym.strip()] = target.strip()
-            elif head == "group":
-                group_name = rest
-            else:
-                raise ValueError(f"unknown directive {head!r}")
-        except ValueError as exc:
-            raise ValueError(f"line {line_no}: {exc}") from exc
+    def directive(head: str, rest: str):
+        nonlocal name, alphabet, group_name
+        if head == "presentation":
+            name = rest
+        elif head == "alphabet":
+            alphabet = tuple(rest.split())
+        elif head in ("substitution", "twist"):
+            sub_name, _, body = rest.partition(":")
+            sub = Substitution(sub_name.strip(), dict(parse_list(body, image)))
+            (substitutions if head == "substitution" else twists).append(sub)
+        elif head == "fixed":
+            fixed.append(parse_free_word(rest, alphabet))
+        elif head == "iterated":
+            iterated.append(parse_free_word(rest, alphabet))
+        elif head == "map":
+            sym, _, target = rest.partition("->")
+            amap[sym.strip()] = target.strip()
+        elif head == "group":
+            group_name = rest
+        else:
+            raise ValueError(f"unknown directive {head!r}")
 
+    read_lines(text, directive)
     pres = EndomorphicPresentation(
         name, alphabet, tuple(fixed), tuple(substitutions), tuple(iterated),
         twists=tuple(twists),
     )
     return pres, group_name, amap
-

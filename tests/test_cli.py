@@ -4,7 +4,8 @@ import pytest
 
 from oracles import format_group_file, random_reduced_word
 
-from branchgroups import decision, groups, presentations, quotients, schreier, spectra
+from branchgroups import (automorphisms, decision, groups, presentations, quotients, schreier,
+                          spectra)
 from branchgroups.cli import (
     EXIT_FALSE,
     EXIT_OK,
@@ -75,6 +76,26 @@ def test_parse_errors():
         parse_group_file("group X\narity 2\nrecursive b = (a, b)\n")  # unknown a
     with pytest.raises(GroupFileError):
         parse_group_file("group X\narity 2\nbogus directive\n")
+
+
+def test_group_file_errors_name_their_line():
+    # entries are read after the last line, once every name is known, and
+    # an error in them still names the line they are on
+    text = "group X\narity 2\nrooted a = (1 2)\nrecursive b = (a, q)\nrecursive c = (b, 1)\n"
+    with pytest.raises(GroupFileError, match=r"^line 4: unexpected 'q'"):
+        parse_group_file(text)
+
+
+def test_group_file_entries_are_words():
+    # products, inverses, a rooted power reduced modulo its order, and a
+    # conjugated commutator naming a generator of a later line
+    g = parse_group_file("group X\narity 2\nrooted a = (1 2)\n"
+                         "recursive x = (mu' tau a^3, [mu,tau]^a) a\n"
+                         + BSV_FILE.split("rooted a = (1 2)\n")[1])
+    mu, tau, a, x = (g.states[name] for name in ("mu", "tau", "a", "x"))
+    assert mu is builtin("BSV").states["mu"] and x.root_perm == (1, 0)
+    assert x.children[0] is mu.inverse() * tau * a
+    assert x.children[1] is a.inverse() * mu.inverse() * tau.inverse() * mu * tau * a
 
 
 def test_group_file_roundtrip():
@@ -406,6 +427,44 @@ def test_cli_long_powers_in_presentation_files_exit_3(tmp_path, monkeypatch, cap
     assert capsys.readouterr().err == (
         "resource bound exceeded: a power expands to 10 letters, over the bound 8 "
         "(groups.WORD_LENGTH_CAP)\n")
+
+
+@pytest.mark.parametrize("bound, text, argv, message", [
+    # twenty powers of a million letters each: each power passes, the word does not
+    (None, None, ["trivial", "Gg", " ".join(["(ab)^500000"] * 20)],
+     "a word expands to 2000000 letters, over the bound 1048576 (groups.WORD_LENGTH_CAP)"),
+    (None, "group X\narity 2\nrooted a = (1 2)\nrecursive b = (a, b^99999999999)\n",
+     ["trivial", "{path}", "b"],
+     "a power expands to 99999999999 letters, over the bound 1048576 (groups.WORD_LENGTH_CAP)"),
+    # doubling maps: each image is twice as long as the word it maps
+    ((groups, "WORD_LENGTH_CAP", 64), "alphabet a\ntwist chi: a -> a a\niterated a\n",
+     ["present", "--file", "{path}", "--depth", "0"],
+     "the image under chi expands to 128 letters, over the bound 64 (groups.WORD_LENGTH_CAP)"),
+    ((groups, "WORD_LENGTH_CAP", 64), "alphabet a\nsubstitution phi: a -> a a\niterated a\n",
+     ["present", "--file", "{path}", "--depth", "40"],
+     "the image under phi expands to 128 letters, over the bound 64 (groups.WORD_LENGTH_CAP)"),
+    (None, "group W\narity 99999999999\nrooted a = (1 2)\n", ["trivial", "{path}", "a"],
+     f"branching index 99999999999 is over the bound {quotients.LEVEL_DEGREE_CAP} "
+     "on the level degree (quotients.LEVEL_DEGREE_CAP)"),
+    # b = (a, b^2) is not finite-state: the section words of b double
+    ((automorphisms, "SECTION_WORD_CAP", 1 << 10),
+     "group S\narity 2\nrooted a = (1 2)\nrecursive b = (a, b^2)\n", ["trivial", "{path}", "b"],
+     "section closure exceeded 1024 letters in one word (automorphisms.SECTION_WORD_CAP); "
+     "the element may not be finite-state"),
+], ids=["whole-word", "entry-power", "twist-image", "substitution-image", "arity",
+        "section-word"])
+def test_cli_input_bounds_exit_3(tmp_path, monkeypatch, capsys, bound, text, argv, message):
+    if bound is not None:  # a smaller bound keeps a doubling probe cheap
+        monkeypatch.setattr(*bound)
+    path = tmp_path / "input.txt"
+    if text is not None:
+        path.write_text(text)
+    assert main([arg.format(path=path) for arg in argv]) == EXIT_RESOURCE
+    assert capsys.readouterr().err == f"resource bound exceeded: {message}\n"
+
+
+def test_every_parsed_word_can_intern():
+    assert automorphisms.SECTION_WORD_CAP >= groups.WORD_LENGTH_CAP
 
 
 @pytest.mark.parametrize("text", ["x", "(ab", "a^", "ab]"])

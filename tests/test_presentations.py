@@ -53,6 +53,14 @@ def test_parse_multi_letter_alphabet():
     assert parse_free_word("tau") == (("t", 1), ("a", 1), ("u", 1))
 
 
+def test_presentation_file_lists_split_outside_brackets():
+    from branchgroups.presentations import parse_presentation_file
+
+    pres, _, _ = parse_presentation_file("alphabet a b c\nsubstitution phi: a -> [b,c], b -> c\n")
+    assert pres.substitutions[0].images == {"a": parse_free_word("[b,c]"),
+                                            "b": parse_free_word("c")}
+
+
 def test_substitution_is_free_endomorphism():
     phi = Substitution.parse("phi", {"a": "aca", "c": "cd", "d": "c"})
     # composition is associative and respects inverses
