@@ -64,6 +64,8 @@ def parse_group_file(text: str) -> GroupDefinition:
                 raise ValueError("expected: group <name>")
             name = rest
         elif head == "arity":
+            if shape is not None:
+                raise ValueError("arity given twice; it comes once, before the generators")
             if tokens[:1] == ["seq"]:
                 indices, _, k = rest[3:].partition("cycle")
             elif len(tokens) == 1:

@@ -11,15 +11,17 @@ stabilizer; because K x K is contained in psi(K), lifting and the coset
 of the lift depend only on (Kf_1, Kf_2), so a 16 x 16 lift table decides
 everything.
 
-All coset arithmetic runs inside the level-(n_K + 1) permutation
-quotient, where n_K is the first level at which the image of K reaches
-index 16 (then Stab(L_{n_K}) <= K, making K-membership exact).
+All coset arithmetic runs in the 16-element group G/K, read from tables
+built once: the coset of each of the 4096 elements of the level-(n_K + 1)
+permutation quotient, where n_K is the first level at which the image of
+K reaches index 16 (then Stab(L_{n_K}) <= K), and the products of cosets.
+A word's coset is the product of its letters' cosets.
 
 Recursion on pairs can cycle (sections need not shrink); the induced
 monotone set equations are solved by least-fixpoint iteration starting
 from empty sets.  The fixpoint table persists across queries; recipes are
 fixed at creation, so a query evaluates only the nodes it creates and their
-dependents.  Coset lookups are memoized (at most |G_{n_K+1}| entries).
+dependents.
 """
 
 from __future__ import annotations
@@ -85,10 +87,7 @@ class GgConjugacy:
         self.k_image = normal_closure(
             self.quotient, [self.quotient.perm_of_word("(ab)^2")]
         )
-        if self.quotient.order() // self.k_image.order() != 16:
-            raise AssertionError("index of K image must stay 16 one level up")
-        self._build_transversal()
-        self._coset_memo: Dict[bytes, int] = {}
+        self._build_cosets()
         self._build_tables()
         # pair fixpoint state (persists across queries)
         self.values: Dict[Tuple, frozenset] = {}
@@ -108,78 +107,72 @@ class GgConjugacy:
                 return n
         raise AssertionError("K never reached index 16")
 
-    def _build_transversal(self):
-        q = self.quotient
-        gens = [("a", q.gen_perms["a"]), ("b", q.gen_perms["b"]),
-                ("c", q.gen_perms["c"]), ("d", q.gen_perms["d"])]
-        ident = np.arange(q.degree, dtype=np.int32)
-        reps: List[Tuple[str, np.ndarray]] = [("1", ident)]
-        frontier = [("", ident)]
-        while len(reps) < 16 and frontier:
-            nxt = []
-            for word, perm in frontier:
-                for label, gp in gens:
-                    nw = word + label
-                    np_ = gp[perm]
-                    if not any(self._same_coset(np_, t) for _, t in reps):
-                        reps.append((nw, np_))
-                        nxt.append((nw, np_))
-                        if len(reps) == 16:
-                            break
-                if len(reps) == 16:
-                    break
-            frontier = nxt
-        if len(reps) < 16:
-            raise AssertionError("could not enumerate 16 cosets")
-        self.coset_names = [w for w, _ in reps]
-        self.transversal = [p for _, p in reps]
+    def _build_cosets(self):
+        """The transversal, by breadth-first search over a, b, c, d, and
+        the coset of every element of G_{n_K+1}, one table entry each.
 
-    def _same_coset(self, p, q) -> bool:
-        qinv = np.empty_like(q)
-        qinv[q] = np.arange(len(q), dtype=q.dtype)
-        return self.k_image.contains(qinv[p])
+        K's layered sequence has 8 elements of relative order 2, so their
+        products are its 256 elements; a perm opens a new coset Kt exactly
+        when the cosets found so far miss it."""
+        q = self.quotient
+        ident = np.arange(q.degree, dtype=np.int32)
+        k_elems = ident[None]
+        for g in self.k_image.gens:
+            k_elems = np.concatenate([k_elems, g[k_elems]])
+        self._cosets: Dict[bytes, int] = {}
+        self.coset_names: List[str] = []
+        self.transversal: List[np.ndarray] = []
+
+        def add(name, t):
+            self._cosets.update((kt.tobytes(), len(self.transversal)) for kt in t[k_elems])
+            self.coset_names.append(name or "1")
+            self.transversal.append(t)
+            return name, t
+
+        gens = [(x, q.gen_perms[x]) for x in "abcd"]
+        frontier = [add("", ident)]
+        while frontier:
+            nxt = []
+            for word, t in frontier:
+                for label, gp in gens:
+                    p = gp[t]
+                    if p.tobytes() not in self._cosets:
+                        nxt.append(add(word + label, p))
+            frontier = nxt
+        if len(self.coset_names) != 16 or len(self._cosets) != q.order():
+            raise AssertionError("16 cosets of K must cover G_{n_K+1}")
 
     def coset_of_perm(self, perm: np.ndarray) -> int:
-        key = perm.astype(np.int32, copy=False).tobytes()
-        if key in self._coset_memo:
-            return self._coset_memo[key]
-        for i, t in enumerate(self.transversal):
-            if self._same_coset(perm, t):
-                self._coset_memo[key] = i
-                return i
-        raise AssertionError("permutation not in the group")
+        return self._cosets[perm.astype(np.int32, copy=False).tobytes()]
 
     def coset_of_word(self, word) -> int:
-        w = self.group.word(word)
-        return self.coset_of_perm(self.quotient.perm_of_word(w))
+        """The coset of a word, text or letters: the product in G/K of its
+        letters' cosets (K is normal), so the letters need no reducing."""
+        if isinstance(word, str):
+            word = self.group.parse_word(word)
+        c = 0
+        for x in word.letters if isinstance(word, Word) else word:
+            c = self.mult[c][self._letter_cosets[x]]
+        return c
 
     def _build_tables(self):
         t = self.transversal
         self.mult = [[self.coset_of_perm(t[j][t[i]]) for j in range(16)]
                      for i in range(16)]
-        self.inv = [0] * 16
-        for i in range(16):
-            for j in range(16):
-                if self.mult[i][j] == 0:
-                    self.inv[i] = j
+        self.inv = [row.index(0) for row in self.mult]
+        self._letter_cosets = {x: self.coset_of_perm(self.quotient.perm_of_word((x,)))
+                               for x in self.group.canonical_letters}
         self.coset_a = self.coset_of_word("a")
 
         # level-1-stabilizing pair lifts: the pair (f1, f2) of level-n_K
         # cosets lifts iff the block permutation lies in the level-(n_K+1)
         # quotient; the coset of the lift depends only on the pair
         sub = level_quotient(self.group, self.n_k)
-        sub_transversal = []
-        for name in self.coset_names:
-            sub_transversal.append(sub.perm_of_word(name if name != "1" else ""))
+        sub_transversal = [sub.perm_of_word(name) for name in self.coset_names]
         half = sub.degree
-        self.lift: List[List[Optional[int]]] = [[None] * 16 for _ in range(16)]
-        chain = self.quotient.chain()
-        for i in range(16):
-            for j in range(16):
-                block = np.concatenate([sub_transversal[i],
-                                        sub_transversal[j] + half]).astype(np.int32)
-                if chain.contains(block):
-                    self.lift[i][j] = self.coset_of_perm(block)
+        self.lift: List[List[Optional[int]]] = [
+            [self._cosets.get(np.concatenate([s, u + half]).tobytes())
+             for u in sub_transversal] for s in sub_transversal]
 
     # -- pair fixpoint ----------------------------------------------------
 
@@ -188,8 +181,7 @@ class GgConjugacy:
         conjugator, w^conj = w_c.  For a pair (x, y) normalized to
         (x_c, c_x) and (y_c, c_y): Q(x, y) = c_x * Q(x_c, y_c) * inv(c_y)."""
         wc, conj = self.group.cyclic_reduce(letters)
-        c = self.coset_of_word(Word(self.group.reduce(conj), True)) if conj else 0
-        return wc, c
+        return wc, self.coset_of_word(conj)
 
     def _short_witness_seeds(self, g, h) -> frozenset:
         """Cosets witnessed by conjugators of length <= 1.
@@ -207,7 +199,7 @@ class GgConjugacy:
             pf = perm(Word(f, True))
             if np.array_equal(pf[pg], ph[pf]) and is_trivial(
                     group, group.inverse_word(f) + g + f + group.inverse_word(h)):
-                seeds.add(self.coset_of_word(Word(f, True)))
+                seeds.add(self.coset_of_word(f))
         return frozenset(seeds)
 
     def ensure(self, g, h) -> Tuple:
@@ -253,9 +245,9 @@ class GgConjugacy:
             recipe.append(("pair", child(g1, h2), child(g2, h1), True))
         else:
             g12 = self.group.reduce(g1 + g2)
-            c_g1 = self.coset_of_word(Word(self.group.reduce(g1), True))
-            c_g2 = self.coset_of_word(Word(self.group.reduce(g2), True))
-            c_h2 = self.coset_of_word(Word(self.group.reduce(h2), True))
+            c_g1 = self.coset_of_word(g1)
+            c_g2 = self.coset_of_word(g2)
+            c_h2 = self.coset_of_word(h2)
             recipe.append((
                 "twist", child(g12, self.group.reduce(h1 + h2)),
                 c_g2, self.inv[c_h2], False,
@@ -332,9 +324,7 @@ class GgConjugacy:
                 for k in created:
                     deps.pop(k, None)
             raise
-        base = self.values[key]
-        ids = {self.mult[self.mult[c_g][z]][self.inv[c_h]] for z in base}
-        return CosetSet(ids, self)
+        return CosetSet(self._adjusted((key, c_g, c_h)), self)
 
 
 def k_membership_level() -> int:

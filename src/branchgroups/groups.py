@@ -299,14 +299,23 @@ def parse_letters(text: str, alphabet: Optional[Tuple[str, ...]], letter, invers
 
 def parse_list(text: str, parse: Callable[[str], object]) -> list:
     """``parse`` of each part of a comma-separated list, split only at
-    commas outside brackets and parentheses, so a part may hold [x,y]."""
+    commas outside brackets and parentheses, so a part may hold [x,y].
+    A ValueError from ``parse`` is raised again naming the part, so a
+    column in it counts within that part."""
     parts, depth, start = [], 0, 0
+
+    def add(part: str):
+        try:
+            parts.append(parse(part))
+        except ValueError as exc:
+            raise ValueError(f"{exc} in {part!r}, item {len(parts) + 1} of the list") from exc
+
     for i, char in enumerate(text):
         depth += (char in "([") - (char in ")]")
         if char == "," and depth == 0:
-            parts.append(parse(text[start:i].strip()))
+            add(text[start:i].strip())
             start = i + 1
-    parts.append(parse(text[start:].strip()))
+    add(text[start:].strip())
     return parts
 
 

@@ -354,8 +354,9 @@ def parse_presentation_file(text: str):
     def image(part: str) -> Tuple[str, FreeWord]:
         sym, arrow, word = part.partition("->")
         if not arrow:
-            raise ValueError(f"expected 's -> word' in {part!r}")
-        return sym.strip(), parse_free_word(word, alphabet)
+            raise ValueError("expected 's -> word'")
+        # blanks in place of 's ->', so an error's column counts within the part
+        return sym.strip(), parse_free_word(" " * (len(sym) + 2) + word, alphabet)
 
     def directive(head: str, rest: str):
         nonlocal name, alphabet, group_name

@@ -86,6 +86,28 @@ def test_group_file_errors_name_their_line():
         parse_group_file(text)
 
 
+def test_group_file_list_errors_name_their_item():
+    # a column counts within the entry it is in, and the entry is named
+    text = "group X\narity 2\nrooted a = (1 2)\nrecursive b = (a, b q)\n"
+    with pytest.raises(GroupFileError) as err:
+        parse_group_file(text)
+    assert str(err.value) == "line 4: unexpected 'q' at column 3 in 'b q', item 2 of the list"
+
+
+def test_group_file_refuses_a_second_arity(tmp_path, capsys):
+    # an arity after a generator would reshape the tree under it
+    text = ("group X\narity 2\nrooted a = (1 2)\narity 3\n"
+            "recursive b = (a, 1, b)\n")
+    with pytest.raises(GroupFileError, match=r"^line 4: arity given twice"):
+        parse_group_file(text)
+    with pytest.raises(GroupFileError, match=r"^line 3: arity given twice"):
+        parse_group_file("group X\narity 2\narity 2\nrooted a = (1 2)\n")
+    path = tmp_path / "x.grp"
+    path.write_text(text)
+    assert main(["order", str(path), "a"]) == EXIT_USAGE
+    assert "error: line 4: arity given twice" in capsys.readouterr().err
+
+
 def test_group_file_entries_are_words():
     # products, inverses, a rooted power reduced modulo its order, and a
     # conjugated commutator naming a generator of a later line

@@ -356,7 +356,34 @@ def test_coset_memo_over_the_whole_quotient():
     for key, p in elements.items():
         assert ctx.coset_of_perm(p) == scan[key]
         assert ctx.coset_of_perm(p.astype(np.int64)) == scan[key]
-    assert len(ctx._coset_memo) <= 4096
+    assert len(ctx._cosets) == 4096  # the coset table covers G_{n_K+1} exactly
+
+
+def test_word_cosets_fold_unreduced_letters(gg, monkeypatch):
+    # a word's coset is the product in G/K of its letters' cosets; checked
+    # against the quotient permutation of the reduced word
+    ctx = GgConjugacy.instance()
+    q = ctx.quotient
+    rng = random.Random(53)
+    tuples = [()] + [tuple(rng.choice(gg.canonical_letters) for _ in range(rng.randint(1, 30)))
+                     for _ in range(300)]
+    expected = []
+    for letters in tuples:
+        reduced = Word(gg.reduce(letters), True)
+        expected.append(ctx.coset_of_perm(q.perm_of_word(reduced)))
+        assert ctx.coset_of_word(reduced) == expected[-1]
+
+    def refuse(*args):
+        raise AssertionError("the fold builds no permutation and reduces nothing")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(type(q), "perm_of_word", refuse)
+        patched.setattr(type(gg), "reduce", refuse)
+        assert [ctx.coset_of_word(letters) for letters in tuples] == expected
+    for letters, c in zip(tuples, expected):
+        assert coset_of(gg.format_word(letters)) == c
+    for text in ("1", "(ab)^5 c d^3", "[a,b]^c", "(a d)^-3 b^(a c)"):
+        assert coset_of(text) == ctx.coset_of_perm(q.perm_of_word(text)), text
 
 
 def test_rooted_letter_state_is_cached(gg):

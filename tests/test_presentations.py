@@ -61,6 +61,18 @@ def test_presentation_file_lists_split_outside_brackets():
                                             "b": parse_free_word("c")}
 
 
+def test_presentation_list_errors_name_their_item():
+    from branchgroups.presentations import parse_presentation_file
+
+    # the column counts within the image it is in, and the image is named
+    text = "presentation P\nalphabet a b c\nsubstitution psi: a -> b, c -> [a\n"
+    with pytest.raises(ValueError) as err:
+        parse_presentation_file(text)
+    assert str(err.value) == "line 3: missing ',' at column 8 in 'c -> [a', item 2 of the list"
+    with pytest.raises(ValueError, match=r"^line 1: expected 's -> word' in 'b', item 2 of"):
+        parse_presentation_file("substitution phi: a -> b, b\n")
+
+
 def test_substitution_is_free_endomorphism():
     phi = Substitution.parse("phi", {"a": "aca", "c": "cd", "d": "c"})
     # composition is associative and respects inverses

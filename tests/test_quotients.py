@@ -1,9 +1,12 @@
 import hashlib
+import random
 from fractions import Fraction
 from math import log
 
 import numpy as np
 import pytest
+
+from oracles import random_reduced_word
 
 from branchgroups import quotients
 from branchgroups.cli import parse_group_file
@@ -692,3 +695,56 @@ def test_layered_prime_needs_rotations_and_one_prime():
     assert level_quotient(t, 3).layered_prime() == 3
     assert level_quotient(t, 3).order() == chain_from_generators(
         27, level_quotient(t, 3).gens).order()
+
+
+@pytest.fixture
+def chain_builds(monkeypatch):
+    """Every StabilizerChain constructed while the test runs."""
+    built = []
+    real = quotients.StabilizerChain.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(quotients.StabilizerChain, "__init__", spy)
+    return built
+
+
+_BUNDLE_LEVELS = (("Gg", 5), ("Sg", 4), ("Dinf", 5), ("BSV", 4), ("FGg", 3),
+                  ("BGg", 3), ("GSg", 3), ("GS5", 2))
+
+
+@pytest.mark.parametrize("name, level", _BUNDLE_LEVELS, ids=[n for n, _ in _BUNDLE_LEVELS])
+def test_p_group_quotient_bundle_builds_no_chain(name, level, chain_builds):
+    # prime branching: every analysis runs on layered sequences
+    g = _make_builtin(name)
+    q = level_quotient(g, level)
+    assert q.order() > 1
+    derived_series_orders(q, 3)
+    lower_central_ranks(g, level, 4)
+    nilpotency_class(g, level)
+    suborbit_profile(g, level)
+    rigid_stabilizer(g, level, (0,)).order()
+    rigid_level_stabilizer(g, level, 1).order()
+    hausdorff_ratio_exact(g, level)
+    hausdorff_ratio(g, level, "full")
+    assert chain_builds == []
+
+
+def test_conjugacy_stream_builds_no_chain(chain_builds, monkeypatch):
+    # a fresh Gg, so no chain an earlier test built on its quotients is reused
+    from branchgroups import conjugacy, groups
+
+    monkeypatch.setattr(groups, "_BUILTIN_CACHE", {})
+    ctx = conjugacy.GgConjugacy()
+    gg = ctx.group
+    rng = random.Random(59)
+    for _ in range(40):
+        g = gg.word(random_reduced_word(gg, rng.randint(1, 10), rng))
+        f = random_reduced_word(gg, rng.randint(0, 6), rng)
+        ctx.q_set(g, gg.word(gg.inverse_word(f) + g.letters + f))
+        ctx.q_set(g, gg.word(random_reduced_word(gg, rng.randint(1, 10), rng)))
+    assert len(ctx.values) > 100
+    assert chain_builds == []
+    assert ctx.quotient._chain is None
