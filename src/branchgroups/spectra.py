@@ -4,7 +4,15 @@ Delta_n is the sum of the permutation matrices of the canonical
 generators on level n (symmetric because the generating set is closed
 under inversion), read from the generators' level permutations
 (`LevelQuotient.perm_of_state`), the same action the Schreier graphs are
-built from.  Eigenvalues are compared against the closed forms:
+built from.  Its spectrum is computed level by level (Bartholdi and
+Grigorchuk, "On the spectrum of Hecke type operators related to some
+fractal groups", 2000): the functions on level k-1 are the functions on
+level k that are constant on each set of siblings, so Delta_k splits
+into Delta_{k-1} and its restriction to the functions that sum to zero
+over each set of siblings.  Each such block has (m-1)/m of level k's
+vertices as rows, m the number of children of a level-(k-1) vertex, and
+goes to a dense symmetric eigensolver; the whole Delta_n is never built.
+Eigenvalues are compared against the closed forms:
 for the first Grigorchuk group
 
     spec(Delta_n) = {1 +- sqrt(5 - 4 cos(2 pi j / 2^n))} \\ {0, -2},
@@ -17,7 +25,7 @@ The determinant identity |Q_n(lambda, mu)| = Phi_0 Phi_1 ... Phi_n for
 Q_n = Delta_n - (lambda+1) a_n - (mu+1) is checked in exact rational
 arithmetic (fraction-free Bareiss elimination), so the residual of a
 correct implementation is exactly zero.  Q_n is built from the float
-Delta_n, whose entries are small integers and so exact.
+Delta_n (`delta_matrix`), whose entries are small integers and so exact.
 """
 
 from __future__ import annotations
@@ -29,8 +37,12 @@ from typing import List, Optional
 
 import numpy as np
 
+from .errors import ResourceBoundExceeded
 from .groups import GroupDefinition, builtin
-from .quotients import level_quotient
+from .quotients import check_level_degree, level_quotient
+
+# most bytes the largest sum-zero block of a spectrum (level n's) may take
+SPECTRUM_BLOCK_BYTES_CAP = 1 << 30
 
 
 def delta_matrix(group: GroupDefinition, level: int) -> np.ndarray:
@@ -43,9 +55,61 @@ def delta_matrix(group: GroupDefinition, level: int) -> np.ndarray:
     return mat
 
 
+def _helmert(m: int):
+    """Integer Helmert basis of the sum-zero vectors of R^m and its squared
+    norms: column j-1 is (1, ..., 1, -j, 0, ..., 0) with j ones, of squared
+    norm j(j+1)."""
+    basis = np.zeros((m, m - 1), dtype=np.int64)
+    for j in range(1, m):
+        basis[:j, j - 1] = 1
+        basis[j, j - 1] = -j
+    return basis, np.arange(1, m) * np.arange(2, m + 1)
+
+
 def spectrum_eigenvalues(group: GroupDefinition, level: int) -> np.ndarray:
-    """Sorted eigenvalues of Delta_n (dense symmetric eigensolver)."""
-    return np.linalg.eigvalsh(delta_matrix(group, level))
+    """Sorted eigenvalues of Delta_n, level by level.
+
+    Vertex u*m + x of level k is child x of vertex u of level k-1, so a
+    generator's level-k image pi moves u to pi(u*m) div m and permutes
+    its children by sigma_u(x) = pi(u*m + x) mod m.  In the orthonormal
+    Helmert basis H of the sum-zero vectors of each sibling set, the
+    generator adds H^T P_sigma_u H at block (u, pi(u*m) div m) of level
+    k's sum-zero block, which goes to a dense symmetric eigensolver;
+    `pi[::m] // m` is the generator's image on level k-1.  The spectrum
+    is every level's block spectrum and |S|, Delta_0's.  The blocks are
+    integer matrices scaled by 1/sqrt(j(j+1) j'(j'+1)), so they are
+    exactly symmetric, and on binary levels their entries are integers.
+
+    Raises ResourceBoundExceeded, before anything is allocated, when the
+    level passes `quotients.LEVEL_DEGREE_CAP` or level n's block would
+    take more than SPECTRUM_BLOCK_BYTES_CAP bytes.
+    """
+    check_level_degree(group, level)
+    shape = group.shape
+    if level:
+        m = shape.branching(level - 1)
+        rows = (m - 1) * shape.level_size(level - 1)
+        if 8 * rows * rows > SPECTRUM_BLOCK_BYTES_CAP:
+            raise ResourceBoundExceeded(
+                f"the level-{level} spectrum block of {rows} rows takes {8 * rows * rows} "
+                f"bytes, more than {SPECTRUM_BLOCK_BYTES_CAP}, the bound on a spectrum block "
+                "(spectra.SPECTRUM_BLOCK_BYTES_CAP)")
+    quotient = level_quotient(group, level)
+    images = [quotient.perm_of_state(letter) for letter in group.canonical_letters]
+    parts = [np.array([float(len(images))])]
+    for k in range(level, 0, -1):
+        m = shape.branching(k - 1)
+        helmert, norms = _helmert(m)
+        norm = np.sqrt(np.outer(norms, norms))
+        parents = np.arange(len(images[0]) // m)
+        block = np.zeros((len(parents), m - 1, len(parents), m - 1))
+        for image in images:
+            children = image.reshape(len(parents), m)
+            local = np.einsum("xi,uxj->uij", helmert, helmert[children % m])
+            block[parents, :, children[:, 0] // m, :] += local / norm
+        parts.append(np.linalg.eigvalsh(block.reshape(len(parents) * (m - 1), -1)))
+        images = [image[::m] // m for image in images]
+    return np.sort(np.concatenate(parts))
 
 
 @dataclass

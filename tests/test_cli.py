@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -310,6 +311,19 @@ def test_cli_schreier_and_spectrum(tmp_path, capsys):
 def test_cli_deep_schreier_diameters(capsys, name, level, diameter):
     assert main(["schreier", name, "--level", str(level), "--diameter"]) == EXIT_OK
     assert capsys.readouterr().out.endswith(f"\ndiameter: {diameter}\n")
+
+
+@pytest.mark.parametrize("name, level, rows", [("Gg", 16, 2**15), ("FGg", 9, 2 * 3**8)])
+def test_cli_spectrum_block_bound_exits_3(capsys, name, level, rows):
+    # both levels pass the level-degree bound; their sum-zero blocks
+    # (8 GiB and 1.3 GiB) are refused before anything is allocated
+    start = time.perf_counter()
+    assert main(["spectrum", name, "--level", str(level)]) == EXIT_RESOURCE
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        f"resource bound exceeded: the level-{level} spectrum block of {rows} rows takes "
+        f"{8 * rows * rows} bytes, more than {spectra.SPECTRUM_BLOCK_BYTES_CAP}, the bound "
+        "on a spectrum block (spectra.SPECTRUM_BLOCK_BYTES_CAP)\n")
 
 
 def test_cli_level_degree_bound_exits_3(capsys):

@@ -1,10 +1,14 @@
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from oracles import one_sided_hausdorff
+from test_groups import BUILTINS, _d6_spinal
 
+from branchgroups import spectra
+from branchgroups.cli import parse_group_file
 from branchgroups.groups import builtin
 from branchgroups.spectra import (
     bareiss_determinant,
@@ -55,6 +59,41 @@ def test_delta_one_is_3i_plus_a():
     m = delta_matrix(builtin("Gg"), 1)
     assert np.array_equal(m, np.array([[3.0, 1.0], [1.0, 3.0]]))
     assert list(spectrum_eigenvalues(builtin("Gg"), 1)) == [2.0, 4.0]
+
+
+# a binary root over ternary levels, and a ternary group whose root
+# permutation is a transposition (its local permutations are no rotations)
+MIXED_FILE = "group M\narity seq 2 3 cycle 1\nrooted a = (1 2)\n"
+TRANSPOSITION_FILE = "group T\narity 3\nrooted a = (1 2)\nrecursive b = (a, 1, b)\n"
+
+
+@pytest.mark.parametrize("make", [lambda name=name: builtin(name) for name in BUILTINS] + [
+    _d6_spinal, lambda: parse_group_file(MIXED_FILE),
+    lambda: parse_group_file(TRANSPOSITION_FILE)], ids=[*BUILTINS, "D6", "mixed", "transposition"])
+def test_spectrum_matches_dense_oracle(monkeypatch, make):
+    # levels 0-5 up to 3,125 vertices: GS7's level 5 (16,807 vertices)
+    # would need a 2.2 GB dense oracle
+    group = make()
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return delta_matrix(*args)
+
+    previous = None
+    for n in range(6):
+        if group.shape.level_size(n) > 3125:
+            break
+        dense = np.linalg.eigvalsh(delta_matrix(group, n))
+        monkeypatch.setattr(spectra, "delta_matrix", spy)
+        eigs = spectrum_eigenvalues(group, n)
+        monkeypatch.undo()
+        assert len(eigs) == len(dense)
+        assert np.max(np.abs(eigs - dense)) < 1e-12 * len(group.canonical_letters), n
+        if previous is not None:
+            assert Counter(previous.tolist()) <= Counter(eigs.tolist()), n
+        previous = eigs
+    assert calls == []
 
 
 def test_row_sums_are_degree():
