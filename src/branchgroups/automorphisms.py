@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Callable, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ResourceBoundExceeded, ShapeMismatch
 from .shapes import TreeShape
@@ -45,6 +45,10 @@ SECTION_CLOSURE_CAP = 200_000
 # most letters one of those words may hold; at least groups.WORD_LENGTH_CAP,
 # so that every word the parser accepts still interns
 SECTION_WORD_CAP = 1 << 20
+# most nodes `portrait` builds
+PORTRAIT_NODE_CAP = 1 << 16
+# most states `TreeAutomorphism.reachable_sections` collects
+REACHABLE_SECTIONS_CAP = 1 << 20
 
 
 # -- permutation helpers (0-based image tuples) ------------------------
@@ -66,20 +70,21 @@ def perm_inv(p: Perm) -> Perm:
     return tuple(out)
 
 
+def perm_cycles(p: Perm) -> Iterator[List[int]]:
+    """Each cycle of p from its least point, in the order of those points;
+    a fixed point is a cycle of length 1."""
+    seen = set()
+    for start in range(len(p)):
+        if start not in seen:
+            cycle = [start]
+            while p[cycle[-1]] != start:
+                cycle.append(p[cycle[-1]])
+            seen.update(cycle)
+            yield cycle
+
+
 def perm_order(p: Perm) -> int:
-    seen = [False] * len(p)
-    order = 1
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        order = order * length // math.gcd(order, length)
-    return order
+    return math.lcm(*map(len, perm_cycles(p)))
 
 
 def perm_from_cycles(m: int, cycles: Sequence[Sequence[int]]) -> Perm:
@@ -95,21 +100,8 @@ def perm_from_cycles(m: int, cycles: Sequence[Sequence[int]]) -> Perm:
 
 def format_perm(p: Perm) -> str:
     """Cycle notation with 1-based points; '()' for the identity."""
-    seen = set()
-    parts = []
-    for i in range(len(p)):
-        if i in seen or p[i] == i:
-            seen.add(i)
-            continue
-        cyc = [i]
-        seen.add(i)
-        j = p[i]
-        while j != i:
-            cyc.append(j)
-            seen.add(j)
-            j = p[j]
-        parts.append("(" + " ".join(str(x + 1) for x in cyc) + ")")
-    return "".join(parts) if parts else "()"
+    return "".join("(" + " ".join(str(x + 1) for x in cycle) + ")"
+                   for cycle in perm_cycles(p) if len(cycle) >= 2) or "()"
 
 
 # -- the interned state type -------------------------------------------
@@ -166,7 +158,7 @@ class TreeAutomorphism:
                 base = compose(base, base)
         return result
 
-    def reachable_sections(self, cap: int = 1 << 20) -> set:
+    def reachable_sections(self) -> set:
         """Closure of {self} under sections at single letters."""
         seen = {self}
         stack = [self]
@@ -174,10 +166,10 @@ class TreeAutomorphism:
             s = stack.pop()
             for c in s.children:
                 if c not in seen:
-                    if len(seen) >= cap:
+                    if len(seen) >= REACHABLE_SECTIONS_CAP:
                         raise ResourceBoundExceeded(
-                            f"more than {cap} distinct sections reached"
-                        )
+                            f"more than {REACHABLE_SECTIONS_CAP} distinct sections "
+                            "reached (automorphisms.REACHABLE_SECTIONS_CAP)")
                     seen.add(c)
                     stack.append(c)
         return seen
@@ -295,14 +287,15 @@ def _inverse_word(word):
     return tuple((f, -e) for f, e in reversed(word))
 
 
-def _word_machine(starts, atoms=None, cap=SECTION_CLOSURE_CAP):
+def _word_machine(starts, atoms=None):
     """Expand formal words into their section closure, minimize, intern.
 
     A node is a (shape, word) pair; a word is a tuple of (factor, +-1)
     pairs whose factors are interned states or keys of ``atoms``.  The
     sections of a node are words on the shifted shape, so every node
     carries its tree shape.  Returns the interned state of each start
-    node, in order; ``cap`` bounds the expanded nodes, SECTION_WORD_CAP their letters.
+    node, in order; SECTION_CLOSURE_CAP bounds the expanded nodes,
+    SECTION_WORD_CAP their letters.
     """
     atoms = atoms or {}
     for key, (shape, _, entries) in atoms.items():
@@ -383,8 +376,9 @@ def _word_machine(starts, atoms=None, cap=SECTION_CLOSURE_CAP):
                                      "(automorphisms.SECTION_WORD_CAP)")
                 ch.append((below, normalize(factors)))
             child_cache[node] = ch
-            if len(child_cache) > cap:
-                exceeded(f"{cap} intermediate words (automorphisms.SECTION_CLOSURE_CAP)")
+            if len(child_cache) > SECTION_CLOSURE_CAP:
+                exceeded(f"{SECTION_CLOSURE_CAP} intermediate words "
+                         "(automorphisms.SECTION_CLOSURE_CAP)")
         return ch
 
     nodes = [(shape, normalize(word)) for shape, word in starts]
@@ -422,11 +416,8 @@ def intern_atoms(atoms: dict) -> dict:
     return dict(zip(atoms, _word_machine(starts, atoms)))
 
 
-def intern_word(
-    shape: TreeShape,
-    word: Iterable[Tuple[TreeAutomorphism, int]],
-    cap: int = SECTION_CLOSURE_CAP,
-) -> TreeAutomorphism:
+def intern_word(shape: TreeShape,
+                word: Iterable[Tuple[TreeAutomorphism, int]]) -> TreeAutomorphism:
     """Evaluate a formal word of states into a single interned state.
 
     The word is a sequence of (state, exponent) factors, all on ``shape``;
@@ -437,7 +428,7 @@ def intern_word(
         if factor.shape != shape:
             raise ShapeMismatch(f"factor on {factor.shape!r}, expected {shape!r}")
         flat.extend([(factor, 1 if exp >= 0 else -1)] * abs(exp))
-    return _word_machine([(shape, tuple(flat))], cap=cap)[0]
+    return _word_machine([(shape, tuple(flat))])[0]
 
 
 def compose(f: TreeAutomorphism, g: TreeAutomorphism) -> TreeAutomorphism:
@@ -541,7 +532,6 @@ def portrait(
     f: TreeAutomorphism,
     depth: Optional[int] = None,
     profile: Optional[Callable[[int, TreeAutomorphism], bool]] = None,
-    node_cap: int = 1 << 16,
 ) -> Portrait:
     """Portrait of f, cut at a fixed depth or at a profile.
 
@@ -557,12 +547,13 @@ def portrait(
         def profile(level, state):
             return level >= depth
 
-    budget = [node_cap]
+    budget = [PORTRAIT_NODE_CAP]
 
     def build(state, level):
         budget[0] -= 1
         if budget[0] < 0:
-            raise ResourceBoundExceeded(f"portrait exceeded {node_cap} nodes")
+            raise ResourceBoundExceeded(f"portrait exceeded {PORTRAIT_NODE_CAP} nodes "
+                                        "(automorphisms.PORTRAIT_NODE_CAP)")
         if profile(level, state):
             return Portrait(section=state)
         return Portrait(

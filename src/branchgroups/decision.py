@@ -16,11 +16,18 @@ L_c * ord(rep_c), where L_c is the length of c.  This is exact, because
 F^j fixes the points of c iff L_c divides j, and then its section at a
 point x of c is ((F^L_c)_x)^(j/L_c), a conjugate of rep_c^(j/L_c).  An
 element is reported infinite only with a certificate: either the
-section of F^L_c at a point of some cycle c equals F^{+-1} up to a short
-conjugator, or the recursion meets the same word again below itself
-after cycles whose lengths multiply to M > 1.  A word whose section of
-its M-th power is conjugate to itself has order n dividing n/M,
-impossible for finite n.
+recursion meets the same word again below itself after cycles whose
+lengths multiply to M > 1 (a word whose section of its M-th power is
+conjugate to itself has order n dividing n/M, impossible for finite n),
+or one level down the section of F^L_c at a point of a cycle c of
+length at least 2 is F^{+-1} up to a short conjugator.  That search runs
+only where the sections lie in F's own group (an explicit recursion, or
+a spinal group that is its own shift), over the cycles by least point
+and each cycle's rotations from its least point on.  A rotation equal
+to F^{+-1} wins over a conjugate one; among one kind the earlier
+rotation wins, +1 before -1.  A conjugate rotation is within
+2 * CONJUGATOR_LENGTH letters of F's length, and its cyclic reduction is
+F^{+-1}'s turned by at most CONJUGATOR_LENGTH letters.
 
 A repeat with M = 1 takes the provisional order 1, and the word W that
 opened the cycle gets the least fixpoint N of the equations.  N is W's
@@ -32,6 +39,10 @@ the word it repeats, as M = 1.  By induction on the length of a vertex,
 all these powers fix every vertex, so W^N = 1; and N divides W's order,
 as each provisional value divides the true one.  Only words whose value
 rests on a cycle still open above them stay out of the memo.
+
+Balls grow breadth first over reduced words.  An extension by a letter
+whose reduced word is no longer than its parent is skipped, as by
+induction on length its element is in the ball already.
 """
 
 from __future__ import annotations
@@ -41,7 +52,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .automorphisms import identity_perm
+from .automorphisms import identity_perm, perm_cycles
 from .errors import ResourceBoundExceeded
 from .groups import GroupDefinition, Word
 from .quotients import level_quotient
@@ -188,52 +199,22 @@ def order(group: GroupDefinition, word, bound: int = ORDER_BOUND) -> OrderResult
         root, sections = g.first_level_sections(w)
         child = g.shifted()
 
-        # one representative word per cycle of the root permutation;
-        # every rotation of a cycle gives a conjugate representative, and
-        # each rotation is inspected for the self-similarity certificate
+        # one representative word per root cycle, its first shortest rotation;
+        # each rotation, a conjugate of it, is searched for a certificate
         reps: List[tuple] = []
-        cert = None
-        seen_pts = set()
-        for start in range(len(root)):
-            if start in seen_pts:
-                continue
-            cycle = [start]
-            x = root[start]
-            while x != start:
-                cycle.append(x)
-                x = root[x]
-            seen_pts.update(cycle)
-            best = None
+        for cycle in perm_cycles(root):
             rotations = []
             for off in range(len(cycle)):
-                pts = cycle[off:] + cycle[:off]
                 t_word = []
-                for p in pts:
+                for p in cycle[off:] + cycle[:off]:
                     t_word.extend(sections[p])
-                t_word = child.reduce(tuple(t_word))
-                rotations.append((pts[0], t_word))
-                if best is None or len(t_word) < len(best[1]):
-                    best = (pts[0], t_word)
-            if len(cycle) >= 2 and cert is None and g is child:
-                w_inv = g.reduce(g.inverse_word(w))
-                for v, t_word in rotations:  # exact matches first
-                    if t_word == w:
-                        cert = (len(cycle), v, 1, w, None, g.shift_index)
-                        break
-                    if t_word == w_inv:
-                        cert = (len(cycle), v, -1, w, None, g.shift_index)
-                        break
-                else:
-                    for v, t_word in rotations:
-                        sign = _certificate_sign(g, w, t_word, CONJUGATOR_LENGTH)
-                        if sign is not None:
-                            cert = (len(cycle), v, sign, w, None, g.shift_index)
-                            break
-            reps.append((len(cycle),) + best)
-        if cert is not None:
-            result = OrderResult("infinite", certificate=cert)
-            memo[key] = result
-            return result, _SETTLED
+                rotations.append((cycle[off], child.reduce(tuple(t_word))))
+            found = len(cycle) >= 2 and g is child and _rotation_certificate(g, w, rotations)
+            if found:
+                cert = (len(cycle),) + found + (w, None, g.shift_index)
+                memo[key] = result = OrderResult("infinite", certificate=cert)
+                return result, _SETTLED
+            reps.append((len(cycle),) + min(rotations, key=lambda r: len(r[1])))
 
         value = 1
         pending = set()
@@ -243,8 +224,7 @@ def order(group: GroupDefinition, word, bound: int = ORDER_BOUND) -> OrderResult
             for length, v, t_word in reps:
                 sub, sub_pending = rec(child, t_word, mult * length, (length, v))
                 if sub.kind == "infinite":
-                    result = OrderResult("infinite", certificate=sub.certificate)
-                    memo[key] = result
+                    memo[key] = result = OrderResult("infinite", certificate=sub.certificate)
                     return result, _SETTLED
                 if sub.kind == "unknown":
                     return sub, _SETTLED
@@ -265,22 +245,26 @@ def order(group: GroupDefinition, word, bound: int = ORDER_BOUND) -> OrderResult
     return rec(group, letters, 1, (None, None))[0]
 
 
-def _certificate_sign(g: GroupDefinition, w, t_word, conj_len: int) -> Optional[int]:
-    """Is t_word = w^{+-1} up to a conjugator of length <= conj_len?"""
-    if abs(len(t_word) - len(w)) > 2 * conj_len:
-        return None
+def _rotation_certificate(g: GroupDefinition, w, rotations) -> Optional[Tuple[int, int]]:
+    """(vertex, sign) of the first rotation that is w^sign, else of the
+    first one that is w^sign up to a conjugator of at most
+    CONJUGATOR_LENGTH letters, +1 tried before -1; None when none is."""
     w_inv = g.reduce(g.inverse_word(w))
-    for sign, target in ((1, w), (-1, w_inv)):
-        if t_word == target:
-            return sign
+    for v, t_word in rotations:
+        if t_word in (w, w_inv):
+            return v, 1 if t_word == w else -1
+    near = [(v, t_word) for v, t_word in rotations
+            if abs(len(t_word) - len(w)) <= 2 * CONJUGATOR_LENGTH]
+    if not near:
+        return None
+    targets = ((1, g.cyclic_reduce(w)[0]), (-1, g.cyclic_reduce(w_inv)[0]))
+    for v, t_word in near:
         tc, _ = g.cyclic_reduce(t_word)
-        wc, _ = g.cyclic_reduce(target)
-        if len(tc) == len(wc) and len(tc) > 0:
-            # cyclic rotations are conjugates with short conjugators
-            doubled = wc + wc
-            for i in range(len(wc)):
-                if doubled[i:i + len(tc)] == tc and i <= conj_len:
-                    return sign
+        for sign, c in targets:
+            # a cyclic turn by i letters is a conjugate by a word of i letters
+            turns = range(min(len(c), CONJUGATOR_LENGTH + 1)) if len(c) == len(tc) else ()
+            if any(c[i:] + c[:i] == tc for i in turns):
+                return v, sign
     return None
 
 
@@ -290,8 +274,9 @@ def _certificate_sign(g: GroupDefinition, w, t_word, conj_len: int) -> Optional[
 def ball(group: GroupDefinition, radius: int) -> List[Word]:
     """One canonical representative per element of length <= radius.
 
-    Deduplication keys elements by their action on a finite level, with
-    is_trivial confirming every collision, so the result is exact.
+    An extension by a letter that got no longer is skipped; a longer one
+    is keyed by its action on a finite level and dropped when `equal` to
+    an earlier word with that key, so the result is exact.
     """
     level = max(3, radius.bit_length() + 2)
     degree_cap = 4096
@@ -299,12 +284,12 @@ def ball(group: GroupDefinition, radius: int) -> List[Word]:
         level -= 1
     perm_of_word = level_quotient(group, level).perm_of_word
 
-    def signature(letters):
-        return perm_of_word(Word(letters, True)).tobytes()
+    def signature(word):
+        return perm_of_word(word).tobytes()
 
     # incremental BFS over reduced words
     id_word = Word((), True)
-    elements: dict = {signature(()): [((), id_word)]}
+    elements: dict = {signature(id_word): [id_word]}
     result = [id_word]
     frontier = [()]
     for _ in range(radius):
@@ -312,19 +297,12 @@ def ball(group: GroupDefinition, radius: int) -> List[Word]:
         for w in frontier:
             for letter in group.canonical_letters:
                 nw = group.reduce(w + (letter,))
-                if len(nw) > len(w) + 1:
+                if len(nw) <= len(w):
                     continue
-                sig = signature(nw)
-                bucket = elements.setdefault(sig, [])
-                known = False
-                for old_letters, _ in bucket:
-                    if is_trivial(group, Word(group.reduce(
-                            nw + group.inverse_word(old_letters)), True)):
-                        known = True
-                        break
-                if not known:
-                    word_obj = Word(nw, True)
-                    bucket.append((nw, word_obj))
+                word_obj = Word(nw, True)
+                bucket = elements.setdefault(signature(word_obj), [])
+                if not any(equal(group, word_obj, old) for old in bucket):
+                    bucket.append(word_obj)
                     result.append(word_obj)
                     new_frontier.append(nw)
         frontier = new_frontier

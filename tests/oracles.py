@@ -10,7 +10,7 @@ failures (zero on a healthy build).
 from __future__ import annotations
 
 import random
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -242,6 +242,33 @@ def check_reduce_confluence(cases: int, seed: int) -> int:
             if tuple(work) != expected:
                 failures += 1
     return failures
+
+
+# -- order certificates ---------------------------------------------------------
+
+
+def certificate_sign(g: GroupDefinition, w, t_word, conj_len: int) -> Optional[int]:
+    """Is t_word = w^{+-1} up to a conjugator of length <= conj_len?
+
+    The older, one rotation at a time, form of the search in
+    ``decision.order``; the order and certificate differentials rebuild
+    that search from it.
+    """
+    if abs(len(t_word) - len(w)) > 2 * conj_len:
+        return None
+    w_inv = g.reduce(g.inverse_word(w))
+    for sign, target in ((1, w), (-1, w_inv)):
+        if t_word == target:
+            return sign
+        tc, _ = g.cyclic_reduce(t_word)
+        wc, _ = g.cyclic_reduce(target)
+        if len(tc) == len(wc) and len(tc) > 0:
+            # cyclic rotations are conjugates with short conjugators
+            doubled = wc + wc
+            for i in range(len(wc)):
+                if doubled[i:i + len(tc)] == tc and i <= conj_len:
+                    return sign
+    return None
 
 
 # -- group files -----------------------------------------------------------------

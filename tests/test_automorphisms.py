@@ -1,11 +1,20 @@
+import hashlib
+import itertools
+
 import pytest
 
+from branchgroups import automorphisms
 from branchgroups.automorphisms import (
     compose,
     compose_all,
+    format_perm,
+    identity_perm,
     identity_state,
     intern_word,
     invert,
+    perm_cycles,
+    perm_mul,
+    perm_order,
     portrait,
     rooted_state,
 )
@@ -107,7 +116,7 @@ def test_powers_by_repeated_squaring():
     assert tau ** -3 is intern_word(tau.shape, [(tau, -3)])
 
 
-def test_portrait(gg):
+def test_portrait(gg, monkeypatch):
     one = identity_state(gg.shape)
     p = portrait(one, depth=0)
     assert p.is_leaf and p.section is one
@@ -123,21 +132,24 @@ def test_portrait(gg):
     assert canonical.depth() >= 1
     with pytest.raises(ValueError):
         portrait(g)
-    with pytest.raises(ResourceBoundExceeded):
-        portrait(g, depth=3, node_cap=2)
+    monkeypatch.setattr(automorphisms, "PORTRAIT_NODE_CAP", 2)
+    with pytest.raises(ResourceBoundExceeded, match=r"\(automorphisms\.PORTRAIT_NODE_CAP\)"):
+        portrait(g, depth=3)
 
 
-def test_reachable_sections(gg):
+def test_reachable_sections(gg, monkeypatch):
     one = identity_state(gg.shape)
     assert one.reachable_sections() == {one}
     b = gg.states["b"]
     expected = {gg.states[x] for x in "abcd"} | {one, b}
     assert b.reachable_sections() == {gg.states[x] for x in "bacd"} | {one}
     assert expected == b.reachable_sections() | {b}
-    with pytest.raises(ResourceBoundExceeded):
-        bsv = builtin("BSV")
-        big = bsv.state_of_word(bsv.parse_word("tau^19"))
-        big.reachable_sections(cap=3)
+    bsv = builtin("BSV")
+    big = bsv.state_of_word(bsv.parse_word("tau^19"))
+    monkeypatch.setattr(automorphisms, "REACHABLE_SECTIONS_CAP", 3)
+    with pytest.raises(ResourceBoundExceeded,
+                       match=r"\(automorphisms\.REACHABLE_SECTIONS_CAP\)"):
+        big.reachable_sections()
 
 
 def test_bsv_states():
@@ -167,17 +179,36 @@ def test_hash_consing_soundness(gg):
         assert state.act(v) == img
 
 
-def test_intern_word_cap():
+def test_intern_word_cap(monkeypatch):
     bsv = builtin("BSV")
     mu, tau = bsv.states["mu"], bsv.states["tau"]
     word = [(mu, 1), (tau, 3), (mu, -1), (tau, 5)]
-    with pytest.raises(ResourceBoundExceeded):
-        intern_word(bsv.shape, word, cap=2)
+    monkeypatch.setattr(automorphisms, "SECTION_CLOSURE_CAP", 2)
+    with pytest.raises(ResourceBoundExceeded, match=r"^section closure exceeded 2 intermediate "
+                       r"words \(automorphisms\.SECTION_CLOSURE_CAP\)"):
+        intern_word(bsv.shape, word)
     # adding-machine powers stay small: log-many distinct section words
-    big = intern_word(bsv.shape, [(tau, 4096)], cap=64)
+    monkeypatch.setattr(automorphisms, "SECTION_CLOSURE_CAP", 64)
+    big = intern_word(bsv.shape, [(tau, 4096)])
     assert not big.is_identity
     assert big.act((1,) * 12) == (1,) * 12  # adding 2^12 fixes 12 digits
     assert tau.act((1,) * 12) == (0,) * 12  # adding 1 carries through them
+
+
+def test_perm_cycles_order_and_format():
+    assert list(perm_cycles((1, 0, 2, 4, 3))) == [[0, 1], [2], [3, 4]]
+    assert list(perm_cycles((2, 0, 1))) == [[0, 2, 1]]
+    assert list(perm_cycles(())) == []
+    digest = hashlib.sha1()
+    for m in range(1, 7):
+        for p in itertools.permutations(range(m)):
+            power, k = p, 1
+            while power != identity_perm(m):
+                power, k = perm_mul(power, p), k + 1
+            assert perm_order(p) == k, p
+            digest.update(f"{format_perm(p)} {perm_order(p)}\n".encode())
+    # the lines printed before the three cycle walks became one
+    assert digest.hexdigest() == "411639a7248d9054b4b7dd7a7554c9619cec1431"
 
 
 def test_nonregular_shapes():

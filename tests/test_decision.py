@@ -6,6 +6,7 @@ import pytest
 
 from oracles import random_reduced_word
 
+from branchgroups import decision
 from branchgroups.decision import (
     ball,
     canonical_portrait_depth,
@@ -262,12 +263,18 @@ def test_growth_values_match_ball_sizes():
         assert growth_values(g, radius) == [len(ball(g, r)) for r in range(radius + 1)]
 
 
-# (size, sha1 of the printed representatives, one per line), recorded when
-# ball keyed elements by the images of every vertex under `act`
+# (size, sha1 of the printed representatives, one per line); the first
+# three recorded when ball keyed elements by the images of every vertex
+# under `act`, the rest while ball still checked every extension for a
+# collision, including those that got no longer
 BALL_DIGESTS = {
     ("Gg", 6): (108, "a908c2e55ebf14ffb3523f86349b331de49c15b9"),
     ("FGg", 4): (61, "491f51e17c2763bc0f2958b9c4d9e6fe726dd43c"),
     ("BSV", 4): (153, "46fba58cc12634ef518922b046da848c7668c0ec"),
+    ("Gg", 8): (271, "6e2bc3278b8ba8149c239aaac6950fb702b681a3"),
+    ("G2", 4): (232, "ed9052dcf4e6589148457e430b8e49ae1c94fbb0"),
+    ("Sg", 6): (832, "bf235e9a7a07ec24360e3cb25775c41b2897cb15"),
+    ("BSV", 6): (1189, "3c5e1c4914c121d2a479dfbd075fefd3397ff75c"),
 }
 
 
@@ -277,6 +284,33 @@ def test_ball_representatives_pinned():
         words = ball(g, radius)
         printed = "\n".join(g.format_word(w.letters) for w in words)
         assert (len(words), hashlib.sha1(printed.encode()).hexdigest()) == (size, digest)
+
+
+@pytest.mark.parametrize("name, radius", list(BALL_DIGESTS))
+def test_ball_checks_only_extensions_that_got_longer(name, radius, monkeypatch):
+    answers = []
+    real_is_trivial = decision.is_trivial
+
+    def spy(group, word):
+        answers.append(real_is_trivial(group, word))
+        return answers[-1]
+
+    monkeypatch.setattr(decision, "is_trivial", spy)
+    g = builtin(name)
+    words = ball(g, radius)
+    longer = shorter = 0
+    for w in words:
+        if len(w.letters) < radius:
+            for x in g.canonical_letters:
+                if len(g.reduce(w.letters + (x,))) > len(w.letters):
+                    longer += 1
+                else:
+                    shorter += 1
+    # a longer extension that is no new element stops at the one check that
+    # holds, and no other check holds: so no extension that got no longer,
+    # whose element is always in the ball already, was checked
+    assert answers.count(True) == longer - (len(words) - 1)
+    assert shorter > 0
 
 
 def test_torsion_growth(gg):

@@ -13,15 +13,15 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from oracles import random_reduced_word  # noqa: E402
+from oracles import certificate_sign, random_reduced_word  # noqa: E402
 from test_groups import _d6_spinal  # noqa: E402
 
-from branchgroups.automorphisms import perm_order  # noqa: E402
+from branchgroups.automorphisms import perm_cycles, perm_order  # noqa: E402
 from branchgroups.cli import parse_group_file  # noqa: E402
 from branchgroups.decision import (  # noqa: E402
     CONJUGATOR_LENGTH,
     OrderResult,
-    _certificate_sign,
+    _rotation_certificate,
     is_trivial,
     order,
 )
@@ -174,7 +174,7 @@ def _order_by_power_descent(group, word, memo, bound=1 << 20):
                         break
                 else:
                     for v, t_word in rotations:
-                        sign = _certificate_sign(g, w, t_word, CONJUGATOR_LENGTH)
+                        sign = certificate_sign(g, w, t_word, CONJUGATOR_LENGTH)
                         if sign is not None:
                             cert = (len(cycle), v, sign, w, None, g.shift_index)
                             break
@@ -289,3 +289,72 @@ def test_provisional_repeats_get_exact_orders(name):
     perm = level_quotient(group, LEVEL).perm_of_word(group.parse_word(word))
     assert perm_order(tuple(int(x) for x in perm)) == k
     assert _same_order(res, _order_by_power_descent(group, word, {}))
+
+
+# -- the one-pass certificate search against the two-pass one ------------------
+
+
+def _two_pass_certificate(g, w, rotations):
+    """The search ``decision.order`` ran before: exact matches over all the
+    rotations first, then ``certificate_sign`` on each rotation in turn."""
+    w_inv = g.reduce(g.inverse_word(w))
+    for v, t_word in rotations:
+        if t_word in (w, w_inv):
+            return v, 1 if t_word == w else -1
+    for v, t_word in rotations:
+        sign = certificate_sign(g, w, t_word, CONJUGATOR_LENGTH)
+        if sign is not None:
+            return v, sign
+    return None
+
+
+def _turned(g, w, t_word):
+    """Is the cyclic form of t_word that of w^{+-1} turned by at most
+    CONJUGATOR_LENGTH letters, whatever their lengths?"""
+    tc = g.cyclic_reduce(t_word)[0]
+    for target in (w, g.reduce(g.inverse_word(w))):
+        wc = g.cyclic_reduce(target)[0]
+        if len(wc) == len(tc) and any(wc[i:] + wc[:i] == tc
+                                      for i in range(min(len(wc), CONJUGATOR_LENGTH + 1))):
+            return True
+    return False
+
+
+CERTIFICATE_GROUPS = {
+    **{name: (lambda name=name: _make_builtin(name))
+       for name in ("G2", "GSg", "BGg", "FGg", "BSV")},
+    "Gg_explicit": lambda: parse_group_file(GG_GRP),
+    "S3r": lambda: parse_group_file(S3_GRP),
+}
+
+
+@pytest.mark.parametrize("name", list(CERTIFICATE_GROUPS))
+def test_rotation_certificate_matches_two_pass_search(name):
+    group = CERTIFICATE_GROUPS[name]()
+    rng = random.Random(f"certificate {name}")
+    decided = {"exact": 0, "conjugate": 0, "filtered": 0}
+    for _ in range(150):
+        w = group.cyclic_reduce(random_reduced_word(group, rng.randint(1, 12), rng))[0]
+        if not w:
+            continue
+        w_inv = group.reduce(group.inverse_word(w))
+        words = []
+        if group.shifted() is group:  # the rotations order searches
+            root, sections = group.first_level_sections(w)
+            for cycle in perm_cycles(root):
+                words += [group.reduce(tuple(x for p in cycle[off:] + cycle[:off]
+                                             for x in sections[p]))
+                          for off in range(len(cycle))]
+        for _ in range(rng.randint(1, 6)):  # conjugates by 0-6 letters
+            c = random_reduced_word(group, rng.randint(0, 6), rng)
+            target = rng.choice((w, w_inv))
+            words.append(group.reduce(group.inverse_word(c) + target + c))
+        rng.shuffle(words)
+        rotations = list(enumerate(words))
+        new = _rotation_certificate(group, w, rotations)
+        assert new == _two_pass_certificate(group, w, rotations), group.format_word(w)
+        if new is not None:
+            decided["exact" if rotations[new[0]][1] in (w, w_inv) else "conjugate"] += 1
+        decided["filtered"] += any(len(t) - len(w) > 2 * CONJUGATOR_LENGTH
+                                   and _turned(group, w, t) for t in words)
+    assert min(decided.values()) > 0, decided

@@ -29,6 +29,7 @@ from branchgroups.quotients import (
     rigid_level_stabilizer,
     rigid_stabilizer,
     suborbit_profile,
+    _state_images,
     sylow_wreath_order,
 )
 
@@ -133,6 +134,24 @@ def test_chain_is_pinned(name, level, digest):
     # the chain is deterministic: a change to its base, orbit order or
     # strong generators changes these digests
     assert _chain_digest(level_quotient(builtin(name), level).chain()) == digest
+
+
+def test_perm_of_word_images_a_merged_rooted_letter():
+    # a a merges into the rooted letter (1 3)(2 4), which is no canonical letter
+    group = parse_group_file("group X\narity 4\nrooted a = (1 2 3 4)\n"
+                             "recursive b = (a, 1, 1, b)\n")
+    letters = group.parse_word("a a b").letters
+    merged = letters[0]
+    assert merged.root_perm == (2, 3, 0, 1) and merged not in group.canonical_letters
+    q = level_quotient(group, 3)
+    assert merged not in q._images
+    perm = q.perm_of_word("a a b")
+    assert merged in q._images
+    expected = np.arange(q.degree)
+    for letter in letters:  # right action: the first letter acts first
+        expected = _state_images(letter, 3)[expected]
+    assert np.array_equal(perm, expected)
+    assert np.array_equal(perm, _state_images(group.state_of_word(letters), 3))
 
 
 def test_order_monotone_under_projection(gg):
