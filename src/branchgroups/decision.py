@@ -41,8 +41,10 @@ as each provisional value divides the true one.  Only words whose value
 rests on a cycle still open above them stay out of the memo.
 
 Balls grow breadth first over reduced words.  An extension by a letter
-whose reduced word is no longer than its parent is skipped, as by
-induction on length its element is in the ball already.
+whose reduced word is no longer than its parent and made of canonical
+letters is skipped: by induction on length its element is in the ball
+already.  A word with a merged rooted letter that is no canonical letter
+(`a a` for a 4-cycle `a`) can be a new element, so it is kept.
 """
 
 from __future__ import annotations
@@ -274,9 +276,10 @@ def _rotation_certificate(g: GroupDefinition, w, rotations) -> Optional[Tuple[in
 def ball(group: GroupDefinition, radius: int) -> List[Word]:
     """One canonical representative per element of length <= radius.
 
-    An extension by a letter that got no longer is skipped; a longer one
-    is keyed by its action on a finite level and dropped when `equal` to
-    an earlier word with that key, so the result is exact.
+    An extension by a letter that got no longer and is made of canonical
+    letters is skipped; any other one is keyed by its action on a finite
+    level and dropped when `equal` to an earlier word with that key, so
+    the result is exact.
     """
     level = max(3, radius.bit_length() + 2)
     degree_cap = 4096
@@ -284,12 +287,10 @@ def ball(group: GroupDefinition, radius: int) -> List[Word]:
         level -= 1
     perm_of_word = level_quotient(group, level).perm_of_word
 
-    def signature(word):
-        return perm_of_word(word).tobytes()
-
     # incremental BFS over reduced words
+    canonical = set(group.canonical_letters)
     id_word = Word((), True)
-    elements: dict = {signature(id_word): [id_word]}
+    elements: dict = {perm_of_word(id_word).tobytes(): [id_word]}
     result = [id_word]
     frontier = [()]
     for _ in range(radius):
@@ -297,10 +298,10 @@ def ball(group: GroupDefinition, radius: int) -> List[Word]:
         for w in frontier:
             for letter in group.canonical_letters:
                 nw = group.reduce(w + (letter,))
-                if len(nw) <= len(w):
+                if len(nw) <= len(w) and canonical.issuperset(nw):
                     continue
                 word_obj = Word(nw, True)
-                bucket = elements.setdefault(signature(word_obj), [])
+                bucket = elements.setdefault(perm_of_word(word_obj).tobytes(), [])
                 if not any(equal(group, word_obj, old) for old in bucket):
                     bucket.append(word_obj)
                     result.append(word_obj)

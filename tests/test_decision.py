@@ -18,6 +18,7 @@ from branchgroups.decision import (
     torsion_growth,
 )
 from branchgroups.automorphisms import perm_from_cycles
+from branchgroups.cli import parse_group_file
 from branchgroups.groups import Word, builtin, explicit_group, grigorchuk_2group
 from branchgroups.quotients import level_quotient
 from branchgroups.shapes import TreeShape
@@ -263,6 +264,22 @@ def test_growth_values_match_ball_sizes():
         assert growth_values(g, radius) == [len(ball(g, r)) for r in range(radius + 1)]
 
 
+# explicit groups in which two rooted letters merge into a rooted letter
+# that is no canonical letter: in S3r `a r` is the transposition (1 3), in
+# X `a a` is (1 3)(2 4); such a word of one letter is an element of length 2
+MERGING_GROUPS = {
+    "S3r": ("group S3r\narity 3\nrooted a = (1 2)\nrooted r = (1 2 3)\n"
+            "recursive b = (a, 1, b)\nrecursive c = (r, 1, c) a\n"),
+    "X": "group X\narity 4\nrooted a = (1 2 3 4)\nrecursive b = (a, 1, 1, b)\n",
+}
+
+
+def _ball_group(name):
+    if name in MERGING_GROUPS:
+        return parse_group_file(MERGING_GROUPS[name])
+    return builtin(name)
+
+
 # (size, sha1 of the printed representatives, one per line); the first
 # three recorded when ball keyed elements by the images of every vertex
 # under `act`, the rest while ball still checked every extension for a
@@ -275,19 +292,35 @@ BALL_DIGESTS = {
     ("G2", 4): (232, "ed9052dcf4e6589148457e430b8e49ae1c94fbb0"),
     ("Sg", 6): (832, "bf235e9a7a07ec24360e3cb25775c41b2897cb15"),
     ("BSV", 6): (1189, "3c5e1c4914c121d2a479dfbd075fefd3397ff75c"),
+    ("S3r", 4): (596, "0864d7ecc2cd220bb74926f94fb26bc574ac9437"),
+    ("X", 6): (563, "4412c2b4f8142a3b5b370a227c1fcac543d10e23"),
 }
 
 
 def test_ball_representatives_pinned():
     for (name, radius), (size, digest) in BALL_DIGESTS.items():
-        g = builtin(name)
+        g = _ball_group(name)
         words = ball(g, radius)
         printed = "\n".join(g.format_word(w.letters) for w in words)
         assert (len(words), hashlib.sha1(printed.encode()).hexdigest()) == (size, digest)
 
 
+def test_ball_keeps_merged_rooted_letters():
+    # a one-letter word found in layer 2 is a new element, and the words
+    # that start with it are searched on
+    for name, merged in (("S3r", ["(1 3)", "(2 3)"]), ("X", ["(1 3)(2 4)"])):
+        g = _ball_group(name)
+        printed = [g.format_word(w.letters) for w in ball(g, 3)]
+        layer_1 = printed[:len(ball(g, 1))]
+        for m in merged:
+            assert m in printed and m not in layer_1
+            assert any(p.startswith(m) and p != m for p in printed)
+
+
 @pytest.mark.parametrize("name, radius", list(BALL_DIGESTS))
 def test_ball_checks_only_extensions_that_got_longer(name, radius, monkeypatch):
+    g = _ball_group(name)
+    sizes = [len(ball(g, r)) for r in range(radius)]
     answers = []
     real_is_trivial = decision.is_trivial
 
@@ -296,21 +329,23 @@ def test_ball_checks_only_extensions_that_got_longer(name, radius, monkeypatch):
         return answers[-1]
 
     monkeypatch.setattr(decision, "is_trivial", spy)
-    g = builtin(name)
     words = ball(g, radius)
-    longer = shorter = 0
-    for w in words:
-        if len(w.letters) < radius:
-            for x in g.canonical_letters:
-                if len(g.reduce(w.letters + (x,))) > len(w.letters):
-                    longer += 1
-                else:
-                    shorter += 1
-    # a longer extension that is no new element stops at the one check that
-    # holds, and no other check holds: so no extension that got no longer,
-    # whose element is always in the ball already, was checked
-    assert answers.count(True) == longer - (len(words) - 1)
-    assert shorter > 0
+    canonical = set(g.canonical_letters)
+    checked = skipped = 0
+    # the words first found in layer k < radius are extended in layer k + 1
+    for w in words[:sizes[-1]]:
+        for x in g.canonical_letters:
+            nw = g.reduce(w.letters + (x,))
+            if len(nw) <= len(w.letters) and canonical.issuperset(nw):
+                skipped += 1
+            else:
+                checked += 1
+    # a checked extension that is no new element stops at the one check that
+    # holds, and no other check holds: so no extension that got no longer
+    # and is written in canonical letters, whose element is always in the
+    # ball already, was checked
+    assert answers.count(True) == checked - (len(words) - 1)
+    assert skipped > 0
 
 
 def test_torsion_growth(gg):

@@ -113,6 +113,20 @@ def test_sg_spinal_and_explicit_agree(letters):
 # -- the order formula against power descent --------------------------------
 
 
+def _two_pass_certificate(g, w, rotations):
+    """The search ``decision.order`` ran before: exact matches over all the
+    rotations first, then ``certificate_sign`` on each rotation in turn."""
+    w_inv = g.reduce(g.inverse_word(w))
+    for v, t_word in rotations:
+        if t_word in (w, w_inv):
+            return v, 1 if t_word == w else -1
+    for v, t_word in rotations:
+        sign = certificate_sign(g, w, t_word, CONJUGATOR_LENGTH)
+        if sign is not None:
+            return v, sign
+    return None
+
+
 def _order_by_power_descent(group, word, memo, bound=1 << 20):
     """The order procedure the root-cycle formula replaced, as an oracle.
 
@@ -167,17 +181,9 @@ def _order_by_power_descent(group, word, memo, bound=1 << 20):
                 t_word = child.reduce(tuple(x for p in pts for x in sections[p]))
                 rotations.append((pts[0], t_word))
             if len(cycle) >= 2 and cert is None and g is child:
-                w_inv = g.reduce(g.inverse_word(w))
-                for v, t_word in rotations:
-                    if t_word in (w, w_inv):
-                        cert = (len(cycle), v, 1 if t_word == w else -1, w, None, g.shift_index)
-                        break
-                else:
-                    for v, t_word in rotations:
-                        sign = certificate_sign(g, w, t_word, CONJUGATOR_LENGTH)
-                        if sign is not None:
-                            cert = (len(cycle), v, sign, w, None, g.shift_index)
-                            break
+                found = _two_pass_certificate(g, w, rotations)
+                if found is not None:
+                    cert = (len(cycle), *found, w, None, g.shift_index)
             reps.append((len(cycle),) + min(rotations, key=lambda r: len(r[1])))
         if cert is not None:
             memo[key] = OrderResult("infinite", certificate=cert)
@@ -292,20 +298,6 @@ def test_provisional_repeats_get_exact_orders(name):
 
 
 # -- the one-pass certificate search against the two-pass one ------------------
-
-
-def _two_pass_certificate(g, w, rotations):
-    """The search ``decision.order`` ran before: exact matches over all the
-    rotations first, then ``certificate_sign`` on each rotation in turn."""
-    w_inv = g.reduce(g.inverse_word(w))
-    for v, t_word in rotations:
-        if t_word in (w, w_inv):
-            return v, 1 if t_word == w else -1
-    for v, t_word in rotations:
-        sign = certificate_sign(g, w, t_word, CONJUGATOR_LENGTH)
-        if sign is not None:
-            return v, sign
-    return None
 
 
 def _turned(g, w, t_word):
