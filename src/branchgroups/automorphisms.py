@@ -122,22 +122,30 @@ class TreeAutomorphism:
         return f"<aut #{self.serial} perm={format_perm(self.root_perm)}>"
 
     def act(self, vertex: Tuple[int, ...]) -> Tuple[int, ...]:
-        """Image of a vertex (0-based letters) under this automorphism."""
-        self.shape.check_vertex(vertex)
-        out = []
-        state = self
-        for y in vertex:
-            out.append(state.root_perm[y])
-            state = state.children[y]
-        return tuple(out)
+        """Image of a vertex (0-based letters) under this automorphism.  The walk
+        checks the vertex: a bad letter raises TreeShape.check_vertex's ValueError."""
+        return self._walk(vertex)[0]
 
     def section(self, vertex: Tuple[int, ...]) -> "TreeAutomorphism":
-        """Section at a vertex: the automorphism induced on the subtree below it."""
-        self.shape.check_vertex(vertex)
+        """Section at a vertex: the automorphism induced on the subtree below
+        it.  The vertex is checked by the walk, as in `act`."""
+        return self._walk(vertex)[1]
+
+    def _walk(self, vertex):
+        """(image, section) of a vertex.  The state at depth i has branching(i)
+        points, so indexing bounds a letter; a negative one is stopped first."""
+        out = []
         state = self
-        for y in vertex:
-            state = state.children[y]
-        return state
+        try:
+            for y in vertex:
+                if y < 0:
+                    raise IndexError
+                out.append(state.root_perm[y])
+                state = state.children[y]
+        except IndexError:
+            self.shape.check_vertex(vertex)  # raises the ValueError
+            raise
+        return tuple(out), state
 
     def __mul__(self, other: "TreeAutomorphism") -> "TreeAutomorphism":
         return compose(self, other)

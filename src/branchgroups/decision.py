@@ -205,12 +205,15 @@ def order(group: GroupDefinition, word, bound: int = ORDER_BOUND) -> OrderResult
         # each rotation, a conjugate of it, is searched for a certificate
         reps: List[tuple] = []
         for cycle in perm_cycles(root):
-            rotations = []
-            for off in range(len(cycle)):
-                t_word = []
-                for p in cycle[off:] + cycle[:off]:
-                    t_word.extend(sections[p])
-                rotations.append((cycle[off], child.reduce(tuple(t_word))))
+            if len(cycle) == 1:  # the one rotation is the section, reduced already
+                rotations = [(cycle[0], sections[cycle[0]])]
+            else:
+                rotations = []
+                for off in range(len(cycle)):
+                    t_word = []
+                    for p in cycle[off:] + cycle[:off]:
+                        t_word.extend(sections[p])
+                    rotations.append((cycle[off], child.reduce(tuple(t_word))))
             found = len(cycle) >= 2 and g is child and _rotation_certificate(g, w, rotations)
             if found:
                 cert = (len(cycle),) + found + (w, None, g.shift_index)
@@ -281,45 +284,42 @@ def ball(group: GroupDefinition, radius: int) -> List[Word]:
     level and dropped when `equal` to an earlier word with that key, so
     the result is exact.
     """
+    return [w for layer in _ball_layers(group, radius) for w in layer]
+
+
+def _ball_layers(group: GroupDefinition, radius: int) -> List[List[Word]]:
+    """The words of `ball` by BFS layer: layer k holds the elements of
+    length exactly k, whatever the length of their reduced words."""
     level = max(3, radius.bit_length() + 2)
     degree_cap = 4096
     while group.shape.level_size(level) > degree_cap and level > 1:
         level -= 1
     perm_of_word = level_quotient(group, level).perm_of_word
 
-    # incremental BFS over reduced words
     canonical = set(group.canonical_letters)
     id_word = Word((), True)
     elements: dict = {perm_of_word(id_word).tobytes(): [id_word]}
-    result = [id_word]
-    frontier = [()]
+    layers = [[id_word]]
     for _ in range(radius):
-        new_frontier = []
-        for w in frontier:
+        layer = []
+        for w in layers[-1]:
             for letter in group.canonical_letters:
-                nw = group.reduce(w + (letter,))
-                if len(nw) <= len(w) and canonical.issuperset(nw):
+                nw = group.reduce(w.letters + (letter,))
+                if len(nw) <= len(w.letters) and canonical.issuperset(nw):
                     continue
                 word_obj = Word(nw, True)
                 bucket = elements.setdefault(perm_of_word(word_obj).tobytes(), [])
                 if not any(equal(group, word_obj, old) for old in bucket):
                     bucket.append(word_obj)
-                    result.append(word_obj)
-                    new_frontier.append(nw)
-        frontier = new_frontier
-    return result
+                    layer.append(word_obj)
+        layers.append(layer)
+    return layers
 
 
 def growth_values(group: GroupDefinition, radius: int) -> List[int]:
-    """gamma(0..radius): ball sizes with respect to the canonical generators.
-
-    A representative first found in BFS layer k has length exactly k, so
-    one ball counted by word length gives every smaller ball too.
-    """
-    counts = [0] * (radius + 1)
-    for w in ball(group, radius):
-        counts[len(w.letters)] += 1
-    return list(itertools.accumulate(counts))
+    """gamma(0..radius): ball sizes with respect to the canonical generators,
+    accumulated from the layers of one ball."""
+    return list(itertools.accumulate(map(len, _ball_layers(group, radius))))
 
 
 def torsion_growth(group: GroupDefinition, radius: int) -> int:

@@ -1,7 +1,10 @@
 import hashlib
 import itertools
+import random
 
 import pytest
+
+from test_groups import BUILTINS, _d6_spinal
 
 from branchgroups import automorphisms
 from branchgroups.automorphisms import (
@@ -18,6 +21,7 @@ from branchgroups.automorphisms import (
     portrait,
     rooted_state,
 )
+from branchgroups.cli import parse_group_file
 from branchgroups.errors import ResourceBoundExceeded, ShapeMismatch
 from branchgroups.groups import builtin
 from branchgroups.shapes import TreeShape, format_vertex, parse_vertex
@@ -47,6 +51,65 @@ def test_act_prefix_compatible(gg):
 def test_act_rejects_bad_letter(gg):
     with pytest.raises(ValueError):
         gg.states["a"].act((2,))
+
+
+# branching 2, 3, 2, 3, ...: the range of a letter changes with its position
+MIXED_FILE = "group M\narity seq 2 3 cycle 2\nrooted a = (1 2)\n"
+WALK_GROUPS = {**{name: (lambda name=name: builtin(name)) for name in BUILTINS},
+               "D6": _d6_spinal, "mixed": lambda: parse_group_file(MIXED_FILE)}
+
+
+def _reference_walk(state, vertex):
+    """(act, section) letter by letter, each letter checked before it is read."""
+    shape, image = state.shape, []
+    for i, y in enumerate(vertex):
+        if not 0 <= y < shape.branching(i):
+            raise AssertionError(f"bad vertex {vertex}")
+        image.append(state.root_perm[y])
+        state = state.children[y]
+    return tuple(image), state
+
+
+def _check_message(shape, vertex):
+    with pytest.raises(ValueError) as info:
+        shape.check_vertex(vertex)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("name", list(WALK_GROUPS))
+def test_act_and_section_walk_checks_every_letter(name):
+    group = WALK_GROUPS[name]()
+    shape = group.shape
+    rng = random.Random(f"walk {name}")
+    letters = group.canonical_letters
+    states = [group.state_of_word(rng.choices(letters, k=rng.randint(0, 8)))
+              for _ in range(6)] + list(letters)
+    for state in states:
+        assert state.act(()) == () and state.section(()) is state
+        for _ in range(8):
+            n = rng.randint(1, 40)
+            vertex = tuple(rng.randrange(shape.branching(i)) for i in range(n))
+            image, below = _reference_walk(state, vertex)
+            assert state.act(vertex) == image
+            assert state.section(vertex) is below
+            # a letter one past its range, far past it, or negative at the
+            # first, middle and last position; -1 and -m would index a tuple
+            # from its end, so they must not slip through
+            for i in sorted({0, n // 2, n - 1}):
+                m = shape.branching(i)
+                for y in (m, m + 7, -1, -m):
+                    bad = vertex[:i] + (y,) + vertex[i + 1:]
+                    message = _check_message(shape, bad)
+                    assert message == f"letter {y + 1} at position {i + 1} out of range 1..{m}"
+                    for walk in (state.act, state.section):
+                        with pytest.raises(ValueError) as info:
+                            walk(bad)
+                        assert str(info.value) == message
+            # two bad letters: the first one is named
+            twice = (shape.branching(0),) + vertex[1:-1] + (-1,) if n > 1 else (-1,)
+            with pytest.raises(ValueError) as info:
+                state.act(twice)
+            assert str(info.value) == _check_message(shape, twice)
 
 
 def test_section_examples(gg):

@@ -251,6 +251,17 @@ def test_cli_eval(capsys):
     assert capsys.readouterr().out.strip() == "11"
 
 
+def test_cli_eval_rejects_a_bad_vertex_letter(capsys):
+    # the walk over the states finds the letter; check_vertex names it
+    assert main(["eval", "Gg", "a b", "--vertex", "1213"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "letter 3 at position 4 out of range 1..2" in captured.err
+    assert "Traceback" not in captured.err and captured.err.count("\n") == 1
+    assert main(["eval", "Gg", "a b", "--vertex", "12"]) == EXIT_OK
+    assert capsys.readouterr().out == "22\n"
+
+
 def test_cli_eval_names_inverse_generators(capsys):
     # the section words hold mu^-1 as a state of its own; it prints as mu'
     assert main(["eval", "BSV", "mu tau mu' tau'"]) == EXIT_OK

@@ -258,12 +258,6 @@ def test_ball_dihedral():
     assert [len(ball(dinf, r)) for r in range(6)] == [1, 3, 5, 7, 9, 11]
 
 
-def test_growth_values_match_ball_sizes():
-    for name, radius in (("Gg", 5), ("FGg", 3), ("BSV", 3), ("Dinf", 6), ("Sg", 4)):
-        g = builtin(name)
-        assert growth_values(g, radius) == [len(ball(g, r)) for r in range(radius + 1)]
-
-
 # explicit groups in which two rooted letters merge into a rooted letter
 # that is no canonical letter: in S3r `a r` is the transposition (1 3), in
 # X `a a` is (1 3)(2 4); such a word of one letter is an element of length 2
@@ -278,6 +272,15 @@ def _ball_group(name):
     if name in MERGING_GROUPS:
         return parse_group_file(MERGING_GROUPS[name])
     return builtin(name)
+
+
+def test_growth_values_match_ball_sizes():
+    # in S3r and X a merged rooted letter is one letter long but is found
+    # in layer 2, so counting by reduced length would miscount
+    for name, radius in (("Gg", 5), ("FGg", 3), ("BSV", 3), ("Dinf", 6), ("Sg", 4),
+                         ("S3r", 3), ("X", 4)):
+        g = _ball_group(name)
+        assert growth_values(g, radius) == [len(ball(g, r)) for r in range(radius + 1)]
 
 
 # (size, sha1 of the printed representatives, one per line); the first

@@ -219,6 +219,17 @@ def test_first_level_section_contraction():
                 assert len(s) <= (len(w) + 1) / 2
 
 
+def test_reduce_returns_a_section_unchanged():
+    # decision.order takes a fixed point's section as its rotation unreduced
+    rng = random.Random(29)
+    for root in [builtin(name) for name in BUILTINS] + [_gg_twin(), _d6_spinal()]:
+        for group in root._ring:
+            for _ in range(60):
+                w = random_reduced_word(group, rng.randint(0, 16), rng)
+                for s in group.first_level_sections(w)[1]:
+                    assert group.shifted().reduce(s) == s
+
+
 def test_shifted_group_is_level_one_section_closure():
     # the shifted companion's generators are exactly the nontrivial
     # sections of the conjugated directed generators (upper companion)
