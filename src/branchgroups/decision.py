@@ -254,7 +254,7 @@ def _rotation_certificate(g: GroupDefinition, w, rotations) -> Optional[Tuple[in
     """(vertex, sign) of the first rotation that is w^sign, else of the
     first one that is w^sign up to a conjugator of at most
     CONJUGATOR_LENGTH letters, +1 tried before -1; None when none is."""
-    w_inv = g.reduce(g.inverse_word(w))
+    w_inv = g.inverse_word(w)  # reduced, as w is
     for v, t_word in rotations:
         if t_word in (w, w_inv):
             return v, 1 if t_word == w else -1

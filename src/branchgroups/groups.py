@@ -456,12 +456,13 @@ class GroupDefinition:
         return tuple(self.letter_inverse(x) for x in reversed(letters))
 
     def cyclic_reduce(self, letters) -> Tuple[Tuple, Tuple]:
-        """Cyclically reduced form w_c plus the conjugator c with w^c = w_c.
+        """Cyclically reduced form w_c plus the conjugator c with w^c = w_c,
+        for a reduced word w.
 
         A reduced word stays reduced without its first letter, so each
         rotation only pushes that letter back on at the other end.
         """
-        w = list(self.reduce(letters))
+        w = list(letters)
         conj = []
         while len(w) >= 2 and self._merge(w[-1], w[0]) is not False:
             conj.append(w.pop(0))

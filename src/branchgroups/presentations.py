@@ -16,8 +16,9 @@ dictionary and runs the word-problem oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .decision import is_trivial
 from .errors import ResourceBoundExceeded
@@ -28,6 +29,8 @@ FreeWord = Tuple[Tuple[str, int], ...]
 
 # most words the closure of the iterated relators under the twists may hold
 TWIST_CLOSURE_CAP = 4096
+# most words an expansion may hold, its fixed and twist-closed relators included
+EXPANSION_CAP = 4096
 
 
 def free_reduce(word: Sequence[Tuple[str, int]]) -> FreeWord:
@@ -124,54 +127,50 @@ class EndomorphicPresentation:
     def ascending(self) -> bool:
         return not self.fixed
 
-    def _twist_closure(self, words: List[FreeWord]) -> List[FreeWord]:
-        out = list(words)
-        seen = set(out)
-        frontier = list(out)
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for chi in self.twists:
-                    v = chi.apply(w)
-                    if v and v not in seen:
-                        if len(seen) >= TWIST_CLOSURE_CAP:
-                            raise ResourceBoundExceeded(
-                                f"twist closure exceeded {TWIST_CLOSURE_CAP} words "
-                                "(presentations.TWIST_CLOSURE_CAP)")
-                        seen.add(v)
-                        out.append(v)
-                        nxt.append(v)
-            frontier = nxt
-        return out
-
     def expand(self, depth: int) -> List[FreeWord]:
         """Q plus all images of the twist-closed R under compositions of
         <= depth substitutions, breadth-first, deduplicated, in discovery
         order."""
+        closure = [free_reduce(w) for w in self.iterated]
+        closed = set(closure)
+        for v in _images(closure, self.twists, closed, math.inf):
+            if len(closed) > TWIST_CLOSURE_CAP:
+                raise ResourceBoundExceeded(
+                    f"twist closure exceeded {TWIST_CLOSURE_CAP} words "
+                    "(presentations.TWIST_CLOSURE_CAP)")
+            closure.append(v)
         out: List[FreeWord] = []
         seen = set()
-
-        def add(w: FreeWord):
+        for w in [free_reduce(w) for w in self.fixed] + closure:
             if w and w not in seen:
                 seen.add(w)
                 out.append(w)
-
-        for w in self.fixed:
-            add(free_reduce(w))
-        layer = self._twist_closure([free_reduce(w) for w in self.iterated])
-        for w in layer:
-            add(w)
-        for _ in range(depth):
-            nxt = []
-            for w in layer:
-                for phi in self.substitutions:
-                    v = phi.apply(w)
-                    if v and v not in seen:
-                        seen.add(v)
-                        out.append(v)
-                        nxt.append(v)
-            layer = nxt
+        for v in _images(closure, self.substitutions, seen, depth):
+            if len(seen) > EXPANSION_CAP:
+                raise ResourceBoundExceeded(
+                    f"expansion exceeded {EXPANSION_CAP} words "
+                    "(presentations.EXPANSION_CAP)")
+            out.append(v)
         return out
+
+
+def _images(words: List[FreeWord], maps: Sequence[Substitution], seen: set,
+            layers: float) -> Iterator[FreeWord]:
+    """Breadth-first images of the words under the maps, `layers` layers
+    deep or until a layer brings nothing new: each nonempty image not in
+    `seen` is added to it, then yielded."""
+    frontier = list(words)
+    while frontier and layers > 0:
+        layers -= 1
+        nxt = []
+        for w in frontier:
+            for phi in maps:
+                v = phi.apply(w)
+                if v and v not in seen:
+                    seen.add(v)
+                    nxt.append(v)
+                    yield v
+        frontier = nxt
 
 
 @dataclass

@@ -307,6 +307,15 @@ def _stack(perms, degree: int) -> np.ndarray:
     return np.asarray(perms, dtype=np.int32).reshape(len(perms), degree)
 
 
+def _powers(g: np.ndarray, n: int) -> np.ndarray:
+    """g^0, g^1, ..., g^(n-1), one per row."""
+    out = np.empty((n, len(g)), dtype=g.dtype)
+    out[0] = np.arange(len(g))
+    for k in range(1, n):
+        out[k] = g[out[k - 1]]
+    return out
+
+
 def _pinv_rows(perms: np.ndarray) -> np.ndarray:
     out = np.empty_like(perms)
     np.put_along_axis(out, perms, np.arange(perms.shape[1], dtype=perms.dtype), axis=1)
@@ -420,12 +429,7 @@ class LayeredSequence:
         p = self.p
         piv = int(np.flatnonzero(v)[0])
         k = pow(int(v[piv]), -1, p)
-        h = self.identity
-        for _ in range(k):
-            h = g[h]
-        powers = [self.identity, _pinv(h)]
-        while len(powers) < p:
-            powers.append(powers[1][powers[-1]])
+        h = _powers(g, k + 1)[k].copy()  # not a view holding the lower powers
         r = len(self.pivots[i])
         if not r:
             self._dense[i] = (np.zeros((len(v), len(v))), np.zeros((len(v), len(v))))
@@ -438,7 +442,7 @@ class LayeredSequence:
         self.rows[i].append(v * k % p)
         self.pivots[i].append(piv)
         self.elements[i].append(h)
-        self._inverse_powers[i].append(np.stack(powers[:p]))
+        self._inverse_powers[i].append(_powers(_pinv(h), p))
         return h
 
     def close(self, seeds, conj) -> "LayeredSequence":
@@ -488,10 +492,7 @@ class LayeredSequence:
                 hinv = self._inverse_powers[i][-1][1]
                 queue(i, _comm_rows(h, hinv, conj, conj_inv))
                 if i < last:
-                    hp = self.identity
-                    for _ in range(self.p):
-                        hp = h[hp]
-                    queue(i + 1, hp[None])
+                    queue(i + 1, _powers(h, self.p + 1)[-1:])
                     earlier = _stack(self.elements[i][:-1], degree)
                     earlier_inv = _stack([pw[1] for pw in self._inverse_powers[i][:-1]], degree)
                     queue(i + 1, _comm_rows(h, hinv, earlier, earlier_inv))
@@ -790,10 +791,7 @@ def _stabilizer_generators(q: LevelQuotient, depth: int) -> List[np.ndarray]:
         if seq.p ** seq.dimension(0, depth) * len(q.gens) < len(hit):
             words = seq.identity[None]
             for e in seq.perms(0, depth):
-                powers = [seq.identity]
-                while len(powers) < seq.p:
-                    powers.append(e[powers[-1]])
-                words = np.concatenate([words[:, e_a] for e_a in powers])
+                words = np.concatenate([words[:, e_a] for e_a in _powers(e, seq.p)])
             hit = list(seq.sift(np.concatenate([s[words] for s in q.gens]), depth))
         q._stabilizer_gens[depth] = hit
     return hit

@@ -23,6 +23,7 @@ from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
+from .automorphisms import perm_cycles
 from .groups import GroupDefinition, builtin
 from .quotients import check_level_degree, level_quotient
 from .shapes import format_vertex
@@ -201,71 +202,51 @@ class SubstitutionRules:
     ``axiom`` is the level-1 graph.  One expansion step prepends
     ``include_letter`` to every vertex and rewrites:
 
-    * matched subgraphs (a perfect matching by ``match_label`` edges for
-      binary rules, a partition into directed triangles for ternary
-      ones) are replaced by ``expand_match``;
+    * the ``match_label`` edges, read as one permutation of the vertices
+      (an involution's single stored edge both ways), cover the vertices
+      with its cycles, each starting at its least vertex: an edge pair
+      for Gg, a directed triangle for the ternary groups.  Each cycle is
+      replaced by ``expand_match(cycle)``, which returns the new vertices
+      and edges;
     * every other edge (u, v, label) becomes ``relabel[label]`` between
       the included vertices, or is carried verbatim when label is not in
       ``relabel``.
     """
 
     def __init__(self, name: str, axiom: SchreierGraph, include_letter: int,
-                 match_label: str, match_size: int, expand_match,
-                 relabel: Dict[str, str]):
+                 match_label: str, expand_match, relabel: Dict[str, str]):
         self.name = name
         self.axiom = axiom
         self.include_letter = include_letter
         self.match_label = match_label
-        self.match_size = match_size
         self.expand_match = expand_match
         self.relabel = relabel
 
     def step(self, graph: SchreierGraph) -> SchreierGraph:
         inc = self.include_letter
-
-        def ext(letter: int, v: Vertex) -> Vertex:
-            return (letter,) + v
-
+        index = {v: i for i, v in enumerate(graph.vertices)}
+        perm = list(range(len(index)))
+        both_ways = graph.involutions.get(self.match_label, False)
         new_edges: List[Edge] = []
-        new_vertices: List[Vertex] = []
-        matched_edges = []
-        other_edges = []
-        for e in graph.edges:
-            (matched_edges if e[2] == self.match_label else other_edges).append(e)
-
-        # group the matched edges into the disjoint pattern instances
-        if self.match_size == 2:
-            instances = [(u, v) for u, v, _ in matched_edges]
-        else:
-            nxt = {u: v for u, v, _ in matched_edges}
-            seen = set()
-            instances = []
-            for u in sorted(nxt):
-                if u in seen:
-                    continue
-                cyc = [u]
-                x = nxt[u]
-                while x != u:
-                    cyc.append(x)
-                    x = nxt[x]
-                seen.update(cyc)
-                instances.append(tuple(cyc))
-        covered = set()
-        for inst in instances:
-            covered.update(inst)
-        if covered != set(graph.vertices):
+        for u, v, label in graph.edges:
+            if label == self.match_label:
+                perm[index[u]] = index[v]
+                if both_ways:
+                    perm[index[v]] = index[u]
+            else:
+                new_edges.append(((inc,) + u, (inc,) + v, self.relabel.get(label, label)))
+        # a vertex without a matched edge is a fixed point; two matched
+        # edges into one vertex leave perm no permutation
+        if len(set(perm)) < len(perm) or any(i == j for i, j in enumerate(perm)):
             raise ValueError(
                 f"{self.match_label}-edges do not cover the vertices; "
                 "rule set does not apply"
             )
-
-        for inst in instances:
-            verts, edges = self.expand_match(inst, ext)
+        new_vertices: List[Vertex] = []
+        for cycle in perm_cycles(perm):
+            verts, edges = self.expand_match(tuple(graph.vertices[i] for i in cycle))
             new_vertices.extend(verts)
             new_edges.extend(edges)
-        for u, v, label in other_edges:
-            new_label = self.relabel.get(label, label)
-            new_edges.append((ext(inc, u), ext(inc, v), new_label))
         return SchreierGraph(new_vertices, new_edges, (inc,) + graph.basepoint,
                              graph.labels, graph.involutions)
 
@@ -276,82 +257,45 @@ class SubstitutionRules:
             g = self.step(g)
         return g
 
-    def graph_at_level(self, level: int) -> SchreierGraph:
-        if level < 1:
-            raise ValueError("substitution starts at the level-1 axiom")
-        return self.expand(level - 1)
-
 
 def _gg_rules() -> SubstitutionRules:
-    gg = builtin("Gg")
-    axiom = schreier_graph(gg, 1)
-
-    def expand_match(inst, ext):
-        # an a-edge sigma--tau becomes the path
+    def expand_match(cycle):
+        # an a-edge sigma--tau (sigma < tau) becomes the path
         # 2sigma -a- 1sigma =b,c= 1tau -a- 2tau with d-loops at the 1's
-        sigma, tau = inst
-        s1, s2 = ext(0, sigma), ext(1, sigma)
-        t1, t2 = ext(0, tau), ext(1, tau)
-        verts = [s1, s2, t1, t2]
-        edges = [
-            (min(s2, s1), max(s2, s1), "a"),
-            (min(s1, t1), max(s1, t1), "b"),
-            (min(s1, t1), max(s1, t1), "c"),
-            (min(t1, t2), max(t1, t2), "a"),
-            (s1, s1, "d"),
-            (t1, t1, "d"),
-        ]
-        return verts, edges
+        sigma, tau = cycle
+        s1, s2, t1, t2 = (0,) + sigma, (1,) + sigma, (0,) + tau, (1,) + tau
+        edges = [(s1, s2, "a"), (s1, t1, "b"), (s1, t1, "c"), (t1, t2, "a"),
+                 (s1, s1, "d"), (t1, t1, "d")]
+        return [s1, s2, t1, t2], edges
 
     return SubstitutionRules(
-        "Gg", axiom, include_letter=1, match_label="a", match_size=2,
-        expand_match=expand_match,
-        relabel={"b": "d", "c": "b", "d": "c"},
+        "Gg", schreier_graph(builtin("Gg"), 1), include_letter=1, match_label="a",
+        expand_match=expand_match, relabel={"b": "d", "c": "b", "d": "c"},
     )
 
 
 def _ternary_rules(name: str) -> SubstitutionRules:
     group = builtin(name)
-    axiom = schreier_graph(group, 1)
-    # orientation of the directed generator's action on the second copy:
-    # section of t at vertex 2 is a^e2 (e2 = 0, 1, 2 for FGg, BGg, GSg)
-    e2 = group.ggs_vector.exponents[1]
+    # the wreath recursion t = (a^e1, a^e2, t), (e1, e2) = (1, 0), (1, 1),
+    # (1, 2) for FGg, BGg, GSg; t on the third copy is the included t-edge
+    exponents = group.ggs_vector.exponents
 
-    def expand_match(inst, ext):
-        # an a-triangle rho -> sigma -> tau (a(rho) = sigma) becomes three
-        # a-triangles 1x -> 2x -> 3x plus the t-edges dictated by the
-        # wreath recursion t = (a, a^e2, t)
-        rho, sigma, tau = inst
+    def expand_match(cycle):
+        # an a-triangle x_0 -> x_1 -> x_2 (a(x_k) = x_k+1) becomes three
+        # a-triangles 1x -> 2x -> 3x, and t moves j x_k to j x_(k + e_j)
         verts = []
         edges = []
-        for x in inst:
-            x1, x2, x3 = ext(0, x), ext(1, x), ext(2, x)
+        for x in cycle:
+            x1, x2, x3 = (0,) + x, (1,) + x, (2,) + x
             verts.extend([x1, x2, x3])
             edges.extend([(x1, x2, "a"), (x2, x3, "a"), (x3, x1, "a")])
-        # t on 1-copies follows a: t(1 rho) = 1 a(rho)
-        edges.extend([
-            (ext(0, rho), ext(0, sigma), "t"),
-            (ext(0, sigma), ext(0, tau), "t"),
-            (ext(0, tau), ext(0, rho), "t"),
-        ])
-        if e2 == 0:
-            edges.extend([(ext(1, x), ext(1, x), "t") for x in inst])
-        elif e2 == 1:
-            edges.extend([
-                (ext(1, rho), ext(1, sigma), "t"),
-                (ext(1, sigma), ext(1, tau), "t"),
-                (ext(1, tau), ext(1, rho), "t"),
-            ])
-        else:
-            edges.extend([
-                (ext(1, rho), ext(1, tau), "t"),
-                (ext(1, tau), ext(1, sigma), "t"),
-                (ext(1, sigma), ext(1, rho), "t"),
-            ])
+        for j, e in enumerate(exponents):
+            edges.extend(((j,) + x, (j,) + cycle[(k + e) % 3], "t")
+                         for k, x in enumerate(cycle))
         return verts, edges
 
     return SubstitutionRules(
-        name, axiom, include_letter=2, match_label="a", match_size=3,
+        name, schreier_graph(group, 1), include_letter=2, match_label="a",
         expand_match=expand_match, relabel={},
     )
 
@@ -378,5 +322,5 @@ def substitutional_expand(name: str, level: int) -> SchreierGraph:
     check_level_degree(builtin(name), level)
     if level == 0:
         return schreier_graph(builtin(name), 0)
-    return substitution_rules(name).graph_at_level(level)
+    return substitution_rules(name).expand(level - 1)
 

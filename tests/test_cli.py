@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 
@@ -355,6 +356,30 @@ def test_cli_twist_closure_bound_exits_3(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err == ("resource bound exceeded: twist closure exceeded 8 words "
                    "(presentations.TWIST_CLOSURE_CAP)\n")
+
+
+def test_cli_expansion_bound_exits_3(tmp_path, capsys):
+    # each depth multiplies the words by about 2.6 and lengthens them
+    path = tmp_path / "fibonacci.pres"
+    path.write_text("alphabet a b\nsubstitution phi: a -> a b, b -> a\n"
+                    "substitution psi: a -> b a, b -> a\niterated a b\n")
+    start = time.perf_counter()
+    assert main(["present", "--file", str(path), "--depth", "40"]) == EXIT_RESOURCE
+    assert time.perf_counter() - start < 2.0
+    assert capsys.readouterr().err == (
+        f"resource bound exceeded: expansion exceeded {presentations.EXPANSION_CAP} words "
+        "(presentations.EXPANSION_CAP)\n")
+
+
+def test_cli_present_output_is_pinned(capsys):
+    # recorded before the twist closure and the substitution layers
+    # shared one breadth-first loop
+    digest = hashlib.sha1()
+    for name in ("lysionok", "gg_ascending", "sg", "fgg", "gsg", "bsv"):
+        for depth in range(7):
+            assert main(["present", "--name", name, "--depth", str(depth)]) == EXIT_OK
+            digest.update(f"{name} {depth}\n{capsys.readouterr().out}".encode())
+    assert digest.hexdigest() == "5b2ca7123ca9349a9615ed04b6d0bea6c78fa56c"
 
 
 def test_cli_present(capsys):

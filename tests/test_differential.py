@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from oracles import certificate_sign, random_reduced_word  # noqa: E402
-from test_groups import _d6_spinal  # noqa: E402
+from test_groups import S3_GRP, _d6_spinal  # noqa: E402
 
 from branchgroups.automorphisms import perm_cycles, perm_order  # noqa: E402
 from branchgroups.cli import parse_group_file  # noqa: E402
@@ -25,7 +25,8 @@ from branchgroups.decision import (  # noqa: E402
     is_trivial,
     order,
 )
-from branchgroups.groups import Word, _make_builtin, builtin  # noqa: E402
+from branchgroups.conjugacy import GgConjugacy  # noqa: E402
+from branchgroups.groups import GroupDefinition, Word, _make_builtin, builtin  # noqa: E402
 from branchgroups.quotients import level_quotient  # noqa: E402
 
 GG_GRP = """\
@@ -241,11 +242,6 @@ def _prime_factors(n):
 
 
 BINARY = "arity 2\nrooted a = (1 2)\n"
-# rooted (1 2) and (1 2 3): root permutations with cycles of lengths 1 and
-# 2, where the multiple s * lcm overshoots the order and power descent
-# had to lower it
-S3_GRP = ("group S3r\narity 3\nrooted a = (1 2)\nrooted r = (1 2 3)\n"
-          "recursive b = (a, 1, b)\nrecursive c = (r, 1, c) a\n")
 # recursions in which the order recursion of x returns to x through fixed
 # points only (M = 1), e.g. x -> x^-1 -> x for x = (x^-1, a);
 # (file, word, order)
@@ -283,6 +279,34 @@ def test_order_formula_matches_power_descent(name):
         new, old = order(group, w), _order_by_power_descent(group, w, memo)
         assert old.kind != "unknown", group.format_word(w)
         assert _same_order(new, old), (group.format_word(w), new, old)
+
+
+def test_cyclic_reduce_is_given_reduced_words(monkeypatch):
+    # cyclic_reduce does not reduce its argument: every caller passes a
+    # reduced word, over order runs and a stream of Gg Q-sets
+    unreduced = []
+    real = GroupDefinition.cyclic_reduce
+
+    def spy(self, letters):
+        if self.reduce(letters) != tuple(letters):
+            unreduced.append((self.name, letters))
+        return real(self, letters)
+
+    monkeypatch.setattr(GroupDefinition, "cyclic_reduce", spy)
+    for name in ("Gg", "GSg", "G2", "BGg", "Sg", "GS5", "Gg_explicit", "S3r"):
+        group = ORACLE_GROUPS[name]()
+        rng = random.Random(f"spy {name}")
+        for _ in range(60):
+            order(group, Word(random_reduced_word(group, rng.randint(1, 14), rng), True))
+    gg, ctx = builtin("Gg"), GgConjugacy()
+    rng = random.Random("spy q_set")
+    for _ in range(60):
+        g = random_reduced_word(gg, rng.randint(1, 8), rng)
+        f = random_reduced_word(gg, rng.randint(0, 4), rng)
+        h = gg.reduce(gg.inverse_word(f) + g + f) if rng.random() < 0.5 else \
+            random_reduced_word(gg, rng.randint(1, 8), rng)
+        ctx.q_set(Word(g, True), Word(h, True))
+    assert unreduced == []
 
 
 @pytest.mark.parametrize("name", list(PROVISIONAL))

@@ -7,6 +7,7 @@ from oracles import random_reduced_word
 
 from branchgroups import groups
 from branchgroups.automorphisms import build_recursive, perm_from_cycles
+from branchgroups.cli import parse_group_file
 from branchgroups.errors import ResourceBoundExceeded, ValidationError
 from branchgroups.groups import (
     BTable,
@@ -588,6 +589,27 @@ def _gg_twin():
         "c": ([[("a", 1)], [("d", 1)]], None),
         "d": ([[], [("b", 1)]], None),
     })
+
+
+# rooted (1 2) and (1 2 3): root permutations with cycles of lengths 1 and
+# 2, where the multiple s * lcm overshoots the order and power descent
+# had to lower it
+S3_GRP = ("group S3r\narity 3\nrooted a = (1 2)\nrooted r = (1 2 3)\n"
+          "recursive b = (a, 1, b)\nrecursive c = (r, 1, c) a\n")
+
+
+def test_inverse_of_a_reduced_word_is_reduced():
+    # canonical letters are closed under inverses and merge symmetrically,
+    # so cyclic_reduce and the order certificate take inverses unreduced
+    rng = random.Random(53)
+    explicit = [parse_group_file(S3_GRP),
+                parse_group_file("group X\narity 2\nrooted a = (1 2)\nrecursive x = (x, a)\n")]
+    for root in [builtin(name) for name in BUILTINS] + [_gg_twin(), _d6_spinal()] + explicit:
+        for group in root._ring:
+            for _ in range(60):
+                w = random_reduced_word(group, rng.randint(0, 16), rng)
+                inverse = group.inverse_word(w)
+                assert group.reduce(inverse) == inverse, (root.name, group.format_word(w))
 
 
 def test_exponent_of_an_explicit_rooted_letter_is_reduced():
