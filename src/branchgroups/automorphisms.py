@@ -15,10 +15,14 @@ factor is an interned state or an *atom*, a recursive definition given
 by its shape, its root permutation and one entry word per child, each
 entry on the shifted shape.  The identity is the empty word, a rooted
 state or a generator is an atom, and products and inverses are words of
-states.  A node's sections are words on the shifted shape (each section
-of a product f*g is the product f_u * g_{u^f}); the reachable closure is
-minimized and interned.  A cap on the nodes and one on the letters of a
-node word guard against words that are not finite-state.
+states.  The machine reads every factor through one definition, a root
+permutation and one entry word per child; an interned state's entries
+are its children.  A node's sections are words on the shifted shape
+(each section of a product f*g is the product f_u * g_{u^f}), freely
+reduced by the same `free_reduce` that presentations use; the reachable
+closure is minimized and interned in one pass, one canonical key per
+class.  A cap on the nodes and one on the letters of a node word guard
+against words that are not finite-state.
 
 Vertices are 0-based letter tuples; permutations are 0-based image tuples.
 The composition convention is the right action: u^(fg) = (u^f)^g, hence
@@ -200,14 +204,12 @@ def _intern_graph(start_nodes, perm_of, children_of):
     Returns a dict mapping each reachable node to its canonical state.
     """
     order = list(dict.fromkeys(start_nodes))
-    index = {n: i for i, n in enumerate(order)}
-    i = 0
-    while i < len(order):
-        for c in children_of(order[i]):
-            if c not in index:
-                index[c] = len(order)
+    seen = set(order)
+    for n in order:  # breadth first; the list grows as it is read
+        for c in children_of(n):
+            if c not in seen:
+                seen.add(c)
                 order.append(c)
-        i += 1
 
     # partition refinement: start from (shape, perm), split by child classes
     labels: dict = {}
@@ -237,76 +239,71 @@ def _intern_graph(start_nodes, perm_of, children_of):
 
     child_classes = {c: [cls[ch] for ch in children_of(rep[c])] for c in rep}
 
-    sig_cache: dict = {}
-
-    def canonical_sig(c0):
-        hit = sig_cache.get(c0)
-        if hit is not None:
-            return hit
-        seq = [c0]
-        pos = {c0: 0}
-        i = 0
-        while i < len(seq):
-            for ch in child_classes[seq[i]]:
-                if ch not in pos:
-                    pos[ch] = len(seq)
-                    seq.append(ch)
-            i += 1
-        body = tuple(
-            (perm_of(rep[c]), tuple(pos[ch] for ch in child_classes[c])) for c in seq
-        )
-        result = ((rep[c0][0], body), seq)
-        sig_cache[c0] = result
-        return result
-
     with _INTERN_LOCK:
+        # a state found in _INTERN was created with all it reaches, so one
+        # lookup per class suffices; the created states get their children after
         interned: dict = {}
+        created = []
         for c in rep:
-            if c in interned:
-                continue
-            key, seq = canonical_sig(c)
-            hit = _INTERN.get(key)
-            if hit is not None:
-                interned[c] = hit
-                continue
-            created = {}
+            pos = {c: 0}
+            seq = [c]
             for cc in seq:
-                if cc in interned:
-                    continue
-                cckey, _ = canonical_sig(cc)
-                hit2 = _INTERN.get(cckey)
-                if hit2 is not None:
-                    interned[cc] = hit2
-                else:
-                    is_id = all(p == identity_perm(len(p)) for p, _ in cckey[1])
-                    st = _blank_state(rep[cc][0], perm_of(rep[cc]), is_id)
-                    _INTERN[cckey] = st
-                    created[cc] = st
-                    interned[cc] = st
-            for cc, st in created.items():
-                st.children = tuple(interned[ch] for ch in child_classes[cc])
+                for ch in child_classes[cc]:
+                    if ch not in pos:
+                        pos[ch] = len(seq)
+                        seq.append(ch)
+            body = tuple((perm_of(rep[cc]), tuple(pos[ch] for ch in child_classes[cc]))
+                         for cc in seq)
+            key = (rep[c][0], body)
+            st = _INTERN.get(key)
+            if st is None:
+                is_id = all(p == identity_perm(len(p)) for p, _ in body)
+                st = _INTERN[key] = _blank_state(rep[c][0], body[0][0], is_id)
+                created.append(c)
+            interned[c] = st
+        for c in created:
+            interned[c].children = tuple(interned[ch] for ch in child_classes[c])
         return {n: interned[cls[n]] for n in order}
 
 
 # -- the section-closure machine ---------------------------------------
 
 
-def _inverse_word(word):
-    return tuple((f, -e) for f, e in reversed(word))
+def free_reduce(word: Sequence[Tuple[object, int]]) -> tuple:
+    """A word of (symbol, exponent) letters with every letter next to its
+    inverse cancelled and every zero exponent dropped."""
+    out: list = []
+    for sym, exp in word:
+        if exp == 0:
+            continue
+        if out and out[-1][0] == sym and out[-1][1] == -exp:
+            out.pop()
+        else:
+            out.append((sym, exp))
+    return tuple(out)
+
+
+def free_inverse(word: Sequence[Tuple[object, int]]) -> tuple:
+    return tuple((s, -e) for s, e in reversed(word))
 
 
 def _word_machine(starts, atoms=None):
     """Expand formal words into their section closure, minimize, intern.
 
     A node is a (shape, word) pair; a word is a tuple of (factor, +-1)
-    pairs whose factors are interned states or keys of ``atoms``.  The
-    sections of a node are words on the shifted shape, so every node
-    carries its tree shape.  Returns the interned state of each start
-    node, in order; SECTION_CLOSURE_CAP bounds the expanded nodes,
-    SECTION_WORD_CAP their letters.
+    letters whose factors are interned states or keys of ``atoms``.  Every
+    letter is read through one definition, its root permutation and one
+    section word per child: an atom's is given, an interned state's is its
+    children as one-letter words (an identity child as the empty word),
+    and an inverse letter's is derived from its factor's.  The sections of
+    a node are words on the shifted shape, so every node carries its tree
+    shape.  Returns the interned state of each start node, in order;
+    SECTION_CLOSURE_CAP bounds the expanded nodes, SECTION_WORD_CAP their
+    letters.
     """
     atoms = atoms or {}
-    for key, (shape, _, entries) in atoms.items():
+    defs: dict = {}
+    for key, (shape, perm, entries) in atoms.items():
         below = shape.shift()
         for y, entry in enumerate(entries):
             for f, _ in entry:
@@ -316,37 +313,31 @@ def _word_machine(starts, atoms=None):
                         f"atom {key!r} on {shape!r}: entry {y + 1} has a factor "
                         f"on {found!r}, expected the shifted shape {below!r}"
                     )
+        defs[key, 1] = (perm, entries)
 
-    def normalize(factors):
-        out = []
-        for f, e in factors:
-            if isinstance(f, TreeAutomorphism) and f.is_identity:
-                continue
-            if out and out[-1][0] == f and out[-1][1] == -e:
-                out.pop()
-                continue
-            out.append((f, e))
-        return tuple(out)
+    def definition(letter):
+        d = defs.get(letter)
+        if d is None:
+            f, e = letter
+            if e == 1:  # an interned state; an identity section is the empty word
+                d = (f.root_perm, tuple(() if c.is_identity else ((c, 1),) for c in f.children))
+            else:  # (f^-1)_y = (f_{y^(f^-1)})^-1
+                perm, entries = definition((f, 1))
+                inv = perm_inv(perm)
+                d = (inv, tuple(free_inverse(entries[x]) for x in inv))
+            defs[letter] = d
+        return d
 
     perm_cache: dict = {}
     child_cache: dict = {}
-    inv_cache: dict = {}
-
-    def pinv(p):
-        q = inv_cache.get(p)
-        if q is None:
-            q = perm_inv(p)
-            inv_cache[p] = q
-        return q
 
     def perm_of(node):
         p = perm_cache.get(node)
         if p is None:
             shape, word = node
             p = identity_perm(shape.branching(0))
-            for f, e in word:
-                fp = f.root_perm if isinstance(f, TreeAutomorphism) else atoms[f][1]
-                p = perm_mul(p, fp if e == 1 else pinv(fp))
+            for letter in word:
+                p = perm_mul(p, definition(letter)[0])
             perm_cache[node] = p
         return p
 
@@ -359,37 +350,25 @@ def _word_machine(starts, atoms=None):
         if ch is None:
             shape, word = node
             below = shape.shift()
+            defined = [definition(letter) for letter in word]
             ch = []
             for y in range(shape.branching(0)):
                 pos = y
                 factors = []
-                for f, e in word:
-                    if isinstance(f, TreeAutomorphism):
-                        if e == 1:
-                            factors.append((f.children[pos], 1))
-                            pos = f.root_perm[pos]
-                        else:
-                            pos = pinv(f.root_perm)[pos]
-                            factors.append((f.children[pos], -1))
-                    else:
-                        _, p, entries = atoms[f]
-                        if e == 1:
-                            factors.extend(entries[pos])
-                            pos = p[pos]
-                        else:
-                            pos = pinv(p)[pos]
-                            factors.extend(_inverse_word(entries[pos]))
-                        if len(factors) > SECTION_WORD_CAP:  # only atoms lengthen a word
-                            exceeded(f"{SECTION_WORD_CAP} letters in one word "
-                                     "(automorphisms.SECTION_WORD_CAP)")
-                ch.append((below, normalize(factors)))
+                for perm, entries in defined:
+                    factors.extend(entries[pos])
+                    pos = perm[pos]
+                    if len(factors) > SECTION_WORD_CAP:
+                        exceeded(f"{SECTION_WORD_CAP} letters in one word "
+                                 "(automorphisms.SECTION_WORD_CAP)")
+                ch.append((below, free_reduce(factors)))
             child_cache[node] = ch
             if len(child_cache) > SECTION_CLOSURE_CAP:
                 exceeded(f"{SECTION_CLOSURE_CAP} intermediate words "
                          "(automorphisms.SECTION_CLOSURE_CAP)")
         return ch
 
-    nodes = [(shape, normalize(word)) for shape, word in starts]
+    nodes = [(shape, free_reduce(word)) for shape, word in starts]
     mapping = _intern_graph(nodes, perm_of, children_of)
     return [mapping[n] for n in nodes]
 

@@ -15,7 +15,8 @@ All coset arithmetic runs in the 16-element group G/K, read from tables
 built once: the coset of each of the 4096 elements of the level-(n_K + 1)
 permutation quotient, where n_K is the first level at which the image of
 K reaches index 16 (then Stab(L_{n_K}) <= K), and the products of cosets.
-A word's coset is the product of its letters' cosets.
+A word's coset is the product of its letters' cosets, so queries read
+only the G/K tables, never the permutation quotient.
 
 Recursion on pairs can cycle (sections need not shrink); the induced
 monotone set equations are solved by least-fixpoint iteration starting
@@ -190,16 +191,17 @@ class GgConjugacy:
         length >= 2 has first-level sections of length <= (|f|+1)/2 < |f|,
         so induction on witness length reduces every solution coset to a
         seeded one through the recombination steps.  A candidate f is
-        tested only when the quotient permutations satisfy gf = fh.
+        tested only when its coset conjugates g's to h's in G/K, which
+        g^f = h needs, K being normal; the word problem decides.
         """
-        group, perm = self.group, self.quotient.perm_of_word
-        pg, ph = perm(Word(g, True)), perm(Word(h, True))
+        group, mult, inv = self.group, self.mult, self.inv
+        c_g, c_h = self.coset_of_word(g), self.coset_of_word(h)
         seeds = set()
         for f in [()] + [(letter,) for letter in group.canonical_letters]:
-            pf = perm(Word(f, True))
-            if np.array_equal(pf[pg], ph[pf]) and is_trivial(
+            c_f = self.coset_of_word(f)
+            if mult[mult[inv[c_f]][c_g]][c_f] == c_h and is_trivial(
                     group, group.inverse_word(f) + g + f + group.inverse_word(h)):
-                seeds.add(self.coset_of_word(f))
+                seeds.add(c_f)
         return frozenset(seeds)
 
     def ensure(self, g, h) -> Tuple:

@@ -56,13 +56,16 @@ from typing import List, Optional, Tuple
 
 from .automorphisms import identity_perm, perm_cycles
 from .errors import ResourceBoundExceeded
-from .groups import GroupDefinition, Word
+from .groups import GroupDefinition, Word, check_word_length
 from .quotients import level_quotient
 
 # most words one section closure of `is_trivial` may hold
 TRIVIAL_CLOSURE_CAP = 2_000_000
 # default largest order `order` computes before it answers Unknown
 ORDER_BOUND = 1 << 20
+# most open words on the recursion path of `order` (each is one interpreter
+# frame), and the deepest level `canonical_portrait_depth` expands
+ORDER_DEPTH_CAP = 768
 # width of the bracket `eta_weights` bisects down to
 ETA_TOLERANCE = 1e-14
 
@@ -208,6 +211,7 @@ def order(group: GroupDefinition, word, bound: int = ORDER_BOUND) -> OrderResult
             if len(cycle) == 1:  # the one rotation is the section, reduced already
                 rotations = [(cycle[0], sections[cycle[0]])]
             else:
+                check_word_length(sum(len(sections[p]) for p in cycle), "a cycle's rotation")
                 rotations = []
                 for off in range(len(cycle)):
                     t_word = []
@@ -221,6 +225,8 @@ def order(group: GroupDefinition, word, bound: int = ORDER_BOUND) -> OrderResult
                 return result, _SETTLED
             reps.append((len(cycle),) + min(rotations, key=lambda r: len(r[1])))
 
+        if len(path) >= ORDER_DEPTH_CAP:
+            _depth_exceeded("the recursion of order")
         value = 1
         pending = set()
         active[key] = (mult, len(path))
@@ -248,6 +254,11 @@ def order(group: GroupDefinition, word, bound: int = ORDER_BOUND) -> OrderResult
         return result, _SETTLED
 
     return rec(group, letters, 1, (None, None))[0]
+
+
+def _depth_exceeded(what: str):
+    raise ResourceBoundExceeded(f"{what} went deeper than {ORDER_DEPTH_CAP} levels "
+                                "(decision.ORDER_DEPTH_CAP)")
 
 
 def _rotation_certificate(g: GroupDefinition, w, rotations) -> Optional[Tuple[int, int]]:
@@ -371,14 +382,17 @@ def eta_weights(r: int) -> Tuple[float, List[float]]:
 
 
 def canonical_portrait_depth(group: GroupDefinition, word) -> int:
-    """Depth of the canonical portrait: expansion stops at words of length <= 1."""
-    letters = group.word(word).letters
-
-    def rec(g, w):
+    """Depth of the canonical portrait: expansion stops at words of length <= 1,
+    and a portrait deeper than ORDER_DEPTH_CAP raises ResourceBoundExceeded."""
+    deepest = 0
+    stack = [(group, group.word(word).letters, 0)]
+    while stack:
+        g, w, depth = stack.pop()
         if len(w) <= 1:
-            return 0
+            deepest = max(deepest, depth)
+            continue
+        if depth >= ORDER_DEPTH_CAP:
+            _depth_exceeded("the canonical portrait")
         _, secs = g.first_level_sections(w)
-        child = g.shifted()
-        return 1 + max(rec(child, s) for s in secs)
-
-    return rec(group, letters)
+        stack.extend((g.shifted(), s, depth + 1) for s in secs)
+    return deepest

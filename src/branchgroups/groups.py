@@ -198,6 +198,9 @@ class Word:
 
 # most letters a parsed word, or a power inside it, may expand to
 WORD_LENGTH_CAP = 1 << 20
+# most brackets, parentheses and ^( a parsed word may nest; each level is
+# one interpreter frame
+WORD_NESTING_CAP = 256
 
 # token kinds by regex group: a power, a suffix mark (' or ^( ), a
 # conjugating symbol, an atom mark, a symbol; group 6 is anything else
@@ -225,7 +228,8 @@ def parse_letters(text: str, alphabet: Optional[Tuple[str, ...]], letter, invers
     ``letter`` maps a symbol to a letter and ``inverse`` inverts one; the
     exponent of a single letter is taken modulo ``order(letter)`` (when
     not None) before it is expanded.  A malformed text is a ValueError,
-    and a word or power past WORD_LENGTH_CAP is refused before it is built.
+    a word or power past WORD_LENGTH_CAP is refused before it is built, and
+    so is a text nesting deeper than WORD_NESTING_CAP.
     """
     tokens = [(m.lastindex, m[m.lastindex], m.start(m.lastindex))
               for m in _tokens(alphabet)(text)]
@@ -241,9 +245,12 @@ def parse_letters(text: str, alphabet: Optional[Tuple[str, ...]], letter, invers
     def invert(w):
         return [inverse(x) for x in reversed(w)]
 
-    def word():
+    def word(depth=0):
         """Factors with their suffixes, up to a closing mark or the end."""
         nonlocal i
+        if depth > WORD_NESTING_CAP:
+            raise ResourceBoundExceeded(f"a word nests deeper than {WORD_NESTING_CAP} levels "
+                                        "(groups.WORD_NESTING_CAP)")
         out = []
         while True:
             kind, value, _ = tokens[i]
@@ -253,12 +260,12 @@ def parse_letters(text: str, alphabet: Optional[Tuple[str, ...]], letter, invers
             if kind == _SYMBOL:
                 part = [letter(value)]
             elif value == "(":
-                part = word()
+                part = word(depth + 1)
                 expect(")")
             elif value == "[":
-                x = word()
+                x = word(depth + 1)
                 expect(",")
-                y = word()
+                y = word(depth + 1)
                 expect("]")
                 part = invert(x) + invert(y) + x + y
             else:
@@ -283,7 +290,7 @@ def parse_letters(text: str, alphabet: Optional[Tuple[str, ...]], letter, invers
                             i += 1
                             by = invert(by)
                     else:
-                        by = word()
+                        by = word(depth + 1)
                         expect(")")
                     part = invert(by) + part + by
             check_word_length(len(out) + len(part), "a word")

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from .automorphisms import free_inverse, free_reduce
 from .decision import is_trivial
 from .errors import ResourceBoundExceeded
 from .groups import (GroupDefinition, Word, check_word_length, parse_letters, parse_list,
@@ -31,22 +32,6 @@ FreeWord = Tuple[Tuple[str, int], ...]
 TWIST_CLOSURE_CAP = 4096
 # most words an expansion may hold, its fixed and twist-closed relators included
 EXPANSION_CAP = 4096
-
-
-def free_reduce(word: Sequence[Tuple[str, int]]) -> FreeWord:
-    out: List[Tuple[str, int]] = []
-    for sym, exp in word:
-        if exp == 0:
-            continue
-        if out and out[-1][0] == sym and out[-1][1] == -exp:
-            out.pop()
-        else:
-            out.append((sym, exp))
-    return tuple(out)
-
-
-def free_inverse(word: Sequence[Tuple[str, int]]) -> FreeWord:
-    return tuple((s, -e) for s, e in reversed(word))
 
 
 def parse_free_word(text: str, alphabet: Sequence[str] = ()) -> FreeWord:

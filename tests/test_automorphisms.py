@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from test_groups import BUILTINS, _d6_spinal
+from test_groups import BUILTINS, _d6_spinal, _gg_twin
 
 from branchgroups import automorphisms
 from branchgroups.automorphisms import (
+    build_recursive,
     compose,
     compose_all,
     format_perm,
@@ -242,6 +243,55 @@ def test_hash_consing_soundness(gg):
         assert state.act(v) == img
 
 
+def _canonical_key(state):
+    """The key the interning table holds a state under, rebuilt from the
+    state: its shape and the breadth-first serialization of its sections."""
+    seq, pos = [state], {state: 0}
+    for s in seq:
+        for c in s.children:
+            if c not in pos:
+                pos[c] = len(seq)
+                seq.append(c)
+    return state.shape, tuple((s.root_perm, tuple(pos[c] for c in s.children)) for s in seq)
+
+
+# a group whose recursive atoms refer to an interned rooted state and to each other
+REFERRING_FILE = ("group R\narity 2\nrooted s = (1 2)\nrecursive a = (s, a)\n"
+                  "recursive b = (a, b') s\n")
+
+
+def test_interned_states_are_closed_and_canonical():
+    groups = [builtin(name) for name in BUILTINS] + [_gg_twin(), _d6_spinal(),
+                                                     parse_group_file(REFERRING_FILE)]
+    rng = random.Random(17)
+    for g in groups:
+        for _ in range(20):
+            state = compose_all([rng.choice(g.canonical_letters)
+                                 for _ in range(rng.randint(1, 6))])
+            invert(state)
+            compose(state, state)
+    table = dict(automorphisms._INTERN)
+    for key, state in table.items():
+        assert len(state.children) == state.shape.branching(0)
+        assert _canonical_key(state) == key
+        for child in state.children:
+            assert table[_canonical_key(child)] is child
+
+
+def test_interning_an_atom_system_again_returns_the_same_states():
+    first, second = parse_group_file(REFERRING_FILE), parse_group_file(REFERRING_FILE)
+    assert all(first.states[x] is second.states[x] for x in "sab")
+    gg, twin = builtin("Gg"), _gg_twin()
+    assert all(twin.states[x] is gg.states[x] for x in "abcd")
+    flip = gg.states["a"].root_perm
+    again = build_recursive(gg.shape, {"a": flip}, {
+        "b": ([[("a", 1)], [("c", 1)]], None),
+        "c": ([[("a", 1)], [("d", 1)]], None),
+        "d": ([[], [("b", 1)]], None),
+    })
+    assert all(again[x] is gg.states[x] for x in "abcd")
+
+
 def test_intern_word_cap(monkeypatch):
     bsv = builtin("BSV")
     mu, tau = bsv.states["mu"], bsv.states["tau"]
@@ -256,6 +306,11 @@ def test_intern_word_cap(monkeypatch):
     assert not big.is_identity
     assert big.act((1,) * 12) == (1,) * 12  # adding 2^12 fixes 12 digits
     assert tau.act((1,) * 12) == (0,) * 12  # adding 1 carries through them
+    # every factor is checked, a state's as well as an atom's
+    monkeypatch.setattr(automorphisms, "SECTION_WORD_CAP", 3)
+    with pytest.raises(ResourceBoundExceeded, match=r"^section closure exceeded 3 letters in "
+                       r"one word \(automorphisms\.SECTION_WORD_CAP\)"):
+        intern_word(bsv.shape, [(mu, 1), (tau, 1)] * 4)
 
 
 def test_perm_cycles_order_and_format():

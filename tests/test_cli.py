@@ -1,10 +1,14 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
 
 from oracles import format_group_file, random_reduced_word
+from test_groups import ALESHIN_GRP, LAMPLIGHTER_GRP
 
 from branchgroups import (automorphisms, decision, groups, presentations, quotients, schreier,
                           spectra)
@@ -533,6 +537,50 @@ def test_cli_input_bounds_exit_3(tmp_path, monkeypatch, capsys, bound, text, arg
         path.write_text(text)
     assert main([arg.format(path=path) for arg in argv]) == EXIT_RESOURCE
     assert capsys.readouterr().err == f"resource bound exceeded: {message}\n"
+
+
+@pytest.mark.parametrize("text, argv, bound", [
+    (ALESHIN_GRP, ["order", "{path}", "c"], "groups.WORD_LENGTH_CAP"),
+    (LAMPLIGHTER_GRP, ["order", "{path}", "a"], "decision.ORDER_DEPTH_CAP"),
+    (LAMPLIGHTER_GRP, ["torsion-growth", "{path}", "--radius", "2"], "decision.ORDER_DEPTH_CAP"),
+], ids=["aleshin-rotation", "lamplighter-order", "lamplighter-torsion-growth"])
+def test_cli_orders_on_non_contracting_groups_exit_3(tmp_path, text, argv, bound):
+    # a fresh interpreter, as a user runs the probe: the time is the whole run's
+    path = tmp_path / "input.grp"
+    path.write_text(text)
+    src = os.path.dirname(os.path.dirname(automorphisms.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    start = time.perf_counter()
+    run = subprocess.run([sys.executable, "-m", "branchgroups.cli"]
+                         + [arg.format(path=path) for arg in argv],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 2
+    assert run.returncode == EXIT_RESOURCE
+    assert run.stderr.startswith("resource bound exceeded: ") and run.stderr.count("\n") == 1
+    assert run.stderr.endswith(f"({bound})\n")
+
+
+@pytest.mark.parametrize("text, argv, answer", [
+    (None, ["trivial", "Gg", "{word}"], EXIT_FALSE),
+    ("group X\narity 2\nrooted a = (1 2)\nrecursive b = ({word}, b)\n",
+     ["trivial", "{path}", "b"], EXIT_FALSE),
+    ("alphabet a\niterated {word}\n", ["present", "--file", "{path}"], EXIT_OK),
+], ids=["word", "group-file-entry", "presentation-iterated"])
+def test_cli_word_nesting_exits_3(tmp_path, capsys, text, argv, answer):
+    path = tmp_path / "input.txt"
+    cap = groups.WORD_NESTING_CAP
+    for depth in (cap, cap + 1, 1200):
+        word = "(" * depth + "a" + ")" * depth
+        if text is not None:
+            path.write_text(text.format(word=word))
+        code = main([arg.format(path=path, word=word) for arg in argv])
+        err = capsys.readouterr().err
+        if depth == cap:
+            assert (code, err) == (answer, "")
+        else:
+            assert code == EXIT_RESOURCE
+            assert err == (f"resource bound exceeded: a word nests deeper than {cap} levels "
+                           "(groups.WORD_NESTING_CAP)\n")
 
 
 def test_every_parsed_word_can_intern():

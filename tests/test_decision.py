@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import random_reduced_word
+from test_groups import LAMPLIGHTER_GRP
 
 from branchgroups import decision
 from branchgroups.decision import (
@@ -19,7 +20,8 @@ from branchgroups.decision import (
 )
 from branchgroups.automorphisms import perm_from_cycles
 from branchgroups.cli import parse_group_file
-from branchgroups.groups import Word, builtin, explicit_group, grigorchuk_2group
+from branchgroups.errors import ResourceBoundExceeded
+from branchgroups.groups import Word, _make_builtin, builtin, explicit_group, grigorchuk_2group
 from branchgroups.quotients import level_quotient
 from branchgroups.shapes import TreeShape
 
@@ -391,6 +393,31 @@ def test_canonical_portrait_depth(gg):
         w = Word(random_reduced_word(gg, n, rng), True)
         bound = max(1, (len(w.letters) - 1).bit_length()) + 1
         assert canonical_portrait_depth(gg, w) <= bound
+
+
+def test_canonical_portrait_depth_is_bounded():
+    # the lamplighter's section words never shrink, so its portrait has no depth
+    lamp = parse_group_file(LAMPLIGHTER_GRP)
+    with pytest.raises(ResourceBoundExceeded, match=r"^the canonical portrait went deeper than "
+                       r"768 levels \(decision\.ORDER_DEPTH_CAP\)$"):
+        canonical_portrait_depth(lamp, "a b")
+
+
+def test_order_recursion_depth_is_bounded():
+    # of 200 seeded BSV words, exactly these recurse past the bound; a fresh
+    # group, so no remembered order shortens a recursion
+    bsv = _make_builtin("BSV")
+    rng = random.Random(11)
+    deep = []
+    for i in range(200):
+        w = Word(random_reduced_word(bsv, rng.randint(60, 160), rng), True)
+        try:
+            assert order(bsv, w).kind in ("finite", "infinite")
+        except ResourceBoundExceeded as exc:
+            assert str(exc) == ("the recursion of order went deeper than 768 levels "
+                                "(decision.ORDER_DEPTH_CAP)")
+            deep.append(i)
+    assert deep == [36, 78, 165, 173, 176, 184, 197]
 
 
 def test_trivial_explicit_flavor():

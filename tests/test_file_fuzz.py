@@ -2,8 +2,9 @@
 
 The texts are built from the directive vocabulary of both formats, with
 random names, powers up to 10^12, brackets, commas and large arities.
+Each file goes through `trivial`, `order`, `torsion-growth` and `present`.
 Whatever the text, the CLI keeps its exit-code contract: 0, 1, 2 or 3,
-and no traceback or MemoryError on stderr.
+and no traceback, MemoryError or RecursionError on stderr.
 """
 
 import pytest
@@ -71,8 +72,11 @@ PRESENTATION_FILES = st.lists(PRESENTATION_LINES, max_size=6).map(
 def test_random_input_files_keep_the_exit_code_contract(tmp_path, capsys, text, word):
     path = tmp_path / "fuzz.txt"
     path.write_text(text)
-    for argv in (["trivial", str(path), word], ["present", "--file", str(path), "--depth", "2"]):
+    for argv in (["trivial", str(path), word], ["order", str(path), word],
+                 ["torsion-growth", str(path), "--radius", "1"],
+                 ["present", "--file", str(path), "--depth", "2"]):
         code = main(argv)
         err = capsys.readouterr().err
         assert code in (0, 1, 2, 3), (argv, text, code, err)
-        assert "Traceback" not in err and "MemoryError" not in err, (argv, text, err)
+        assert not any(bad in err for bad in ("Traceback", "MemoryError", "RecursionError")), (
+            argv, text, err)

@@ -591,6 +591,15 @@ def _gg_twin():
     })
 
 
+# two non-contracting automata (Aleshin's and the lamplighter's): the
+# rotation words of `order` double with depth on the first, and its
+# recursion never closes on the second
+ALESHIN_GRP = ("group Aleshin\narity 2\nrooted s = (1 2)\nrecursive a = (c, b) s\n"
+               "recursive b = (b, c) s\nrecursive c = (a, a)\n")
+LAMPLIGHTER_GRP = ("group Lamplighter\narity 2\nrooted s = (1 2)\nrecursive a = (b, a) s\n"
+                   "recursive b = (b, a)\n")
+
+
 # rooted (1 2) and (1 2 3): root permutations with cycles of lengths 1 and
 # 2, where the multiple s * lcm overshoots the order and power descent
 # had to lower it
@@ -678,6 +687,21 @@ def test_word_syntax_commutators_and_conjugates():
 def test_word_syntax_rejects_malformed_text(text):
     with pytest.raises(ValueError):
         builtin("Gg").parse_word(text)
+
+
+@pytest.mark.parametrize("nest", [lambda w: f"({w})", lambda w: f"[{w},a]",
+                                  lambda w: f"a^({w})", lambda w: f"[a,{w}^2]"],
+                         ids=["parentheses", "commutator", "conjugate", "mixed"])
+def test_word_nesting_is_bounded(monkeypatch, nest):
+    # commutators and conjugates double the letters per level: a small bound
+    monkeypatch.setattr(groups, "WORD_NESTING_CAP", 8)
+    gg, text = builtin("Gg"), "b"
+    for _ in range(8):
+        text = nest(text)
+    gg.parse_word(text)  # at the bound the text still parses
+    with pytest.raises(ResourceBoundExceeded,
+                       match=r"^a word nests deeper than 8 levels \(groups\.WORD_NESTING_CAP\)$"):
+        gg.parse_word(nest(text))
 
 
 def test_power_length_is_checked_before_expanding(monkeypatch):
