@@ -49,6 +49,10 @@ SECTION_CLOSURE_CAP = 200_000
 # most letters one of those words may hold; at least groups.WORD_LENGTH_CAP,
 # so that every word the parser accepts still interns
 SECTION_WORD_CAP = 1 << 20
+# most letters those words may hold together, about 100 MB; the closure of
+# a Gg word of SECTION_WORD_CAP letters, such as (abacad)^174762, holds
+# about 5 million
+SECTION_LETTERS_CAP = 1 << 23
 # most nodes `portrait` builds
 PORTRAIT_NODE_CAP = 1 << 16
 # most states `TreeAutomorphism.reachable_sections` collects
@@ -273,13 +277,14 @@ def free_reduce(word: Sequence[Tuple[object, int]]) -> tuple:
     """A word of (symbol, exponent) letters with every letter next to its
     inverse cancelled and every zero exponent dropped."""
     out: list = []
-    for sym, exp in word:
+    for letter in word:
+        sym, exp = letter
         if exp == 0:
             continue
         if out and out[-1][0] == sym and out[-1][1] == -exp:
             out.pop()
         else:
-            out.append((sym, exp))
+            out.append(letter)  # shared, not copied: closures hold millions
     return tuple(out)
 
 
@@ -298,8 +303,8 @@ def _word_machine(starts, atoms=None):
     and an inverse letter's is derived from its factor's.  The sections of
     a node are words on the shifted shape, so every node carries its tree
     shape.  Returns the interned state of each start node, in order;
-    SECTION_CLOSURE_CAP bounds the expanded nodes, SECTION_WORD_CAP their
-    letters.
+    SECTION_CLOSURE_CAP bounds the expanded nodes, SECTION_WORD_CAP the
+    letters of each of their words and SECTION_LETTERS_CAP those of all.
     """
     atoms = atoms or {}
     defs: dict = {}
@@ -330,6 +335,7 @@ def _word_machine(starts, atoms=None):
 
     perm_cache: dict = {}
     child_cache: dict = {}
+    held = [0]  # letters in the words of child_cache
 
     def perm_of(node):
         p = perm_cache.get(node)
@@ -362,6 +368,10 @@ def _word_machine(starts, atoms=None):
                         exceeded(f"{SECTION_WORD_CAP} letters in one word "
                                  "(automorphisms.SECTION_WORD_CAP)")
                 ch.append((below, free_reduce(factors)))
+                held[0] += len(ch[-1][1])
+            if held[0] > SECTION_LETTERS_CAP:
+                exceeded(f"{SECTION_LETTERS_CAP} letters in its words "
+                         "(automorphisms.SECTION_LETTERS_CAP)")
             child_cache[node] = ch
             if len(child_cache) > SECTION_CLOSURE_CAP:
                 exceeded(f"{SECTION_CLOSURE_CAP} intermediate words "

@@ -132,9 +132,13 @@ def _parse_cycles(rhs: str, m: int):
     return perm_from_cycles(m, cycles)
 
 
+def _is_group_file(source: str) -> bool:
+    return os.path.sep in source or source.endswith(".grp") or os.path.exists(source)
+
+
 def load_group(source: str) -> GroupDefinition:
     """A built-in name, or a path to a .grp definition file."""
-    if os.path.sep in source or source.endswith(".grp") or os.path.exists(source):
+    if _is_group_file(source):
         with open(source) as fh:
             return parse_group_file(fh.read())
     return builtin(source)
@@ -343,7 +347,11 @@ def _dispatch(args) -> int:
 
     if cmd == "schreier":
         if args.substitution:
-            graph = schreier.substitutional_expand(group.name, args.level)
+            # the rules are written for the built-ins; a file may reuse a built-in's name
+            if _is_group_file(args.group):
+                raise ValueError(f"substitution rules belong to the built-in groups; "
+                                 f"{args.group} is a group file")
+            graph = schreier.substitutional_expand(args.group, args.level)
         else:
             graph = schreier.schreier_graph(group, args.level)
         print(f"vertices: {len(graph.vertices)}, edges: {len(graph.edges)}, "

@@ -1006,6 +1006,22 @@ def _alias_directed(g: GroupDefinition, alias: str):
 # -- GGS torsion criterion -------------------------------------------------
 
 
+def least_prime(n: int) -> int:
+    """The least prime dividing n > 1."""
+    return next(d for d in range(2, n + 1) if n % d == 0)
+
+
+def p_exponent(n: int, p: int, what: str) -> int:
+    """e with n = p^e; ValueError(what) when n is not a power of p."""
+    e = 0
+    while n > 1 and n % p == 0:
+        n //= p
+        e += 1
+    if n != 1:
+        raise ValueError(what)
+    return e
+
+
 def is_ggs_torsion(v: GGSVector) -> bool:
     """Torsion test for GGS groups over m = p^n points.
 
@@ -1014,18 +1030,11 @@ def is_ggs_torsion(v: GGSVector) -> bool:
     vanish mod p^{k+1} for k = 0, ..., n-1.
     """
     m = v.m
-    p = None
-    for q in range(2, m + 1):
-        if m % q == 0:
-            p = q
-            break
-    n = 0
-    mm = m
-    while mm % p == 0:
-        mm //= p
-        n += 1
-    if mm != 1:
-        raise ValidationError("torsion criterion", f"m={m} is not a prime power")
+    p = least_prime(m)
+    try:
+        n = p_exponent(m, p, f"m={m} is not a prime power")
+    except ValueError as exc:
+        raise ValidationError("torsion criterion", str(exc)) from None
     for k in range(n):
         total = sum(v.exponents[s - 1] for s in range(p**k, m, p**k))
         if total % p ** (k + 1) != 0:

@@ -47,7 +47,7 @@ import numpy as np
 
 from .automorphisms import TreeAutomorphism
 from .errors import ResourceBoundExceeded
-from .groups import GroupDefinition
+from .groups import GroupDefinition, least_prime, p_exponent
 
 _IMAGE_CACHE: Dict[Tuple[int, int], np.ndarray] = {}
 
@@ -283,7 +283,7 @@ def _layered_prime(group: GroupDefinition, level: int,
     r fixed per vertex.  W_n(p) is a group, so the generators decide it.
     """
     p = group.shape.branching(0)
-    if _root_prime(group) != p or any(group.shape.branching(i) != p for i in range(level)):
+    if least_prime(p) != p or any(group.shape.branching(i) != p for i in range(level)):
         return None
     for g in gens:
         for j in range(level):
@@ -705,23 +705,6 @@ def derived_series_orders(q: LevelQuotient, kmax: int) -> List[int]:
     return [h.order() for h in _series(q, kmax, derived=True)]
 
 
-def _p_exponent(n: int, p: int, what: str) -> int:
-    """e with n = p^e; ValueError(what) when n is not a power of p."""
-    e = 0
-    while n > 1 and n % p == 0:
-        n //= p
-        e += 1
-    if n != 1:
-        raise ValueError(what)
-    return e
-
-
-def _root_prime(group: GroupDefinition) -> int:
-    """The least prime dividing the root branching index."""
-    m = group.shape.branching(0)
-    return next(d for d in range(2, m + 1) if m % d == 0)
-
-
 def lower_central_ranks(group: GroupDefinition, level: int, kmax: int) -> List[int]:
     """log_p |gamma_k / gamma_{k+1}| in the level quotient, k = 1..kmax.
 
@@ -731,10 +714,10 @@ def lower_central_ranks(group: GroupDefinition, level: int, kmax: int) -> List[i
     level 3 the first entry is 4, but a^2 is not in gamma_2, so G/gamma_2
     of order 2^4 has rank 2.
     """
-    p = _root_prime(group)
+    p = least_prime(group.shape.branching(0))
     series = _series(level_quotient(group, level), kmax + 1, derived=False)
-    ranks = [_p_exponent(series[k].order() // series[k + 1].order(), p,
-                         f"gamma_{k + 1}/gamma_{k + 2} is not a {p}-group")
+    ranks = [p_exponent(series[k].order() // series[k + 1].order(), p,
+                        f"gamma_{k + 1}/gamma_{k + 2} is not a {p}-group")
              for k in range(min(kmax, len(series) - 1))]
     return ranks + [0] * (kmax - len(ranks))
 
@@ -997,19 +980,22 @@ def hausdorff_ratio_exact(group: GroupDefinition, level: int) -> Fraction:
     the prime p dividing the root branching index; ValueError unless both
     orders are powers of p."""
     _check_hausdorff_level(level)
-    p = _root_prime(group)
+    p = least_prime(group.shape.branching(0))
     what = f"order is not a power of {p}"
-    return Fraction(_p_exponent(level_quotient(group, level).order(), p, what),
-                    _p_exponent(sylow_wreath_order(group, level), p, what))
+    return Fraction(p_exponent(level_quotient(group, level).order(), p, what),
+                    p_exponent(sylow_wreath_order(group, level), p, what))
 
 
 def format_order(n: int) -> str:
-    """Print a prime power as p^e, otherwise decimal."""
-    for p in range(2, 1000):
-        if n % p == 0:
-            try:
-                e = _p_exponent(n, p, "not a prime power")
-            except ValueError:
-                break
-            return f"{p}^{e}" if e > 1 else str(n)
+    """Print a prime power as p^e, otherwise decimal.  The orders printed
+    are those of level quotients, whose primes are at most the largest
+    branching index."""
+    if n > 1:
+        p = least_prime(n)
+        try:
+            e = p_exponent(n, p, "not a prime power")
+        except ValueError:
+            return str(n)
+        if e > 1:
+            return f"{p}^{e}"
     return str(n)

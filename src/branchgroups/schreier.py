@@ -7,12 +7,16 @@ level-n stage of the spine ray.  Edges are read off the generators'
 level permutations (`LevelQuotient.perm_of_state`), whose indices are
 the positions of the vertices in lexicographic order.
 
-Substitutional rules rebuild these graphs without the group action: the
-level-1 graph is the axiom, and each expansion step prepends a letter to
-every vertex name while replacing the rooted-generator edges by a fixed
-local pattern.  Because the rules dictate the vertex names, agreement
-with the direct construction is checked by exact equality of labeled
-vertex/edge sets, not by isomorphism search.
+Substitutional rules rebuild these graphs without the group action.
+Each rule is a formula that maps the level-n permutation of every
+generator label to the level-(n+1) one.  The level-(n+1) vertex xw has
+index x*N + (index of w), N the size of level n, so the rule reads off
+the wreath recursion: with | joining blocks, Gg's b = (a, c) gives
+b' = [a | N+c].  Expansion starts from level 0, the one-vertex graph on
+which every image is 0.  Both constructions turn the permutations into
+edges through one loop, so agreement with the direct construction is
+checked by exact equality of labeled vertex/edge sets, not by
+isomorphism search.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
-from .automorphisms import perm_cycles
 from .groups import GroupDefinition, builtin
 from .quotients import check_level_degree, level_quotient
 from .shapes import format_vertex
@@ -174,153 +177,83 @@ def _generator_pairs(group: GroupDefinition):
     return out
 
 
-def schreier_graph(group: GroupDefinition, level: int) -> SchreierGraph:
-    """Direct construction from the level action."""
-    quotient = level_quotient(group, level)  # checks the level degree first
+def _level_graph(group: GroupDefinition, level: int,
+                 perms: Dict[str, np.ndarray]) -> SchreierGraph:
+    """The level graph whose `label` edges join vertex i to vertex
+    perms[label][i], indices as positions in lexicographic order."""
     verts = group.shape.vertices(level)
     edges: List[Edge] = []
     pairs = _generator_pairs(group)
-    involutions = {label: inv for label, _, inv in pairs}
-    for label, letter, is_inv in pairs:
-        images = quotient.perm_of_state(letter).tolist()
-        for i, j in enumerate(images):
+    for label, _, is_inv in pairs:
+        for i, j in enumerate(perms[label].tolist()):
             # fold an involution to one undirected edge per pair; indices
             # compare as the lexicographically ordered vertices do
             if not is_inv or i <= j:
                 edges.append((verts[i], verts[j], label))
     basepoint = tuple(group.shape.branching(i) - 1 for i in range(level))
-    labels = [label for label, _, _ in pairs]
-    return SchreierGraph(verts, edges, basepoint, labels, involutions)
+    return SchreierGraph(verts, edges, basepoint, [label for label, _, _ in pairs],
+                         {label: inv for label, _, inv in pairs})
+
+
+def schreier_graph(group: GroupDefinition, level: int) -> SchreierGraph:
+    """Direct construction from the level action."""
+    quotient = level_quotient(group, level)  # checks the level degree first
+    return _level_graph(group, level, {label: quotient.perm_of_state(letter)
+                                       for label, letter, _ in _generator_pairs(group)})
 
 
 # -- substitutional rules -------------------------------------------------
 
 
-class SubstitutionRules:
-    """Per-edge rewriting rules for a family of Schreier graphs.
-
-    ``axiom`` is the level-1 graph.  One expansion step prepends
-    ``include_letter`` to every vertex and rewrites:
-
-    * the ``match_label`` edges, read as one permutation of the vertices
-      (an involution's single stored edge both ways), cover the vertices
-      with its cycles, each starting at its least vertex: an edge pair
-      for Gg, a directed triangle for the ternary groups.  Each cycle is
-      replaced by ``expand_match(cycle)``, which returns the new vertices
-      and edges;
-    * every other edge (u, v, label) becomes ``relabel[label]`` between
-      the included vertices, or is carried verbatim when label is not in
-      ``relabel``.
-    """
-
-    def __init__(self, name: str, axiom: SchreierGraph, include_letter: int,
-                 match_label: str, expand_match, relabel: Dict[str, str]):
-        self.name = name
-        self.axiom = axiom
-        self.include_letter = include_letter
-        self.match_label = match_label
-        self.expand_match = expand_match
-        self.relabel = relabel
-
-    def step(self, graph: SchreierGraph) -> SchreierGraph:
-        inc = self.include_letter
-        index = {v: i for i, v in enumerate(graph.vertices)}
-        perm = list(range(len(index)))
-        both_ways = graph.involutions.get(self.match_label, False)
-        new_edges: List[Edge] = []
-        for u, v, label in graph.edges:
-            if label == self.match_label:
-                perm[index[u]] = index[v]
-                if both_ways:
-                    perm[index[v]] = index[u]
-            else:
-                new_edges.append(((inc,) + u, (inc,) + v, self.relabel.get(label, label)))
-        # a vertex without a matched edge is a fixed point; two matched
-        # edges into one vertex leave perm no permutation
-        if len(set(perm)) < len(perm) or any(i == j for i, j in enumerate(perm)):
-            raise ValueError(
-                f"{self.match_label}-edges do not cover the vertices; "
-                "rule set does not apply"
-            )
-        new_vertices: List[Vertex] = []
-        for cycle in perm_cycles(perm):
-            verts, edges = self.expand_match(tuple(graph.vertices[i] for i in cycle))
-            new_vertices.extend(verts)
-            new_edges.extend(edges)
-        return SchreierGraph(new_vertices, new_edges, (inc,) + graph.basepoint,
-                             graph.labels, graph.involutions)
-
-    def expand(self, steps: int) -> SchreierGraph:
-        """Apply `steps` expansion steps to the axiom (level 1 + steps)."""
-        g = self.axiom
-        for _ in range(steps):
-            g = self.step(g)
-        return g
+def _gg_rule(perms):
+    # a = (1 2), b = (a, c), c = (a, d), d = (1, b)
+    a, b, c, d = perms["a"], perms["b"], perms["c"], perms["d"]
+    n = len(a)
+    i = np.arange(n)
+    return {"a": np.concatenate((i + n, i)), "b": np.concatenate((a, n + c)),
+            "c": np.concatenate((a, n + d)), "d": np.concatenate((i, n + b))}
 
 
-def _gg_rules() -> SubstitutionRules:
-    def expand_match(cycle):
-        # an a-edge sigma--tau (sigma < tau) becomes the path
-        # 2sigma -a- 1sigma =b,c= 1tau -a- 2tau with d-loops at the 1's
-        sigma, tau = cycle
-        s1, s2, t1, t2 = (0,) + sigma, (1,) + sigma, (0,) + tau, (1,) + tau
-        edges = [(s1, s2, "a"), (s1, t1, "b"), (s1, t1, "c"), (t1, t2, "a"),
-                 (s1, s1, "d"), (t1, t1, "d")]
-        return [s1, s2, t1, t2], edges
+def _ternary_rule(exponents):
+    e1, e2 = exponents
 
-    return SubstitutionRules(
-        "Gg", schreier_graph(builtin("Gg"), 1), include_letter=1, match_label="a",
-        expand_match=expand_match, relabel={"b": "d", "c": "b", "d": "c"},
-    )
+    def rule(perms):
+        # a = (1 2 3), t = (a^e1, a^e2, t)
+        a, t = perms["a"], perms["t"]
+        n = len(a)
+        i = np.arange(n)
+        powers = (i, a, a[a])
+        return {"a": np.concatenate((i + n, i + 2 * n, i)),
+                "t": np.concatenate((powers[e1], n + powers[e2], 2 * n + t))}
 
-
-def _ternary_rules(name: str) -> SubstitutionRules:
-    group = builtin(name)
-    # the wreath recursion t = (a^e1, a^e2, t), (e1, e2) = (1, 0), (1, 1),
-    # (1, 2) for FGg, BGg, GSg; t on the third copy is the included t-edge
-    exponents = group.ggs_vector.exponents
-
-    def expand_match(cycle):
-        # an a-triangle x_0 -> x_1 -> x_2 (a(x_k) = x_k+1) becomes three
-        # a-triangles 1x -> 2x -> 3x, and t moves j x_k to j x_(k + e_j)
-        verts = []
-        edges = []
-        for x in cycle:
-            x1, x2, x3 = (0,) + x, (1,) + x, (2,) + x
-            verts.extend([x1, x2, x3])
-            edges.extend([(x1, x2, "a"), (x2, x3, "a"), (x3, x1, "a")])
-        for j, e in enumerate(exponents):
-            edges.extend(((j,) + x, (j,) + cycle[(k + e) % 3], "t")
-                         for k, x in enumerate(cycle))
-        return verts, edges
-
-    return SubstitutionRules(
-        name, schreier_graph(group, 1), include_letter=2, match_label="a",
-        expand_match=expand_match, relabel={},
-    )
+    return rule
 
 
-_RULE_SETS = {}
+_RULES = {}
 
 
-def substitution_rules(name: str) -> SubstitutionRules:
-    """Built-in rule sets: Gg, FGg, BGg, GSg (BGg and GSg give graphs
-    isomorphic to each other)."""
+def substitution_rules(name: str):
+    """The substitutional rule of a built-in group: Gg, FGg, BGg, GSg
+    (BGg and GSg give graphs isomorphic to each other).  The rule maps
+    the level-n permutation of each generator label to the level-(n+1)
+    one."""
     key = builtin(name).name
-    if key not in _RULE_SETS:
+    if key not in _RULES:
         if key == "Gg":
-            _RULE_SETS[key] = _gg_rules()
+            _RULES[key] = _gg_rule
         elif key in ("FGg", "BGg", "GSg"):
-            _RULE_SETS[key] = _ternary_rules(key)
+            _RULES[key] = _ternary_rule(builtin(key).ggs_vector.exponents)
         else:
             raise KeyError(f"no substitution rules for {key!r}")
-    return _RULE_SETS[key]
+    return _RULES[key]
 
 
 def substitutional_expand(name: str, level: int) -> SchreierGraph:
-    """Schreier graph at a level from the substitutional rules alone."""
-    check_level_degree(builtin(name), level)
-    if level == 0:
-        return schreier_graph(builtin(name), 0)
-    return substitution_rules(name).expand(level - 1)
-
+    """Schreier graph at a level from the substitutional rules alone,
+    applied `level` times to the one-vertex graph of level 0."""
+    group = builtin(name)
+    check_level_degree(group, level)
+    perms = {label: np.zeros(1, dtype=np.int64) for label, _, _ in _generator_pairs(group)}
+    for _ in range(level):
+        perms = substitution_rules(name)(perms)
+    return _level_graph(group, level, perms)

@@ -147,16 +147,12 @@ def gg_closed_form(level: int) -> np.ndarray:
     return np.sort(np.array(values))
 
 
-def julia_set_approx(lam: float, depth: int) -> np.ndarray:
-    """Depth-d approximants of J(lam): +-sqrt(lam +- sqrt(lam +- ...)).
-
-    All sign choices with d nested radicals, real branches only (negative
-    radicands are discarded).
-    """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+def _julia_levels(lam: float, depth: int) -> List[List[float]]:
+    """The sorted approximants of each depth 1..depth, each level computed
+    from the one before."""
     if lam < 0:
         raise ValueError("lambda must be >= 0")
+    levels = []
     inner = [0.0]
     for _ in range(depth):
         nxt = set()
@@ -167,7 +163,19 @@ def julia_set_approx(lam: float, depth: int) -> np.ndarray:
                     nxt.add(r)
                     nxt.add(-r)
         inner = sorted(nxt)
-    return np.array(inner)
+        levels.append(inner)
+    return levels
+
+
+def julia_set_approx(lam: float, depth: int) -> np.ndarray:
+    """Depth-d approximants of J(lam): +-sqrt(lam +- sqrt(lam +- ...)).
+
+    All sign choices with d nested radicals, real branches only (negative
+    radicands are discarded).
+    """
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    return np.array(_julia_levels(lam, depth)[-1])
 
 
 def julia_set_cumulative(lam: float, depth: int) -> np.ndarray:
@@ -177,10 +185,7 @@ def julia_set_cumulative(lam: float, depth: int) -> np.ndarray:
     accumulates across depths: a shallow value like sqrt(lam) belongs to
     every stage but is not itself a deep sign-choice evaluation.
     """
-    vals = set()
-    for d in range(1, depth + 1):
-        vals.update(float(x) for x in julia_set_approx(lam, d))
-    return np.array(sorted(vals))
+    return np.array(sorted(set().union(*_julia_levels(lam, depth))))
 
 
 def fgg_reference(level: int, depth: Optional[int] = None) -> np.ndarray:

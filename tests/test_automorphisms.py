@@ -311,6 +311,12 @@ def test_intern_word_cap(monkeypatch):
     with pytest.raises(ResourceBoundExceeded, match=r"^section closure exceeded 3 letters in "
                        r"one word \(automorphisms\.SECTION_WORD_CAP\)"):
         intern_word(bsv.shape, [(mu, 1), (tau, 1)] * 4)
+    # and the letters of all the words together
+    monkeypatch.setattr(automorphisms, "SECTION_WORD_CAP", 1 << 20)
+    monkeypatch.setattr(automorphisms, "SECTION_LETTERS_CAP", 3)
+    with pytest.raises(ResourceBoundExceeded, match=r"^section closure exceeded 3 letters in "
+                       r"its words \(automorphisms\.SECTION_LETTERS_CAP\)"):
+        intern_word(bsv.shape, [(mu, 1), (tau, 1)] * 4)
 
 
 def test_perm_cycles_order_and_format():

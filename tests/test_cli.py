@@ -323,6 +323,20 @@ def test_cli_schreier_and_spectrum(tmp_path, capsys):
     assert csv.read_text().startswith("level,index,eigenvalue")
 
 
+def test_cli_substitution_refuses_a_group_file(tmp_path, capsys):
+    # the file takes FGg's name with BGg's recursion; the substitution
+    # rules are written for the built-in groups only
+    path = tmp_path / "fgg.grp"
+    path.write_text("group FGg\narity 3\nrooted a = (1 2 3)\nrecursive t = (a, a, t)\n")
+    assert main(["schreier", str(path), "--level", "2", "--growth"]) == EXIT_OK
+    assert capsys.readouterr().out.endswith("growth: [1, 2, 4, 2]\n")
+    assert main(["schreier", str(path), "--level", "2", "--growth", "--substitution"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: substitution rules belong to the built-in groups; "
+                            f"{path} is a group file\n")
+
+
 @pytest.mark.parametrize("name, level, diameter", [("Gg", 12, 4095), ("FGg", 7, 127)])
 def test_cli_deep_schreier_diameters(capsys, name, level, diameter):
     assert main(["schreier", name, "--level", str(level), "--diameter"]) == EXIT_OK
@@ -539,12 +553,21 @@ def test_cli_input_bounds_exit_3(tmp_path, monkeypatch, capsys, bound, text, arg
     assert capsys.readouterr().err == f"resource bound exceeded: {message}\n"
 
 
-@pytest.mark.parametrize("text, argv, bound", [
-    (ALESHIN_GRP, ["order", "{path}", "c"], "groups.WORD_LENGTH_CAP"),
-    (LAMPLIGHTER_GRP, ["order", "{path}", "a"], "decision.ORDER_DEPTH_CAP"),
-    (LAMPLIGHTER_GRP, ["torsion-growth", "{path}", "--radius", "2"], "decision.ORDER_DEPTH_CAP"),
-], ids=["aleshin-rotation", "lamplighter-order", "lamplighter-torsion-growth"])
-def test_cli_orders_on_non_contracting_groups_exit_3(tmp_path, text, argv, bound):
+# b = (b b, a' b) is not finite-state; its section closure once held
+# gigabytes before a bound on one word or on the word count was reached
+DOUBLING_GRP = "group W\narity 2\nrooted a = (1 2)\nrecursive b = (b b, a' b)\n"
+
+
+@pytest.mark.parametrize("text, argv, ending", [
+    (ALESHIN_GRP, ["order", "{path}", "c"], "(groups.WORD_LENGTH_CAP)\n"),
+    (LAMPLIGHTER_GRP, ["order", "{path}", "a"], "(decision.ORDER_DEPTH_CAP)\n"),
+    (LAMPLIGHTER_GRP, ["torsion-growth", "{path}", "--radius", "2"],
+     "(decision.ORDER_DEPTH_CAP)\n"),
+    (DOUBLING_GRP, ["order", "{path}", "b"],
+     "(automorphisms.SECTION_LETTERS_CAP); the element may not be finite-state\n"),
+], ids=["aleshin-rotation", "lamplighter-order", "lamplighter-torsion-growth",
+        "doubling-section-letters"])
+def test_cli_orders_on_non_contracting_groups_exit_3(tmp_path, text, argv, ending):
     # a fresh interpreter, as a user runs the probe: the time is the whole run's
     path = tmp_path / "input.grp"
     path.write_text(text)
@@ -557,7 +580,7 @@ def test_cli_orders_on_non_contracting_groups_exit_3(tmp_path, text, argv, bound
     assert time.perf_counter() - start < 2
     assert run.returncode == EXIT_RESOURCE
     assert run.stderr.startswith("resource bound exceeded: ") and run.stderr.count("\n") == 1
-    assert run.stderr.endswith(f"({bound})\n")
+    assert run.stderr.endswith(ending)
 
 
 @pytest.mark.parametrize("text, argv, answer", [

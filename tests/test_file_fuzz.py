@@ -2,9 +2,10 @@
 
 The texts are built from the directive vocabulary of both formats, with
 random names, powers up to 10^12, brackets, commas and large arities.
-Each file goes through `trivial`, `order`, `torsion-growth` and `present`.
-Whatever the text, the CLI keeps its exit-code contract: 0, 1, 2 or 3,
-and no traceback, MemoryError or RecursionError on stderr.
+Well-formed group files, with query words over their own names, reach
+the engines.  Each file goes through `trivial`, `order`, `torsion-growth`
+and `present`.  Whatever the text, the CLI keeps its exit-code contract:
+0, 1, 2 or 3, and no traceback, MemoryError or RecursionError on stderr.
 """
 
 import pytest
@@ -13,6 +14,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from branchgroups import automorphisms, groups  # noqa: E402
 from branchgroups.cli import main  # noqa: E402
 
 _KNOWN = st.sampled_from(["a", "b", "c", "d", "t", "mu"])  # mostly names a file defines
@@ -66,10 +68,34 @@ PRESENTATION_FILES = st.lists(PRESENTATION_LINES, max_size=6).map(
     lambda lines: "alphabet a b c d\n" + "\n".join(lines) + "\n")
 
 
+@st.composite
+def well_formed_group_files(draw):
+    """(text, word): a group file the parser accepts, so that the commands
+    reach the engines, and a query word over the file's own names.  The
+    file has arity 2 or 3, one rooted cycle a and 1-3 recursive
+    generators whose entries are words over the names it defines."""
+    m = draw(st.integers(2, 3))
+    points = draw(st.permutations(range(1, m + 1)))
+    names = ["a", "b", "c", "d"][:draw(st.integers(2, 4))]
+    letters = st.tuples(st.sampled_from(names), st.sampled_from(["", "^-1", "^2"])).map("".join)
+    entries = st.one_of(st.just("1"), st.lists(letters, min_size=1, max_size=3).map(" ".join))
+    lines = ["group W", f"arity {m}", f"rooted a = {_cycle(points[:draw(st.integers(2, m))])}"]
+    for name in names[1:]:
+        row = ", ".join(draw(st.lists(entries, min_size=m, max_size=m)))
+        lines.append(f"recursive {name} = ({row}){draw(st.sampled_from(['', ' a']))}")
+    return "\n".join(lines) + "\n", " ".join(draw(st.lists(letters, min_size=1, max_size=6)))
+
+
 @settings(max_examples=60, derandomize=True, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
-@given(text=st.one_of(GROUP_FILES, PRESENTATION_FILES), word=WORDS)
-def test_random_input_files_keep_the_exit_code_contract(tmp_path, capsys, text, word):
+@given(case=st.one_of(st.tuples(st.one_of(GROUP_FILES, PRESENTATION_FILES), WORDS),
+                     well_formed_group_files()))
+def test_random_input_files_keep_the_exit_code_contract(tmp_path, monkeypatch, capsys, case):
+    # smaller bounds keep a file that is not finite-state or not contracting
+    # cheap; test_cli probes the real bounds in a fresh interpreter
+    monkeypatch.setattr(automorphisms, "SECTION_LETTERS_CAP", 1 << 18)
+    monkeypatch.setattr(groups, "WORD_LENGTH_CAP", 1 << 14)
+    text, word = case
     path = tmp_path / "fuzz.txt"
     path.write_text(text)
     for argv in (["trivial", str(path), word], ["order", str(path), word],

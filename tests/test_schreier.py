@@ -198,36 +198,12 @@ def test_fgg_level_one():
 
 
 def test_substitution_matches_direct():
-    for name, levels in (("Gg", 10), ("FGg", 7), ("BGg", 7), ("GSg", 7)):
+    # every expansion starts from the one-vertex graph of level 0
+    for name, levels in (("Gg", 12), ("FGg", 8), ("BGg", 8), ("GSg", 8)):
         group = builtin(name)
-        for n in range(1, levels + 1):
-            expanded, direct = substitutional_expand(name, n), schreier_graph(group, n)
-            assert expanded == direct, (name, n)
-            assert expanded.edges == direct.edges, (name, n)
-
-
-def test_substitution_axiom_is_level_one():
-    rules = substitution_rules("Gg")
-    assert rules.expand(0) == schreier_graph(builtin("Gg"), 1)
-
-
-@pytest.mark.parametrize("name", ["Gg", "FGg"])
-def test_substitution_step_needs_matched_edges_on_every_vertex(name):
-    rules = substitution_rules(name)
-    graph = rules.expand(1)
-    u, v, _ = next(e for e in graph.edges if e[2] == "a")
-    # one a-edge gone: u keeps no a-edge out (and v none in)
-    edges = [e for e in graph.edges if e != (u, v, "a")]
-    broken = SchreierGraph(graph.vertices, edges, graph.basepoint, graph.labels,
-                           graph.involutions)
-    with pytest.raises(ValueError, match="a-edges do not cover the vertices"):
-        rules.step(broken)
-    # an a-edge bent onto another vertex's target: no permutation
-    w = next(y for x, y, label in graph.edges if label == "a" and x != u and y != v)
-    bent = SchreierGraph(graph.vertices, edges + [(u, w, "a")], graph.basepoint,
-                         graph.labels, graph.involutions)
-    with pytest.raises(ValueError, match="a-edges do not cover the vertices"):
-        rules.step(bent)
+        for n in range(levels + 1):
+            assert _fields(substitutional_expand(name, n)) == _fields(
+                schreier_graph(group, n)), (name, n)
 
 
 def test_bgg_gsg_graphs_isomorphic_via_relabel():
