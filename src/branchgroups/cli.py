@@ -369,6 +369,10 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if cmd == "spectrum":
+        # the closed forms are written for the built-ins; a file may reuse a built-in's name
+        if args.closed_form and _is_group_file(args.group):
+            raise ValueError(f"closed forms belong to the built-in groups; "
+                             f"{args.group} is a group file")
         report = spectra.spectral_report(group, args.level)
         if args.closed_form and report.max_deviation is not None:
             print(f"max deviation from closed form: {report.max_deviation:.3e}")

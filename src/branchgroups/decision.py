@@ -66,6 +66,8 @@ ORDER_BOUND = 1 << 20
 # most open words on the recursion path of `order` (each is one interpreter
 # frame), and the deepest level `canonical_portrait_depth` expands
 ORDER_DEPTH_CAP = 768
+# most elements `ball` (and so `growth_values` and `torsion_growth`) keeps
+BALL_SIZE_CAP = 1 << 19
 # width of the bracket `eta_weights` bisects down to
 ETA_TOLERANCE = 1e-14
 
@@ -293,7 +295,8 @@ def ball(group: GroupDefinition, radius: int) -> List[Word]:
     An extension by a letter that got no longer and is made of canonical
     letters is skipped; any other one is keyed by its action on a finite
     level and dropped when `equal` to an earlier word with that key, so
-    the result is exact.
+    the result is exact.  Keeping more than BALL_SIZE_CAP elements raises
+    ResourceBoundExceeded.
     """
     return [w for layer in _ball_layers(group, radius) for w in layer]
 
@@ -311,6 +314,7 @@ def _ball_layers(group: GroupDefinition, radius: int) -> List[List[Word]]:
     id_word = Word((), True)
     elements: dict = {perm_of_word(id_word).tobytes(): [id_word]}
     layers = [[id_word]]
+    size = 1
     for _ in range(radius):
         layer = []
         for w in layers[-1]:
@@ -321,6 +325,11 @@ def _ball_layers(group: GroupDefinition, radius: int) -> List[List[Word]]:
                 word_obj = Word(nw, True)
                 bucket = elements.setdefault(perm_of_word(word_obj).tobytes(), [])
                 if not any(equal(group, word_obj, old) for old in bucket):
+                    size += 1
+                    if size > BALL_SIZE_CAP:
+                        raise ResourceBoundExceeded(
+                            f"the ball of radius {radius} has more than {BALL_SIZE_CAP} "
+                            "elements, the bound on a ball (decision.BALL_SIZE_CAP)")
                     bucket.append(word_obj)
                     layer.append(word_obj)
         layers.append(layer)

@@ -27,11 +27,12 @@ Every subgroup is a `SubgroupHandle`: its generators, its order once
 known, and a chain whose tail below `depth` prescribed base points is a
 point stabilizer.  The quotient is the depth-0 handle over the generator
 images, and `level_quotient` keeps one per (group, level) on the group.
-The quotient also owns the subgroups built on it: its lower central and
+The quotient also owns what is built on it: its lower central and
 derived series (extended lazily; G' is the handle of gamma_2), the rigid
-stabilizer of each vertex, the rigid level stabilizer of each depth and
-the suborbit profile of each basepoint.  Each is built once, lives as
-long as the quotient and is read-only.  Permutations are numpy int32
+stabilizer of each vertex, the rigid level stabilizer of each depth, the
+suborbit profile of each basepoint and the eigenvalues of the level's
+sum-zero spectrum block (`spectra`).  Each is built once, lives as long
+as the quotient and is read-only.  Permutations are numpy int32
 arrays composed by fancy indexing; group orders are exact Python
 integers.
 """
@@ -566,6 +567,8 @@ class LevelQuotient(SubgroupHandle):
         self._rist_level: Dict[int, SubgroupHandle] = {}
         self._stabilizer_gens: Dict[int, List[np.ndarray]] = {}
         self._suborbits: Dict[int, Tuple[int, ...]] = {}
+        # eigenvalues of the level's sum-zero spectrum block, see spectra
+        self._spectrum_block: Optional[np.ndarray] = None
 
     def layered_prime(self) -> Optional[int]:
         """p when G_n lies in W_n(p), so layered sequences serve; None when

@@ -337,6 +337,29 @@ def test_cli_substitution_refuses_a_group_file(tmp_path, capsys):
                             f"{path} is a group file\n")
 
 
+@pytest.mark.parametrize("text, rows", [
+    # Gg's name over an automaton whose level-4 spectrum is far from Gg's
+    # closed form, and FGg's name over BGg's recursion
+    ("group Gg\narity 2\nrooted a = (1 2)\nrecursive b = (a, b)\n", 16),
+    ("group FGg\narity 3\nrooted a = (1 2 3)\nrecursive t = (a, a, t)\n", 81),
+])
+def test_cli_closed_form_refuses_a_group_file(tmp_path, capsys, text, rows):
+    path = tmp_path / "named.grp"
+    path.write_text(text)
+    csv = tmp_path / "s.csv"
+    assert main(["spectrum", str(path), "--level", "4", "--closed-form",
+                 "--csv", str(csv)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and not csv.exists()
+    assert captured.err == (f"error: closed forms belong to the built-in groups; "
+                            f"{path} is a group file\n")
+    # without --closed-form the file's spectrum is compared with nothing
+    assert main(["spectrum", str(path), "--level", "4", "--csv", str(csv)]) == EXIT_OK
+    lines = csv.read_text().splitlines()
+    assert len(lines) == 1 + rows
+    assert all(line.endswith(",") for line in lines[1:])
+
+
 @pytest.mark.parametrize("name, level, diameter", [("Gg", 12, 4095), ("FGg", 7, 127)])
 def test_cli_deep_schreier_diameters(capsys, name, level, diameter):
     assert main(["schreier", name, "--level", str(level), "--diameter"]) == EXIT_OK
@@ -465,6 +488,17 @@ def test_cli_ball_and_torsion(capsys):
     assert "gamma(2) = 11" in capsys.readouterr().out
     assert main(["torsion-growth", "Gg", "--radius", "1"]) == EXIT_OK
     assert "pi(1) = 2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("cmd, radius", [("ball", "40"), ("torsion-growth", "5")])
+def test_cli_ball_size_bound_exits_3(monkeypatch, capsys, cmd, radius):
+    # the cap stands in for the 2^19 elements of a real run
+    monkeypatch.setattr(decision, "BALL_SIZE_CAP", 40)
+    assert main([cmd, "Gg", "--radius", radius]) == EXIT_RESOURCE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"resource bound exceeded: the ball of radius {radius} has more "
+                            "than 40 elements, the bound on a ball (decision.BALL_SIZE_CAP)\n")
 
 
 def test_cli_torsion_growth_of_infinite_order_is_usage_error(capsys):

@@ -1,10 +1,13 @@
 import random
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
+
 from oracles import random_reduced_word
 
 from branchgroups.decision import is_trivial, order
-from branchgroups.groups import Word, builtin
+from branchgroups.groups import Word, _make_builtin, builtin
+from branchgroups.spectra import spectrum_eigenvalues
 
 
 def test_concurrent_interning_consistent():
@@ -36,3 +39,18 @@ def test_concurrent_decisions_deterministic():
     with ThreadPoolExecutor(max_workers=6) as pool:
         parallel = list(pool.map(work, words))
     assert serial == parallel
+
+
+def test_concurrent_spectra_equal_serial():
+    # fresh copies keep no block, so the threads race to solve and keep them
+    asks = [(name, n) for name in ("Gg", "FGg") for n in range(8, 0, -1)]
+    serial = {"Gg": _make_builtin("Gg"), "FGg": _make_builtin("FGg")}
+    expected = [spectrum_eigenvalues(serial[name], n) for name, n in asks]
+    shared = {"Gg": _make_builtin("Gg"), "FGg": _make_builtin("FGg")}
+
+    def work(ask):
+        return spectrum_eigenvalues(shared[ask[0]], ask[1])
+
+    with ThreadPoolExecutor(max_workers=6) as pool:
+        parallel = list(pool.map(work, asks))
+    assert all(np.array_equal(a, b) for a, b in zip(expected, parallel))

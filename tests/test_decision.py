@@ -285,6 +285,17 @@ def test_growth_values_match_ball_sizes():
         assert growth_values(g, radius) == [len(ball(g, r)) for r in range(radius + 1)]
 
 
+def test_ball_size_is_checked_as_words_are_kept(monkeypatch, gg):
+    # Gg's ball of radius 4 has 40 elements, so radius 5 passes a cap of 40
+    monkeypatch.setattr(decision, "BALL_SIZE_CAP", 40)
+    assert len(ball(gg, 4)) == 40
+    for run in (ball, growth_values, torsion_growth):
+        with pytest.raises(ResourceBoundExceeded, match=(
+                r"^the ball of radius 5 has more than 40 elements, the bound on a ball "
+                r"\(decision\.BALL_SIZE_CAP\)$")):
+            run(gg, 5)
+
+
 # (size, sha1 of the printed representatives, one per line); the first
 # three recorded when ball keyed elements by the images of every vertex
 # under `act`, the rest while ball still checked every extension for a

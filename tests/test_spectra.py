@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 from fractions import Fraction
 
@@ -5,11 +6,13 @@ import numpy as np
 import pytest
 
 from oracles import one_sided_hausdorff
-from test_groups import BUILTINS, _d6_spinal
+from test_groups import BUILTINS, _d6_spinal, _gg_twin
 
 from branchgroups import spectra
 from branchgroups.cli import parse_group_file
-from branchgroups.groups import builtin
+from branchgroups.errors import ResourceBoundExceeded
+from branchgroups.groups import _make_builtin, builtin
+from branchgroups.quotients import level_quotient
 from branchgroups.spectra import (
     bareiss_determinant,
     bgg_reference,
@@ -226,3 +229,86 @@ def test_spectral_report_csv():
     assert lines[0] == "level,index,eigenvalue,closed_form_match"
     assert len(lines) == 1 + 8
     assert csv == spectral_report("Gg", 3).to_csv()
+
+
+# each group's levels in an order that asks for kept blocks and new ones
+SPECTRUM_DIGEST_LEVELS = {
+    "Gg": (5, 2, 11, 0, 8, 3, 10, 1, 6, 9, 4, 7),
+    "FGg": (5, 2, 6, 0, 3, 1, 4), "BGg": (5, 2, 6, 0, 3, 1, 4), "GSg": (5, 2, 6, 0, 3, 1, 4),
+    "Sg": (5, 2, 8, 0, 6, 3, 7, 1, 4), "BSV": (5, 2, 8, 0, 6, 3, 7, 1, 4),
+    "G2": (5, 2, 0, 3, 1, 4), "GS5": (2, 0, 3, 1),
+}
+
+
+def test_spectra_are_bit_identical_to_the_top_down_solve():
+    # the digest was taken from the spectra solved top down, every block
+    # from level n's images projected to the lower levels; it pins the
+    # eigensolver's rounding of one numpy/LAPACK build
+    digest = hashlib.sha256()
+    for name, levels in SPECTRUM_DIGEST_LEVELS.items():
+        for n in levels:
+            digest.update(spectrum_eigenvalues(builtin(name), n).tobytes())
+    for make in (lambda: parse_group_file(MIXED_FILE),
+                 lambda: parse_group_file(TRANSPOSITION_FILE), _gg_twin):
+        group = make()
+        for n in (5, 2, 6, 0, 3, 1, 4):
+            digest.update(spectrum_eigenvalues(group, n).tobytes())
+    assert digest.hexdigest() == (
+        "23ffde478f073536e78709cefd5cddc346340b7c69edb4d547ab80bda7cd0802")
+
+
+def test_each_level_block_is_solved_once(monkeypatch):
+    gg = _make_builtin("Gg")  # no quotient of this copy keeps a block yet
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(matrix):
+        solved.append(len(matrix))
+        return eigvalsh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    spectrum_eigenvalues(gg, 8)
+    assert solved == [2 ** (k - 1) for k in range(8, 0, -1)]
+    ten = spectrum_eigenvalues(gg, 10)
+    assert solved[8:] == [512, 256]
+    assert np.array_equal(spectrum_eigenvalues(gg, 10), ten)
+    assert len(solved) == 10
+
+
+def test_kept_blocks_are_read_only():
+    gg = _make_builtin("Gg")
+    eigs = spectrum_eigenvalues(gg, 5)
+    before = eigs.copy()
+    eigs[:] = 0.0
+    assert np.array_equal(spectrum_eigenvalues(gg, 5), before)
+    for k in range(1, 6):
+        block = level_quotient(gg, k)._spectrum_block
+        assert len(block) == 2 ** (k - 1) and not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[0] = 0.0
+
+
+def test_block_bound_is_checked_before_kept_blocks_are_read(monkeypatch):
+    gg = _make_builtin("Gg")
+    spectrum_eigenvalues(gg, 10)
+
+    def refuse(*args):
+        raise AssertionError("allocated past the block bound")
+
+    monkeypatch.setattr(spectra, "level_quotient", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    with pytest.raises(ResourceBoundExceeded, match=r"\(spectra\.SPECTRUM_BLOCK_BYTES_CAP\)"):
+        spectrum_eigenvalues(gg, 16)
+    assert 16 not in gg._quotients
+
+
+def test_closed_form_match_compares_each_eigenvalue(monkeypatch):
+    # a perturbed eigenvalue of Gg's level 3 must not be reported as matched
+    true = spectrum_eigenvalues(builtin("Gg"), 3)
+    off = true.copy()
+    off[5] += 2.0
+    monkeypatch.setattr(spectra, "spectrum_eigenvalues", lambda group, level: off)
+    rep = spectral_report("Gg", 3)
+    assert rep.matched == [i != 5 for i in range(8)]
+    assert abs(rep.max_deviation - 2.0) < 1e-9
+
