@@ -313,7 +313,11 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if cmd == "conj":
-        if group.name != "Gg":
+        # the tables are the built-in's; a file may reuse its name
+        if group is not builtin("Gg"):
+            if _is_group_file(args.group):
+                raise ValueError(f"the conjugacy algorithm belongs to the built-in Gg; "
+                                 f"{args.group} is a group file")
             raise ValueError("the conjugacy algorithm is specific to Gg")
         qs = q_set(group.parse_word(args.word1), group.parse_word(args.word2))
         if qs:

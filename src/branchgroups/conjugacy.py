@@ -11,12 +11,16 @@ stabilizer; because K x K is contained in psi(K), lifting and the coset
 of the lift depend only on (Kf_1, Kf_2), so a 16 x 16 lift table decides
 everything.
 
-All coset arithmetic runs in the 16-element group G/K, read from tables
-built once: the coset of each of the 4096 elements of the level-(n_K + 1)
-permutation quotient, where n_K is the first level at which the image of
-K reaches index 16 (then Stab(L_{n_K}) <= K), and the products of cosets.
-A word's coset is the product of its letters' cosets, so queries read
-only the G/K tables, never the permutation quotient.
+Words are read in the level-(n_K + 1) quotient G_{n_K+1}, n_K being the
+first level at which K's image has index 16 (then Stab(L_{n_K}) <= K):
+its 4096 elements are numbered coset by coset, with tables of right
+multiplication and conjugation by each letter and a label per conjugacy
+class, so a word's element is one table walk and its coset that
+element's projection.  G -> G_{n_K+1} being a homomorphism, the element
+refutes before the word problem is asked: an image other than 1 is not
+trivial, images in different classes are not conjugate (Q = {}, no
+sections computed), and a short witness f is tested only when it
+conjugates g's image to h's.
 
 Recursion on pairs can cycle (sections need not shrink); the induced
 monotone set equations are solved by least-fixpoint iteration starting
@@ -70,7 +74,7 @@ class CosetSet:
 
 
 class GgConjugacy:
-    """Shared context: quotient, transversal, coset tables, lift table."""
+    """Shared context: quotient, element numbering, letter and coset tables."""
 
     _instance: Optional["GgConjugacy"] = None
 
@@ -88,7 +92,7 @@ class GgConjugacy:
         self.k_image = normal_closure(
             self.quotient, [self.quotient.perm_of_word("(ab)^2")]
         )
-        self._build_cosets()
+        self._build_elements()
         self._build_tables()
         # pair fixpoint state (persists across queries)
         self.values: Dict[Tuple, frozenset] = {}
@@ -108,24 +112,29 @@ class GgConjugacy:
                 return n
         raise AssertionError("K never reached index 16")
 
-    def _build_cosets(self):
-        """The transversal, by breadth-first search over a, b, c, d, and
-        the coset of every element of G_{n_K+1}, one table entry each.
+    def _build_elements(self):
+        """The transversal, by breadth-first search over a, b, c, d, and a
+        number for each element of G_{n_K+1}, coset by coset: element e
+        lies in coset e // |K_{n_K+1}|, and 0 is the identity.
 
         K's layered sequence has 8 elements of relative order 2, so their
         products are its 256 elements; a perm opens a new coset Kt exactly
-        when the cosets found so far miss it."""
+        when the cosets found so far miss it.  A perm's key packs its
+        images into one integer."""
         q = self.quotient
         ident = np.arange(q.degree, dtype=np.int32)
         k_elems = ident[None]
         for g in self.k_image.gens:
             k_elems = np.concatenate([k_elems, g[k_elems]])
-        self._cosets: Dict[bytes, int] = {}
+        self._k_order = len(k_elems)
+        bits = (q.degree - 1).bit_length()  # 16 points of 4 bits fill 64
+        self._weights = np.uint64(1) << np.arange(0, bits * q.degree, bits, dtype=np.uint64)
+        seen = set()
         self.coset_names: List[str] = []
         self.transversal: List[np.ndarray] = []
 
         def add(name, t):
-            self._cosets.update((kt.tobytes(), len(self.transversal)) for kt in t[k_elems])
+            seen.update(self._keys(t[k_elems]).tolist())
             self.coset_names.append(name or "1")
             self.transversal.append(t)
             return name, t
@@ -133,47 +142,80 @@ class GgConjugacy:
         gens = [(x, q.gen_perms[x]) for x in "abcd"]
         frontier = [add("", ident)]
         while frontier:
-            nxt = []
-            for word, t in frontier:
-                for label, gp in gens:
-                    p = gp[t]
-                    if p.tobytes() not in self._cosets:
-                        nxt.append(add(word + label, p))
-            frontier = nxt
-        if len(self.coset_names) != 16 or len(self._cosets) != q.order():
+            steps = [(word + label, gp[t]) for word, t in frontier for label, gp in gens]
+            keys = self._keys(np.array([p for _, p in steps])).tolist()
+            frontier = [add(*step) for step, key in zip(steps, keys) if key not in seen]
+        if len(self.coset_names) != 16 or len(seen) != q.order():
             raise AssertionError("16 cosets of K must cover G_{n_K+1}")
+        self.elements = np.concatenate([t[k_elems] for t in self.transversal])
+        keys = self._keys(self.elements)
+        self._rank = np.argsort(keys)
+        self._sorted_keys = keys[self._rank]
+
+    def _keys(self, perms: np.ndarray) -> np.ndarray:
+        return perms.astype(np.uint64) @ self._weights
+
+    def _numbers(self, perms: np.ndarray) -> np.ndarray:
+        """The element numbers of perms (last axis), -1 outside G_{n_K+1}."""
+        keys = self._keys(perms)
+        order = np.argsort(keys, axis=None)  # sorted needles search faster
+        pos = np.empty(keys.size, dtype=np.intp)
+        pos[order] = np.searchsorted(self._sorted_keys, keys.ravel()[order])
+        pos = np.minimum(pos.reshape(keys.shape), len(self._sorted_keys) - 1)
+        return np.where(self._sorted_keys[pos] == keys, self._rank[pos], -1)
 
     def coset_of_perm(self, perm: np.ndarray) -> int:
-        return self._cosets[perm.astype(np.int32, copy=False).tobytes()]
+        e = int(self._numbers(perm))
+        if e < 0:
+            raise KeyError("not an element of G_{n_K+1}")
+        return e // self._k_order
 
-    def coset_of_word(self, word) -> int:
-        """The coset of a word, text or letters: the product in G/K of its
-        letters' cosets (K is normal), so the letters need no reducing."""
+    def element_of_word(self, word) -> int:
+        """The number of a word's image in G_{n_K+1}, text or letters: one
+        walk through the right-multiplication tables, so the letters need
+        no reducing."""
         if isinstance(word, str):
             word = self.group.parse_word(word)
-        c = 0
+        e, times = 0, self._times
         for x in word.letters if isinstance(word, Word) else word:
-            c = self.mult[c][self._letter_cosets[x]]
-        return c
+            e = times[x][e]
+        return e
+
+    def coset_of_word(self, word) -> int:
+        """The coset of a word: its element of G_{n_K+1} projected to G/K."""
+        return self.element_of_word(word) // self._k_order
 
     def _build_tables(self):
-        t = self.transversal
-        self.mult = [[self.coset_of_perm(t[j][t[i]]) for j in range(16)]
-                     for i in range(16)]
+        """e -> e x and e -> x^-1 e x per letter x, the least element of
+        each class as its label, and the G/K product, inverse and lifts."""
+        elements, times, conj = self.elements, {}, {}
+        for x in self.group.canonical_letters:
+            gx = self.quotient.perm_of_word((x,))
+            times[x] = self._numbers(gx[elements]).tolist()
+            conj[x] = self._numbers(gx[elements[:, np.argsort(gx)]])
+        labels, pulled = None, np.arange(len(elements))
+        while not np.array_equal(labels, pulled):  # pull labels through conj
+            labels = pulled
+            for table in conj.values():
+                pulled = np.minimum(pulled, pulled[table])
+        self._times = times
+        self._conj = {x: table.tolist() for x, table in conj.items()}
+        self.classes = labels.tolist()
+        t = np.array(self.transversal)  # products[i, j] = t_i t_j, t_i acting first
+        products = t[np.arange(len(t))[None, :, None], t[:, None, :]]
+        self.mult = (self._numbers(products) // self._k_order).tolist()
         self.inv = [row.index(0) for row in self.mult]
-        self._letter_cosets = {x: self.coset_of_perm(self.quotient.perm_of_word((x,)))
-                               for x in self.group.canonical_letters}
         self.coset_a = self.coset_of_word("a")
 
         # level-1-stabilizing pair lifts: the pair (f1, f2) of level-n_K
         # cosets lifts iff the block permutation lies in the level-(n_K+1)
         # quotient; the coset of the lift depends only on the pair
         sub = level_quotient(self.group, self.n_k)
-        sub_transversal = [sub.perm_of_word(name) for name in self.coset_names]
-        half = sub.degree
+        s = np.array([sub.perm_of_word(name) for name in self.coset_names])
+        blocks = np.concatenate(np.broadcast_arrays(s[:, None], s[None] + sub.degree), axis=-1)
         self.lift: List[List[Optional[int]]] = [
-            [self._cosets.get(np.concatenate([s, u + half]).tobytes())
-             for u in sub_transversal] for s in sub_transversal]
+            [e // self._k_order if e >= 0 else None for e in row]
+            for row in self._numbers(blocks).tolist()]
 
     # -- pair fixpoint ----------------------------------------------------
 
@@ -191,17 +233,16 @@ class GgConjugacy:
         length >= 2 has first-level sections of length <= (|f|+1)/2 < |f|,
         so induction on witness length reduces every solution coset to a
         seeded one through the recombination steps.  A candidate f is
-        tested only when its coset conjugates g's to h's in G/K, which
-        g^f = h needs, K being normal; the word problem decides.
+        tested only when it conjugates g's element of G_{n_K+1} to h's,
+        which g^f = h needs; the word problem decides.
         """
-        group, mult, inv = self.group, self.mult, self.inv
-        c_g, c_h = self.coset_of_word(g), self.coset_of_word(h)
+        group, conj = self.group, self._conj
+        e_g, e_h = self.element_of_word(g), self.element_of_word(h)
         seeds = set()
         for f in [()] + [(letter,) for letter in group.canonical_letters]:
-            c_f = self.coset_of_word(f)
-            if mult[mult[inv[c_f]][c_g]][c_f] == c_h and is_trivial(
+            if (conj[f[0]][e_g] if f else e_g) == e_h and is_trivial(
                     group, group.inverse_word(f) + g + f + group.inverse_word(h)):
-                seeds.add(c_f)
+                seeds.add(self.coset_of_word(f))
         return frozenset(seeds)
 
     def ensure(self, g, h) -> Tuple:
@@ -214,15 +255,17 @@ class GgConjugacy:
         self.dependents.setdefault(key, {})
         recipe = []
 
-        g_trivial = is_trivial(self.group, Word(g, True))
-        h_trivial = is_trivial(self.group, Word(h, True))
-        if g_trivial and h_trivial:
-            self.values[key] = FULL
+        # images in different classes of G_{n_K+1} refute g ~ h
+        label = self.classes[self.element_of_word(g)]
+        if label != self.classes[self.element_of_word(h)]:
             self.recipes[key] = []
             return key
-        if g_trivial != h_trivial:
-            self.recipes[key] = []
-            return key
+        if label == 0:  # both images are 1; the word problem decides
+            trivial = [is_trivial(self.group, Word(w, True)) for w in (g, h)]
+            if any(trivial):
+                self.values[key] = FULL if all(trivial) else frozenset()
+                self.recipes[key] = []
+                return key
         self.values[key] = self._short_witness_seeds(g, h)
 
         # Gg's ring members share their letters, so the section words of

@@ -39,7 +39,7 @@ def test_snapshot_reads_the_caches(perfbench):
     assert snap["interned_states"] > 0
     assert snap["fixpoint_nodes"] == len(ctx.values) > 0
     # the snapshot reads ctx.quotient._chain; the Gg conjugacy context
-    # computes in G/K by table and holds no chain
+    # computes in G_{n_K+1} by table and holds no chain
     assert snap["held_chain_base_length"] == 0
 
 

@@ -293,8 +293,26 @@ def test_cli_eval_names_sections_by_aliases(capsys):
 
 def test_cli_conj(capsys):
     assert main(["conj", "Gg", "b", "aba"]) == EXIT_OK
+    assert capsys.readouterr().out == "conjugate; Q(g,h) = {Ka, Kab, Kca, Kda}\n"
     assert main(["conj", "Gg", "b", "c"]) == EXIT_FALSE
+    assert capsys.readouterr().out == "not conjugate\n"
     assert main(["conj", "FGg", "a", "a"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("text", [
+    # Gg's name over another automaton, and Gg's explicit twin: the
+    # conjugacy tables are the built-in's, so neither file is answered
+    "group Gg\narity 2\nrooted a = (1 2)\nrecursive b = (a, b)\n",
+    GG_FILE,
+])
+def test_cli_conj_refuses_a_group_file(tmp_path, capsys, text):
+    path = tmp_path / "gg.grp"
+    path.write_text(text)
+    assert main(["conj", str(path), "b", "aba"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: the conjugacy algorithm belongs to the built-in Gg; "
+                            f"{path} is a group file\n")
 
 
 def test_cli_huge_letter_powers_are_reduced():

@@ -1,4 +1,6 @@
+import hashlib
 import logging
+import pathlib
 import random
 
 import numpy as np
@@ -290,6 +292,44 @@ def test_filtered_witness_seeds_match_unfiltered(streamed):
         assert ctx._short_witness_seeds(g, h) == unfiltered, (g, h)
 
 
+def test_refutations_match_the_path_they_replace(streamed):
+    # a context that reads words in G/K only, as before the element tables:
+    # walks stay on each coset's first element and all elements share one
+    # class, so no image refutes triviality, conjugacy or a witness that
+    # the G/K equation admits
+    ctx, pairs, answers = streamed
+    plain, k = GgConjugacy(), 256
+    plain.classes = [0] * len(plain.classes)
+    plain._times = {x: [e // k * k for e in t] for x, t in plain._times.items()}
+    plain._conj = {x: [e // k * k for e in t] for x, t in plain._conj.items()}
+    assert [plain.q_set(g, h).ids for g, h in pairs] == [q.ids for q in answers]
+    assert _solve_everything(plain) == 0
+    settled = [(g, h) for g, h in ctx.values
+               if ctx.classes[ctx.element_of_word(g)] != ctx.classes[ctx.element_of_word(h)]]
+    assert settled and len(ctx.values) < len(plain.values)
+    # a refuted node's exact Q-set is empty, so no node's value differs
+    assert all(plain.values[key] == frozenset() for key in settled)
+    assert all(plain.values[key] == value for key, value in ctx.values.items())
+    for g, h in ctx.values:
+        assert ctx._short_witness_seeds(g, h) == plain._short_witness_seeds(g, h), (g, h)
+
+
+def test_q_set_digest_over_the_benchmark_stream(monkeypatch):
+    # the answers to the benchmark's seed-7 conjugacy stream, then the G/K
+    # tables, hash to the digest recorded when the tables were introduced
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+    import inputs
+
+    ctx = GgConjugacy()
+    word = ctx.group.word
+    digest = hashlib.sha1()
+    for block in inputs.make_blocks("conjugacy", 7, 2000):
+        for _, g, h, _f in block:
+            digest.update(repr(sorted(ctx.q_set(word(g), word(h)).ids)).encode())
+    digest.update(repr((ctx.coset_names, ctx.mult, ctx.inv, ctx.lift, ctx.coset_a)).encode())
+    assert digest.hexdigest() == "b272389697a10975ec710872842003df63b27128"
+
+
 def test_failed_query_leaves_no_node(gg, monkeypatch):
     from branchgroups import conjugacy
 
@@ -356,11 +396,50 @@ def test_coset_memo_over_the_whole_quotient():
     for key, p in elements.items():
         assert ctx.coset_of_perm(p) == scan[key]
         assert ctx.coset_of_perm(p.astype(np.int64)) == scan[key]
-    assert len(ctx._cosets) == 4096  # the coset table covers G_{n_K+1} exactly
+    # the element numbering covers G_{n_K+1} exactly
+    assert len(np.unique(ctx.elements, axis=0)) == len(ctx.elements) == 4096
+
+
+def test_element_tables_agree_with_the_permutations(gg):
+    ctx = GgConjugacy.instance()
+    q = ctx.quotient
+    # a word's element is one walk, checked against its quotient permutation
+    rng = random.Random(71)
+    for _ in range(300):
+        letters = tuple(rng.choice(gg.canonical_letters) for _ in range(rng.randint(0, 30)))
+        perm = q.perm_of_word(Word(gg.reduce(letters), True))
+        e = ctx.element_of_word(letters)
+        assert np.array_equal(ctx.elements[e], perm), gg.format_word(letters)
+        assert e // 256 == ctx.coset_of_perm(perm)
+    # every conjugation table entry is x^-1 e x: x^-1 acts first
+    for x in gg.canonical_letters:
+        x_inv = q.perm_of_word(Word(gg.inverse_word((x,)), True))
+        gx = q.perm_of_word(Word((x,), True))
+        assert np.array_equal(ctx.elements[ctx._conj[x]], gx[ctx.elements[:, x_inv]])
+    # the class labels are the least numbers of the orbits under conjugation
+    # by the generators, found by search over the permutations
+    number = {p.tobytes(): e for e, p in enumerate(ctx.elements)}
+    conjugators = [(q.perm_of_word(Word(gg.inverse_word((x,)), True)),
+                    q.perm_of_word(Word((x,), True))) for x in gg.canonical_letters]
+    least = {}
+    for e, p in enumerate(ctx.elements):
+        if e in least:
+            continue
+        orbit, frontier = {e}, [p]
+        while frontier:
+            r = frontier.pop()
+            for x_inv, gx in conjugators:
+                s = gx[r[x_inv]]
+                if number[s.tobytes()] not in orbit:
+                    orbit.add(number[s.tobytes()])
+                    frontier.append(s)
+        least.update((i, e) for i in orbit)
+    assert ctx.classes == [least[e] for e in range(4096)]
+    assert len(set(ctx.classes)) == 61
 
 
 def test_word_cosets_fold_unreduced_letters(gg, monkeypatch):
-    # a word's coset is the product in G/K of its letters' cosets; checked
+    # a word's coset is its table walk's coset, letters unreduced; checked
     # against the quotient permutation of the reduced word
     ctx = GgConjugacy.instance()
     q = ctx.quotient
@@ -374,7 +453,7 @@ def test_word_cosets_fold_unreduced_letters(gg, monkeypatch):
         assert ctx.coset_of_word(reduced) == expected[-1]
 
     def refuse(*args):
-        raise AssertionError("the fold builds no permutation and reduces nothing")
+        raise AssertionError("the walk builds no permutation and reduces nothing")
 
     with monkeypatch.context() as patched:
         patched.setattr(type(q), "perm_of_word", refuse)
