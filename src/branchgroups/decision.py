@@ -219,7 +219,7 @@ def order(group: GroupDefinition, word, bound: int = ORDER_BOUND) -> OrderResult
                     t_word = []
                     for p in cycle[off:] + cycle[:off]:
                         t_word.extend(sections[p])
-                    rotations.append((cycle[off], child.reduce(tuple(t_word))))
+                    rotations.append((cycle[off], child.reduce(t_word)))
             found = len(cycle) >= 2 and g is child and _rotation_certificate(g, w, rotations)
             if found:
                 cert = (len(cycle),) + found + (w, None, g.shift_index)
@@ -275,7 +275,8 @@ def _rotation_certificate(g: GroupDefinition, w, rotations) -> Optional[Tuple[in
             if abs(len(t_word) - len(w)) <= 2 * CONJUGATOR_LENGTH]
     if not near:
         return None
-    targets = ((1, g.cyclic_reduce(w)[0]), (-1, g.cyclic_reduce(w_inv)[0]))
+    # w is cyclically reduced, so w_inv is: canonical letters are closed under inverses
+    targets = ((1, w), (-1, w_inv))
     for v, t_word in near:
         tc, _ = g.cyclic_reduce(t_word)
         for sign, c in targets:

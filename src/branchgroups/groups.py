@@ -161,6 +161,15 @@ def _is_rooted(state: TreeAutomorphism) -> bool:
     return all(c.is_identity for c in state.children)
 
 
+class _Inverses(dict):
+    """State -> inverse state, each pair built once, on the first lookup."""
+
+    def __missing__(self, state):
+        inv = self[state] = invert(state)
+        self[inv] = state
+        return inv
+
+
 class Word:
     """A word over a group's canonical generating set."""
 
@@ -203,16 +212,22 @@ WORD_LENGTH_CAP = 1 << 20
 WORD_NESTING_CAP = 256
 
 # token kinds by regex group: a power, a suffix mark (' or ^( ), a
-# conjugating symbol, an atom mark, a symbol; group 6 is anything else
-_POWER, _MARK, _CONJ, _ATOM, _SYMBOL = range(1, 6)
+# conjugating symbol, an atom mark, a run of symbols none of which takes a
+# suffix, a symbol; group 10 is anything else.  A run keeps each symbol and
+# separator as read by longest match, since a lookahead captures it, a
+# backreference consumes it and lookarounds are atomic: Sg's "bcd'" is bcd'.
+_POWER, _MARK, _CONJ, _ATOM, _RUN, _SYMBOL = 1, 2, 3, 4, 5, 9
 
 
 @functools.lru_cache(maxsize=64)
 def _tokens(alphabet: Optional[Tuple[str, ...]]):
+    """The token iterator of an alphabet, and the splitter of its runs."""
     symbol = (r"\w" if alphabet is None  # longest match first; (?!) matches nothing
               else "|".join(map(re.escape, sorted(alphabet, key=len, reverse=True))) or "(?!)")
-    return re.compile(rf"(\^-?\d+)|(\^\(|')|(\^(?:{symbol}))|[\s*]*(?:([1()\[\],])|({symbol})"
-                      r"|([^\s*]))").finditer
+    run = rf"(?=({symbol}))\6(?![\^'])(?:(?=([\s*]*))\7(?![1()\[\],])(?=({symbol}))\8(?![\^']))*"
+    tokens = re.compile(rf"(\^-?\d+)|(\^\(|')|(\^(?:{symbol}))|[\s*]*(?:([1()\[\],])|({run})"
+                        rf"|({symbol})|([^\s*]))")
+    return tokens.finditer, re.compile(rf"[\s*]*({symbol})").findall
 
 
 def check_word_length(letters: int, what: str) -> None:
@@ -231,8 +246,8 @@ def parse_letters(text: str, alphabet: Optional[Tuple[str, ...]], letter, invers
     a word or power past WORD_LENGTH_CAP is refused before it is built, and
     so is a text nesting deeper than WORD_NESTING_CAP.
     """
-    tokens = [(m.lastindex, m[m.lastindex], m.start(m.lastindex))
-              for m in _tokens(alphabet)(text)]
+    finditer, split = _tokens(alphabet)
+    tokens = [(m.lastindex, m[m.lastindex], m.start(m.lastindex)) for m in finditer(text)]
     tokens.append((0, "", len(text)))
     i = 0
 
@@ -243,7 +258,7 @@ def parse_letters(text: str, alphabet: Optional[Tuple[str, ...]], letter, invers
         i += 1
 
     def invert(w):
-        return [inverse(x) for x in reversed(w)]
+        return list(map(inverse, reversed(w)))
 
     def word(depth=0):
         """Factors with their suffixes, up to a closing mark or the end."""
@@ -254,10 +269,12 @@ def parse_letters(text: str, alphabet: Optional[Tuple[str, ...]], letter, invers
         out = []
         while True:
             kind, value, _ = tokens[i]
-            if kind != _SYMBOL and (kind != _ATOM or value in ")],"):
+            if kind != _RUN and kind != _SYMBOL and (kind != _ATOM or value in ")],"):
                 return out
             i += 1
-            if kind == _SYMBOL:
+            if kind == _RUN:
+                part = list(map(letter, split(value)))
+            elif kind == _SYMBOL:
                 part = [letter(value)]
             elif value == "(":
                 part = word(depth + 1)
@@ -370,11 +387,12 @@ class GroupDefinition:
         self._memo_order: Dict = {}
         self._quotients: Dict = {}  # level -> LevelQuotient, see level_quotient
         self._b_names: Dict[TreeAutomorphism, str] = {}  # directed state -> B-name
-        self._inverses: Dict = {}  # state -> inverse state, built once
-        # (letter, letter) -> what _merge returns; at most the square of
-        # the states that letters of reduced words carry
+        self._inverses = _Inverses()
+        # left letter -> right letter -> what _merge returns; at most the
+        # square of the states that letters of reduced words carry
         self._products: Dict = {}
         self._state_names: Optional[Dict] = None  # state -> generator name
+        self._alphabet: Optional[Tuple[str, ...]] = None  # generator names, from the first parse
 
     # -- ring plumbing --
 
@@ -403,11 +421,7 @@ class GroupDefinition:
     # -- letters and reduction --
 
     def letter_inverse(self, letter: TreeAutomorphism) -> TreeAutomorphism:
-        inv = self._inverses.get(letter)
-        if inv is None:
-            inv = self._inverses[letter] = invert(letter)
-            self._inverses[inv] = letter
-        return inv
+        return self._inverses[letter]
 
     def letter_order(self, letter: TreeAutomorphism) -> Optional[int]:
         """The order of a rooted or directed letter; None for the others."""
@@ -420,11 +434,10 @@ class GroupDefinition:
 
     def _merge(self, x, y):
         """Merge two adjacent letters; None = cancel, False = not mergeable."""
-        try:
-            return self._products[(x, y)]
-        except KeyError:
-            merged = self._products[(x, y)] = self._product_letter(x, y)
-            return merged
+        row = self._products.setdefault(x, {})
+        if y not in row:
+            row[y] = self._product_letter(x, y)
+        return row[y]
 
     def _product_letter(self, f: TreeAutomorphism, g: TreeAutomorphism):
         """The merged letter of two states: None for the identity, the
@@ -437,30 +450,37 @@ class GroupDefinition:
             return s
         return False
 
-    def _push(self, out: list, letter) -> None:
-        """Append a letter to a reduced word, merging at the seam."""
-        out.append(letter)
-        while len(out) >= 2:
-            merged = self._merge(out[-2], out[-1])
-            if merged is False:
-                break
-            out.pop()
-            out.pop()
-            if merged is not None:
-                out.append(merged)
+    def _extend(self, out: list, letters) -> list:
+        """Push letters onto the reduced word ``out``, skipping identity
+        letters and merging each one at the seam as far as merges go."""
+        products, merge, append, pop = self._products, self._merge, out.append, out.pop
+        for x in letters:
+            if x.is_identity:
+                continue
+            while out:
+                try:
+                    merged = products[out[-1]][x]
+                except KeyError:
+                    merged = merge(out[-1], x)
+                if merged is False:
+                    append(x)
+                    break
+                pop()
+                if merged is None:  # out stays reduced: its old seam did not merge
+                    break
+                x = merged
+            else:
+                append(x)
+        return out
 
     def reduce(self, letters) -> Tuple:
         """Reduced form: a word with no identity letter and no mergeable
         neighbours; for spinal groups the unique alternating form of
         rooted and directed letters."""
-        out: list = []
-        for letter in letters:
-            if not letter.is_identity:
-                self._push(out, letter)
-        return tuple(out)
+        return tuple(self._extend([], letters))
 
     def inverse_word(self, letters) -> Tuple:
-        return tuple(self.letter_inverse(x) for x in reversed(letters))
+        return tuple(map(self._inverses.__getitem__, reversed(letters)))
 
     def cyclic_reduce(self, letters) -> Tuple[Tuple, Tuple]:
         """Cyclically reduced form w_c plus the conjugator c with w^c = w_c,
@@ -473,7 +493,7 @@ class GroupDefinition:
         conj = []
         while len(w) >= 2 and self._merge(w[-1], w[0]) is not False:
             conj.append(w.pop(0))
-            self._push(w, conj[-1])
+            self._extend(w, conj[-1:])
         return tuple(w), tuple(conj)
 
     # -- first-level decomposition at the word level --
@@ -486,25 +506,24 @@ class GroupDefinition:
         shifted group; for spinal groups each has at most one letter per
         directed letter of the input.
         """
-        m = self.shape.branching(0)
-        child = self.shifted()
-        out: List[List] = [[] for _ in range(m)]
-        root = []
-        for i in range(m):
-            pos = i
+        extend = self.shifted()._extend
+        root, sections = [], []
+        for pos in range(self.shape.branching(0)):  # follow child pos
+            secs = []
+            append = secs.append
             for letter in letters:
-                sec = letter.children[pos]
+                append(letter.children[pos])
                 pos = letter.root_perm[pos]
-                if not sec.is_identity:
-                    out[i].append(sec)
             root.append(pos)
-        return tuple(root), [child.reduce(w) for w in out]
+            sections.append(tuple(extend([], secs)))
+        return tuple(root), sections
 
     # -- parsing and printing (shift-0 only) --
 
     def parse_word(self, text: str) -> Word:
-        letters = parse_letters(text, tuple(self.states), self.states.__getitem__,
-                                self.letter_inverse, self.letter_order)
+        self._alphabet = self._alphabet or tuple(self.states)
+        letters = parse_letters(text, self._alphabet, self.states.__getitem__,
+                                self._inverses.__getitem__, self.letter_order)
         return Word(self.reduce(letters), reduced=True)
 
     def word(self, text_or_letters) -> Word:

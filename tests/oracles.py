@@ -10,13 +10,16 @@ failures (zero on a healthy build).
 from __future__ import annotations
 
 import random
+import re
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from branchgroups.automorphisms import compose, format_perm
 from branchgroups.decision import canonical_portrait_depth, eta_weights
-from branchgroups.groups import GroupDefinition, Word, builtin
+from branchgroups import groups
+from branchgroups.errors import ResourceBoundExceeded
+from branchgroups.groups import GroupDefinition, Word, builtin, check_word_length
 from branchgroups.presentations import (
     FreeWord,
     Substitution,
@@ -242,6 +245,143 @@ def check_reduce_confluence(cases: int, seed: int) -> int:
             if tuple(work) != expected:
                 failures += 1
     return failures
+
+
+# -- the per-letter word kernels -------------------------------------------------
+#
+# The parser and the reduction fold the package used before a run of symbols
+# became one token and reduce one seam-merge loop: one token per symbol, and
+# one _merge call per letter pushed.
+
+
+def _push_reference(group: GroupDefinition, out: list, letter) -> None:
+    """Append a letter to a reduced word, merging at the seam."""
+    out.append(letter)
+    while len(out) >= 2:
+        merged = group._merge(out[-2], out[-1])
+        if merged is False:
+            break
+        out.pop()
+        out.pop()
+        if merged is not None:
+            out.append(merged)
+
+
+def reduce_reference(group: GroupDefinition, letters) -> Tuple:
+    out: list = []
+    for letter in letters:
+        if not letter.is_identity:
+            _push_reference(group, out, letter)
+    return tuple(out)
+
+
+def cyclic_reduce_reference(group: GroupDefinition, letters) -> Tuple[Tuple, Tuple]:
+    w = list(letters)
+    conj = []
+    while len(w) >= 2 and group._merge(w[-1], w[0]) is not False:
+        conj.append(w.pop(0))
+        _push_reference(group, w, conj[-1])
+    return tuple(w), tuple(conj)
+
+
+def first_level_sections_reference(group: GroupDefinition, letters):
+    m = group.shape.branching(0)
+    out: List[List] = [[] for _ in range(m)]
+    root = []
+    for i in range(m):
+        pos = i
+        for letter in letters:
+            sec = letter.children[pos]
+            pos = letter.root_perm[pos]
+            if not sec.is_identity:
+                out[i].append(sec)
+        root.append(pos)
+    return tuple(root), [reduce_reference(group.shifted(), w) for w in out]
+
+
+_POWER, _MARK, _CONJ, _ATOM, _SYMBOL = range(1, 6)
+
+
+def _tokens_reference(alphabet: Optional[Tuple[str, ...]]):
+    symbol = (r"\w" if alphabet is None
+              else "|".join(map(re.escape, sorted(alphabet, key=len, reverse=True))) or "(?!)")
+    return re.compile(rf"(\^-?\d+)|(\^\(|')|(\^(?:{symbol}))|[\s*]*(?:([1()\[\],])|({symbol})"
+                      r"|([^\s*]))").finditer
+
+
+def parse_letters_reference(text: str, alphabet, letter, inverse, order) -> list:
+    """``groups.parse_letters`` with one token per symbol; it reads the
+    caps from ``groups`` when it runs, as the package does."""
+    tokens = [(m.lastindex, m[m.lastindex], m.start(m.lastindex))
+              for m in _tokens_reference(alphabet)(text)]
+    tokens.append((0, "", len(text)))
+    i = 0
+
+    def expect(mark):
+        nonlocal i
+        if tokens[i][1] != mark:
+            raise ValueError(f"missing {mark!r} at column {tokens[i][2] + 1}")
+        i += 1
+
+    def invert(w):
+        return [inverse(x) for x in reversed(w)]
+
+    def word(depth=0):
+        nonlocal i
+        if depth > groups.WORD_NESTING_CAP:
+            raise ResourceBoundExceeded(f"a word nests deeper than {groups.WORD_NESTING_CAP} "
+                                        "levels (groups.WORD_NESTING_CAP)")
+        out = []
+        while True:
+            kind, value, _ = tokens[i]
+            if kind != _SYMBOL and (kind != _ATOM or value in ")],"):
+                return out
+            i += 1
+            if kind == _SYMBOL:
+                part = [letter(value)]
+            elif value == "(":
+                part = word(depth + 1)
+                expect(")")
+            elif value == "[":
+                x = word(depth + 1)
+                expect(",")
+                y = word(depth + 1)
+                expect("]")
+                part = invert(x) + invert(y) + x + y
+            else:
+                part = []
+            while tokens[i][0] in (_POWER, _MARK, _CONJ):
+                kind, value, _ = tokens[i]
+                i += 1
+                if kind == _POWER:
+                    k = int(value[1:])
+                    if k < 0:
+                        part, k = invert(part), -k
+                    if len(part) == 1 and (n := order(part[0])):
+                        k %= n
+                    check_word_length(len(part) * k, "a power")
+                    part = part * k
+                elif value == "'":
+                    part = invert(part)
+                else:
+                    if kind == _CONJ:
+                        by = [letter(value[1:])]
+                        while tokens[i][:2] == (_MARK, "'"):
+                            i += 1
+                            by = invert(by)
+                    else:
+                        by = word(depth + 1)
+                        expect(")")
+                    part = invert(by) + part + by
+            check_word_length(len(out) + len(part), "a word")
+            out += part
+
+    letters = word()
+    kind, value, col = tokens[i]
+    if kind:
+        raise ValueError(f"{'dangling' if value == '^' else 'unexpected'} {value!r} "
+                         f"at column {col + 1}")
+    return letters
 
 
 # -- order certificates ---------------------------------------------------------

@@ -8,7 +8,7 @@ import time
 import pytest
 
 from oracles import format_group_file, random_reduced_word
-from test_groups import ALESHIN_GRP, LAMPLIGHTER_GRP
+from test_groups import ALESHIN_GRP, LAMPLIGHTER_GRP, W_GRP
 
 from branchgroups import (automorphisms, decision, groups, presentations, quotients, schreier,
                           spectra)
@@ -633,6 +633,20 @@ def test_cli_orders_on_non_contracting_groups_exit_3(tmp_path, text, argv, endin
     assert run.returncode == EXIT_RESOURCE
     assert run.stderr.startswith("resource bound exceeded: ") and run.stderr.count("\n") == 1
     assert run.stderr.endswith(ending)
+
+
+def test_cli_drawn_file_order_exits_3_at_the_word_length_bound(tmp_path):
+    # a root cycle's rotation word two levels down would hold about 1.59
+    # million letters; a fresh interpreter, and no time limit
+    path = tmp_path / "w.grp"
+    path.write_text(W_GRP)
+    src = os.path.dirname(os.path.dirname(automorphisms.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-m", "branchgroups.cli", "order", str(path),
+                          "a^-1 c^-1 c^-1 d^-1"], env=env, capture_output=True, text=True)
+    assert run.returncode == EXIT_RESOURCE
+    assert run.stderr.startswith("resource bound exceeded: ") and run.stderr.count("\n") == 1
+    assert run.stderr.endswith("(groups.WORD_LENGTH_CAP)\n")
 
 
 @pytest.mark.parametrize("text, argv, answer", [

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import random_reduced_word
-from test_groups import LAMPLIGHTER_GRP
+from test_groups import ALESHIN_GRP, LAMPLIGHTER_GRP
 
 from branchgroups import decision
 from branchgroups.decision import (
@@ -18,7 +18,7 @@ from branchgroups.decision import (
     order,
     torsion_growth,
 )
-from branchgroups.automorphisms import perm_from_cycles
+from branchgroups.automorphisms import TreeAutomorphism, perm_from_cycles
 from branchgroups.cli import parse_group_file
 from branchgroups.errors import ResourceBoundExceeded
 from branchgroups.groups import Word, _make_builtin, builtin, explicit_group, grigorchuk_2group
@@ -213,6 +213,53 @@ def test_cycle_certificate_links():
             assert prev == witness and product == k > 1
             depths.add(len(links))
     assert depths == {2, 4, 8}
+
+
+# (words drawn, sha1 of one line per word: the word, the result and its
+# certificate in print), recorded before the rotation certificate search
+# stopped cyclically reducing w and its inverse again
+ORDER_DIGESTS = {
+    "Gg_explicit": (200, "f2757e7c2dc31dee8830c91bc128dc6c6ce852d8"),
+    "BSV": (200, "de5a9e1841ded24b156f3f93c24d8f13365b7794"),
+    "Dinf": (200, "0bb34af26184d3b682c549ef0d4f71a8e06a9e5c"),
+    "Aleshin": (2, "a9e23ebf1225c3fd21c58da4dae74e717491fa56"),
+    "Lamplighter": (6, "166b9093d8f77bcef90eeff6220bbf7a0643dda1"),
+}
+ORDER_DIGEST_GROUPS = {
+    "Gg_explicit": _gg_explicit,
+    "BSV": lambda: _make_builtin("BSV"),
+    "Dinf": lambda: _make_builtin("Dinf"),
+    "Aleshin": lambda: parse_group_file(ALESHIN_GRP),
+    "Lamplighter": lambda: parse_group_file(LAMPLIGHTER_GRP),
+}
+
+
+def _printed(group, value):
+    """A certificate with each word printed by the group's names."""
+    if isinstance(value, tuple):
+        if value and all(isinstance(x, TreeAutomorphism) for x in value):
+            return "<" + group.format_word(value) + ">"
+        return "(" + ",".join(_printed(group, x) for x in value) + ")"
+    return repr(value)
+
+
+@pytest.mark.parametrize("name", list(ORDER_DIGESTS))
+def test_order_results_and_certificates_are_pinned(name):
+    # a fresh group each time, so the memo starts empty; Aleshin's words
+    # and most Lamplighter ones end at a bound, which is pinned too
+    count, digest = ORDER_DIGESTS[name]
+    group, rng, lines = ORDER_DIGEST_GROUPS[name](), random.Random(f"order digest {name}"), []
+    for _ in range(count):
+        w = random_reduced_word(group, rng.randint(1, 16), rng)
+        try:
+            res = order(group, Word(w, True))
+            line = f"{res!r} {_printed(group, res.certificate)}"
+        except ResourceBoundExceeded as exc:
+            line = f"bound: {exc}"
+        lines.append(f"{group.format_word(w)}\t{line}")
+    text = "\n".join(lines)
+    assert "#" not in text  # no letter printed by its serial number
+    assert hashlib.sha1(text.encode()).hexdigest() == digest
 
 
 def test_memo_true_entries_are_trivial_on_level_8(gg_explicit):

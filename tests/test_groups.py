@@ -600,6 +600,12 @@ LAMPLIGHTER_GRP = ("group Lamplighter\narity 2\nrooted s = (1 2)\nrecursive a = 
                    "recursive b = (b, a)\n")
 
 
+# a drawn file whose rotation words outgrow groups.WORD_LENGTH_CAP two
+# levels down: `order` of a^-1 c^-1 c^-1 d^-1 ends at that bound
+W_GRP = ("group W\narity 2\nrooted a = (1 2)\nrecursive b = (1, a)\n"
+         "recursive c = (1, d^-1 c^-1 c) a\nrecursive d = (b d^-1 d^2, b c^2) a\n")
+
+
 # rooted (1 2) and (1 2 3): root permutations with cycles of lengths 1 and
 # 2, where the multiple s * lcm overshoots the order and power descent
 # had to lower it
@@ -619,6 +625,16 @@ def test_inverse_of_a_reduced_word_is_reduced():
                 w = random_reduced_word(group, rng.randint(0, 16), rng)
                 inverse = group.inverse_word(w)
                 assert group.reduce(inverse) == inverse, (root.name, group.format_word(w))
+
+
+def test_canonical_letters_are_closed_under_inverses():
+    # so merge(x, y) fails exactly when merge(y', x') does, and the inverse
+    # of a cyclically reduced word is cyclically reduced
+    explicit = [parse_group_file(text) for text in (S3_GRP, ALESHIN_GRP, LAMPLIGHTER_GRP, W_GRP)]
+    for root in [builtin(name) for name in BUILTINS] + [_gg_twin(), _d6_spinal()] + explicit:
+        for group in root._ring:
+            letters = set(group.canonical_letters)
+            assert {group.letter_inverse(x) for x in letters} == letters, root.name
 
 
 def test_exponent_of_an_explicit_rooted_letter_is_reduced():
