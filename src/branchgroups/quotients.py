@@ -9,32 +9,35 @@ The quotient G_n = G/Stab(L_n) acts on the m_1*...*m_n level-n vertices
   the generator images, when the quotient is first asked).  The level
   stabilizers then give a normal series whose factors embed linearly in
   F_p^(p^i), and a `LayeredSequence` keeps an echelon basis per factor.
-  The order, the normal closures, the lower central and derived series
-  and the rigid stabilizers are all read from such sequences.
+  The order, the normal closures, the lower central and derived series,
+  the rigid stabilizers and membership are all read from such sequences.
 * A deterministic Schreier-Sims stabilizer chain otherwise (G2, GS_m for
   a composite m, mixed arities, non-rotating generators): base points are
   the first moved point (optionally prescribed), generators are processed
   in a fixed order and every Schreier generator is sifted, so runs are
   reproducible bit for bit.
 
-Membership (`SubgroupHandle.contains`) always sifts through a chain, built
-from the handle's generators the first time it is asked; for the quotient
-itself that chain is the one above.  Point stabilizers
-(`pointwise_stabilizer`) stay on the chain too.  Suborbits come from
-Schreier generators of the basepoint stabilizer and need neither engine.
-
 Every subgroup is a `SubgroupHandle`: its generators, its order once
-known, and a chain whose tail below `depth` prescribed base points is a
-point stabilizer.  The quotient is the depth-0 handle over the generator
-images, and `level_quotient` keeps one per (group, level) on the group.
-The quotient also owns what is built on it: its lower central and
-derived series (extended lazily; G' is the handle of gamma_2), the rigid
-stabilizer of each vertex, the rigid level stabilizer of each depth, the
-suborbit profile of each basepoint and the eigenvalues of the level's
-sum-zero spectrum block (`spectra`).  Each is built once, lives as long
-as the quotient and is read-only.  Permutations are numpy int32
-arrays composed by fancy indexing; group orders are exact Python
-integers.
+known, and the quotient's one engine.  On a p-group quotient membership
+(`SubgroupHandle.contains`) sifts the perm through the handle's layered
+sequence, from layer `depth` on: the sequence it was read from, or one
+closed from its generators when first asked.  Elsewhere it sifts through
+a chain built from the generators.  `pointwise_stabilizer` reads its
+generators and order from a chain with the points as prescribed base, on
+either kind of quotient.  Suborbits come from Schreier generators of the
+basepoint stabilizer and need neither engine.
+
+The quotient is the depth-0 handle over the generator images, and
+`level_quotient` keeps one per (group, level) on the group.  Its lower
+central and derived series grow as they are asked (G' is the handle of
+gamma_2).  Everything else built on it lives in one store,
+`LevelQuotient.kept`: the layered prime, the rigid stabilizer of each
+vertex, the rigid level stabilizer of each depth, the generators of each
+level stabilizer, the suborbit profile of each basepoint and the
+eigenvalues of the level's sum-zero spectrum block (`spectra`).  Each is
+built once, lives as long as the quotient and is read-only.  Permutations
+are numpy int32 arrays composed by fancy indexing; group orders are exact
+Python integers.
 """
 
 from __future__ import annotations
@@ -373,8 +376,9 @@ class LayeredSequence:
     def dimension(self, start: int = 0, stop: Optional[int] = None) -> int:
         return sum(len(e) for e in self.elements[start:stop])
 
-    def order(self) -> int:
-        return self.p ** self.dimension()
+    def order(self, start: int = 0) -> int:
+        """Order of the subgroup of the layers from `start` on."""
+        return self.p ** self.dimension(start)
 
     def perms(self, start: int = 0, stop: Optional[int] = None) -> List[np.ndarray]:
         """The sequence elements of layers [start, stop), in order."""
@@ -417,11 +421,14 @@ class LayeredSequence:
             on = coeff[:, j] != 0
             batch[hit[on]] = self._inverse_powers[i][first + j][coeff[on, j, None], batch[hit[on]]]
 
-    def sift(self, perms, stop: int) -> np.ndarray:
-        """The perms (members of the group) stripped through layers [0, stop):
-        g = residue * e_m^a_m ... e_1^a_1, with the residue in K_stop."""
+    def sift(self, perms, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
+        """The perms stripped through layers [start, stop), by default to the
+        last: g = residue * e_m^a_m ... e_1^a_1 over those layers' elements.
+        A member of the sequence's group in K_start leaves a residue in
+        K_stop; a residue of the identity writes g as a product of sequence
+        elements, whatever g was."""
         batch = _stack(perms, len(self.identity)).copy()
-        for i in range(stop):
+        for i in range(start, len(self.layers) if stop is None else stop):
             self._strip(i, batch, self._vectors(i, batch))
         return batch
 
@@ -512,38 +519,49 @@ class LayeredSequence:
 
 class SubgroupHandle:
     """A subgroup of a level quotient: generators, the order once known,
-    and one stabilizer chain, built from the generators when first needed.
-    With `depth` > 0 it is the stabilizer of the chain's first `depth` base
-    points, read from the chain's tail (Holt, Eick and O'Brien 2005, 4.4)."""
+    and the quotient's engine for order and membership.
+
+    On a quotient in W_n(p) that is a layered sequence whose layers from
+    `depth` on are the subgroup: the sequence it was read from, or one
+    closed from the generators when first needed.  A perm is a member iff
+    sifting it from layer `depth` leaves the identity.  On any other
+    quotient it is a stabilizer chain built from the generators when first
+    needed."""
 
     def __init__(self, parent: LevelQuotient, gens: Sequence[np.ndarray],
-                 chain: Optional[StabilizerChain] = None, depth: int = 0,
+                 sequence: Optional[LayeredSequence] = None, depth: int = 0,
                  order: Optional[int] = None):
         self.parent = parent
         self.gens = [np.asarray(g, dtype=np.int32) for g in gens]
-        self._chain = chain
+        self._sequence = sequence
         self.depth = depth
         self._order = order
+        self._chain: Optional[StabilizerChain] = None
 
     def chain(self) -> StabilizerChain:
         if self._chain is None:
             self._chain = chain_from_generators(self.parent.degree, self.gens)
         return self._chain
 
+    def sequence(self) -> LayeredSequence:
+        if self._sequence is None:
+            self._sequence = self.parent.new_sequence().close(self.gens, self.gens)
+        return self._sequence
+
     def order(self) -> int:
         if self._order is None:
-            self._order = self.chain().order(self.depth)
+            self._order = (self.sequence().order(self.depth) if self.parent.layered_prime()
+                           else self.chain().order())
         return self._order
 
     def index(self) -> int:
         return self.parent.order() // self.order()
 
     def contains(self, perm: np.ndarray) -> bool:
-        if not self.depth:
+        if not self.parent.layered_prime():
             return self.chain().contains(perm)
-        # the transversals from `depth` down fix the first `depth` base
-        # points, so a perm moving one of them never sifts to the identity
-        return self.chain().sift(perm, self.depth) is None
+        seq = self.sequence()
+        return np.array_equal(seq.sift([perm], self.depth)[0], seq.identity)
 
 
 class LevelQuotient(SubgroupHandle):
@@ -553,30 +571,26 @@ class LevelQuotient(SubgroupHandle):
         self.group = group
         self.level = level
         self.degree = group.shape.level_size(level)
-        # letter -> image array, filled as words use letters
-        self._images = {x: _state_images(x, level) for x in group.canonical_letters}
         self.gen_perms: Dict[str, np.ndarray] = {
-            group.format_word((x,)): self._images[x] for x in group.canonical_letters}
+            group.format_word((x,)): _state_images(x, level) for x in group.canonical_letters}
         super().__init__(self, self.gen_perms.values())
-        self._prime: Optional[int] = None
-        self._prime_known = False
-        self._sequence: Optional[LayeredSequence] = None
         self._lower_central: List[SubgroupHandle] = [self]
         self._derived: List[SubgroupHandle] = [self]
-        self._rist: Dict[Tuple[int, ...], SubgroupHandle] = {}
-        self._rist_level: Dict[int, SubgroupHandle] = {}
-        self._stabilizer_gens: Dict[int, List[np.ndarray]] = {}
-        self._suborbits: Dict[int, Tuple[int, ...]] = {}
-        # eigenvalues of the level's sum-zero spectrum block, see spectra
-        self._spectrum_block: Optional[np.ndarray] = None
+        self._kept: Dict = {}
+
+    def kept(self, key, build):
+        """What the quotient keeps under `key`, made by `build()` the first
+        time it is asked.  Read-only: callers share it."""
+        try:
+            return self._kept[key]
+        except KeyError:
+            value = self._kept[key] = build()
+            return value
 
     def layered_prime(self) -> Optional[int]:
         """p when G_n lies in W_n(p), so layered sequences serve; None when
         the chain serves (decided once, on the generator images)."""
-        if not self._prime_known:
-            self._prime = _layered_prime(self.group, self.level, self.gens)
-            self._prime_known = True
-        return self._prime
+        return self.kept("layered prime", lambda: _layered_prime(self.group, self.level, self.gens))
 
     def new_sequence(self, layers=None) -> LayeredSequence:
         """An empty sequence over the given layers, by default the level
@@ -586,25 +600,10 @@ class LevelQuotient(SubgroupHandle):
             layers = [_depth_layer(p, n, i, np.arange(p ** i)) for i in range(n)]
         return LayeredSequence(p, self.degree, layers)
 
-    def sequence(self) -> LayeredSequence:
-        """G_n's own sequence over the level stabilizers, built once."""
-        if self._sequence is None:
-            self._sequence = self.new_sequence().close(self.gens, self.gens)
-        return self._sequence
-
-    def order(self) -> int:
-        if self._order is None:
-            self._order = (self.sequence().order() if self.layered_prime()
-                           else self.chain().order())
-        return self._order
-
     def perm_of_word(self, word) -> np.ndarray:
         p = np.arange(self.degree, dtype=np.int32)
         for letter in self.group.word(word).letters:
-            image = self._images.get(letter)
-            if image is None:
-                image = self._images[letter] = _state_images(letter, self.level)
-            p = image[p]
+            p = _state_images(letter, self.level)[p]
         return p
 
     def perm_of_state(self, state: TreeAutomorphism) -> np.ndarray:
@@ -641,12 +640,6 @@ def level_quotient(group: GroupDefinition, level: int) -> LevelQuotient:
 
 # -- normal closures, commutators, series -------------------------------
 
-def _layered_handle(q: LevelQuotient, seq: LayeredSequence, start: int = 0) -> SubgroupHandle:
-    """The subgroup of the sequence's layers from `start` on; its generators
-    are those sequence elements, and its chain is built only if asked."""
-    return SubgroupHandle(q, seq.perms(start), order=seq.p ** seq.dimension(start))
-
-
 def _chain_closure(q: LevelQuotient, seeds: Sequence[np.ndarray]) -> SubgroupHandle:
     """Normal closure by growing a stabilizer chain, one conjugate at a time."""
     sub = StabilizerChain(q.degree)
@@ -660,8 +653,7 @@ def _chain_closure(q: LevelQuotient, seeds: Sequence[np.ndarray]) -> SubgroupHan
         gens.append(g)
         for c, cinv in conj:
             work.append(c[g[cinv]])
-    sub.drop_seen()
-    return SubgroupHandle(q, gens, sub)
+    return SubgroupHandle(q, gens, order=sub.order())
 
 
 def normal_closure(q: LevelQuotient, seeds: Sequence[np.ndarray]) -> SubgroupHandle:
@@ -669,7 +661,8 @@ def normal_closure(q: LevelQuotient, seeds: Sequence[np.ndarray]) -> SubgroupHan
     a layered sequence when G_n lies in W_n(p), else a stabilizer chain."""
     if not q.layered_prime():
         return _chain_closure(q, seeds)
-    return _layered_handle(q, q.new_sequence().close(seeds, q.gens))
+    seq = q.new_sequence().close(seeds, q.gens)
+    return SubgroupHandle(q, seq.perms(), seq)
 
 
 def commutator_subgroup(q: LevelQuotient, h1_gens: Sequence[np.ndarray],
@@ -743,10 +736,12 @@ def nilpotency_class(group: GroupDefinition, level: int) -> int:
 
 
 def pointwise_stabilizer(q: LevelQuotient, points: Sequence[int]) -> SubgroupHandle:
-    """Subgroup fixing every listed point: the depth view of a chain based
-    at those points."""
+    """Subgroup fixing every listed point: generators and order read from
+    the tail of a chain based at those points (Holt, Eick and O'Brien
+    2005, 4.4)."""
     chain = chain_from_generators(q.degree, q.gens, base_prescription=points)
-    return SubgroupHandle(q, chain.stabilizer_generators(len(points)), chain, len(points))
+    return SubgroupHandle(q, chain.stabilizer_generators(len(points)),
+                          order=chain.order(len(points)))
 
 
 def _vertex_index(shape, level: int, vertex: Tuple[int, ...]) -> int:
@@ -770,17 +765,17 @@ def _stabilizer_generators(q: LevelQuotient, depth: int) -> List[np.ndarray]:
     e_m^a_m ... e_1^a_1 over the layers above `depth`, the
     representative that `LayeredSequence.sift` strips.
     """
-    hit = q._stabilizer_gens.get(depth)
-    if hit is None:
+    def build():
         seq = q.sequence()
-        hit = seq.perms(depth)
-        if seq.p ** seq.dimension(0, depth) * len(q.gens) < len(hit):
+        gens = seq.perms(depth)
+        if seq.p ** seq.dimension(0, depth) * len(q.gens) < len(gens):
             words = seq.identity[None]
             for e in seq.perms(0, depth):
                 words = np.concatenate([words[:, e_a] for e_a in _powers(e, seq.p)])
-            hit = list(seq.sift(np.concatenate([s[words] for s in q.gens]), depth))
-        q._stabilizer_gens[depth] = hit
-    return hit
+            gens = list(seq.sift(np.concatenate([s[words] for s in q.gens]), stop=depth))
+        return gens
+
+    return q.kept(("stabilizer generators", depth), build)
 
 
 def _layered_rist(q: LevelQuotient, vertex: Tuple[int, ...]) -> SubgroupHandle:
@@ -801,7 +796,7 @@ def _layered_rist(q: LevelQuotient, vertex: Tuple[int, ...]) -> SubgroupHandle:
         inside.append(_depth_layer(p, n, j, k[mine]))
     gens = _stabilizer_generators(q, d)
     seq = q.new_sequence(outside + inside).close(gens, gens)
-    return _layered_handle(q, seq, len(outside))
+    return SubgroupHandle(q, seq.perms(len(outside)), seq, len(outside))
 
 
 def rigid_stabilizer(group: GroupDefinition, level: int,
@@ -813,16 +808,15 @@ def rigid_stabilizer(group: GroupDefinition, level: int,
     if len(vertex) > level:
         raise ValueError(f"vertex of length {len(vertex)} lies below level {level}")
     q = level_quotient(group, level)
-    rist = q._rist.get(vertex)
-    if rist is None:
+
+    def build():
         if q.layered_prime():
-            rist = _layered_rist(q, vertex)
-        else:
-            outside = [i for i, v in enumerate(group.shape.vertices(level))
-                       if v[:len(vertex)] != vertex]
-            rist = pointwise_stabilizer(q, outside)
-        q._rist[vertex] = rist
-    return rist
+            return _layered_rist(q, vertex)
+        outside = [i for i, v in enumerate(group.shape.vertices(level))
+                   if v[:len(vertex)] != vertex]
+        return pointwise_stabilizer(q, outside)
+
+    return q.kept(("rigid stabilizer", vertex), build)
 
 
 def rigid_level_stabilizer(group: GroupDefinition, level: int,
@@ -837,31 +831,31 @@ def rigid_level_stabilizer(group: GroupDefinition, level: int,
     order is the product of the vertices' orders.
     """
     q = level_quotient(group, level)
-    hit = q._rist_level.get(depth)
-    if hit is not None:
-        return hit
-    verts = group.shape.vertices(depth)
-    w = q.degree // len(verts)
-    parts: Dict[int, List[np.ndarray]] = {}
-    order = 1
-    for root, v in enumerate(verts):
-        if root in parts:
-            continue
-        rist = rigid_stabilizer(group, level, v)
-        parts[root] = rist.gens
-        queue = [(root, np.arange(q.degree, dtype=np.int32))]
-        for i, t in queue:
-            for c in q.gens:
-                j = int(c[i * w]) // w
-                if j not in parts:
-                    tj = c[t]  # carries block root to block j
-                    tinv = _pinv(tj)
-                    parts[j] = [tj[g[tinv]] for g in rist.gens]
-                    queue.append((j, tj))
-        order *= rist.order() ** len(queue)
-    gens = [g for i in range(len(verts)) for g in parts[i]]
-    hit = q._rist_level[depth] = SubgroupHandle(q, gens, order=order)
-    return hit
+
+    def build():
+        verts = group.shape.vertices(depth)
+        w = q.degree // len(verts)
+        parts: Dict[int, List[np.ndarray]] = {}
+        order = 1
+        for root, v in enumerate(verts):
+            if root in parts:
+                continue
+            rist = rigid_stabilizer(group, level, v)
+            parts[root] = rist.gens
+            queue = [(root, np.arange(q.degree, dtype=np.int32))]
+            for i, t in queue:
+                for c in q.gens:
+                    j = int(c[i * w]) // w
+                    if j not in parts:
+                        tj = c[t]  # carries block root to block j
+                        tinv = _pinv(tj)
+                        parts[j] = [tj[g[tinv]] for g in rist.gens]
+                        queue.append((j, tj))
+            order *= rist.order() ** len(queue)
+        gens = [g for i in range(len(verts)) for g in parts[i]]
+        return SubgroupHandle(q, gens, order=order)
+
+    return q.kept(("rigid level stabilizer", depth), build)
 
 
 # rows of Schreier generators made and joined at once by `_stabilizer_orbit_sizes`
@@ -925,10 +919,7 @@ def suborbit_profile(group: GroupDefinition, level: int,
     if basepoint is None:
         basepoint = tuple(group.shape.branching(i) - 1 for i in range(level))
     pt = _vertex_index(group.shape, level, tuple(basepoint))
-    sizes = q._suborbits.get(pt)
-    if sizes is None:
-        sizes = q._suborbits[pt] = _stabilizer_orbit_sizes(q, pt)
-    return list(sizes)
+    return list(q.kept(("suborbits", pt), lambda: _stabilizer_orbit_sizes(q, pt)))
 
 
 # -- ambient orders and Hausdorff ratios ----------------------------------

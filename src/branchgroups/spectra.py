@@ -94,7 +94,8 @@ def _block_eigenvalues(group: GroupDefinition, k: int) -> np.ndarray:
             f"bytes, more than {SPECTRUM_BLOCK_BYTES_CAP}, the bound on a spectrum block "
             "(spectra.SPECTRUM_BLOCK_BYTES_CAP)")
     quotient = level_quotient(group, k)
-    if quotient._spectrum_block is None:
+
+    def solve():
         helmert, norms = _helmert(m)
         norm = np.sqrt(np.outer(norms, norms))
         span = np.arange(parents)
@@ -105,8 +106,9 @@ def _block_eigenvalues(group: GroupDefinition, k: int) -> np.ndarray:
             block[span, :, children[:, 0] // m, :] += local / norm
         eigs = np.linalg.eigvalsh(block.reshape(rows, rows))
         eigs.setflags(write=False)
-        quotient._spectrum_block = eigs
-    return quotient._spectrum_block
+        return eigs
+
+    return quotient.kept("spectrum block", solve)
 
 
 def spectrum_eigenvalues(group: GroupDefinition, level: int) -> np.ndarray:

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from hostspeed import slowdown
 from oracles import (
     check_contraction,
     check_eta_shortening,
@@ -58,6 +59,7 @@ def report(number: int, ok: bool, detail: str):
 
 
 def test_criterion_1_quotient_orders():
+    scale = slowdown()
     t0 = time.time()
     ok = True
     gg = builtin("Gg")
@@ -71,9 +73,9 @@ def test_criterion_1_quotient_orders():
         ok &= level_quotient(bgg, n).order() == 3 ** ((3**n + 2 * n + 3) // 4)
     for n in (1, 2):
         ok &= level_quotient(bgg, n).order() == 3 ** ((3**n - 1) // 2)
-    elapsed = time.time() - t0
+    elapsed = (time.time() - t0) / scale
     ok &= elapsed < 120
-    assert report(1, ok, f"quotient orders exact, {elapsed:.1f}s < 120s")
+    assert report(1, ok, f"quotient orders exact, {elapsed:.1f}s at reference speed < 120s")
 
 
 def test_criterion_2_hausdorff_ratios():

@@ -80,6 +80,24 @@ def test_random_conjugate_pairs(gg):
         assert coset_of(Word(f, True)) in qs
 
 
+def test_coset_set_contains_a_word(gg):
+    # a word, its letters or its text is looked up by its coset: the same
+    # answer as the coset id, for witnesses f of h = f^-1 g f and for others
+    rng = random.Random(47)
+    answers = set()
+    for _ in range(60):
+        g = random_reduced_word(gg, rng.randint(1, 8), rng)
+        f = random_reduced_word(gg, rng.randint(0, 6), rng)
+        qs = q_set(Word(g, True), Word(gg.reduce(gg.inverse_word(f) + g + f), True))
+        for word in (f, random_reduced_word(gg, rng.randint(0, 6), rng)):
+            expected = coset_of(Word(word, True)) in qs.ids
+            assert (Word(word, True) in qs) == (word in qs) == expected
+            assert (gg.format_word(word) in qs) == expected
+            answers.add(expected)
+        assert f in qs
+    assert answers == {True, False}
+
+
 def test_symmetry(gg):
     # Kf in Q(g,h) iff Kf^-1 in Q(h,g)
     rng = random.Random(43)

@@ -332,6 +332,25 @@ def test_growth_values_match_ball_sizes():
         assert growth_values(g, radius) == [len(ball(g, r)) for r in range(radius + 1)]
 
 
+def test_ball_keys_at_a_shallower_level_on_wide_trees(monkeypatch):
+    # GS17's level 3 has 17^3 = 4,913 vertices, past the ball's degree cap,
+    # so the ball keys its words at level 2; interned states are canonical,
+    # so distinct states count the elements of each ball
+    g = _make_builtin("GS17")
+    levels = []
+    quotient = decision.level_quotient
+    monkeypatch.setattr(decision, "level_quotient",
+                        lambda group, level: levels.append(level) or quotient(group, level))
+    values = growth_values(g, 2)
+    assert levels == [2]
+    words = [()]
+    counts = []
+    for _ in range(3):
+        counts.append(len({g.state_of_word(w) for w in words}))
+        words = [w + (x,) for w in words for x in g.canonical_letters] + [()]
+    assert values == counts == [1, 33, 545]
+
+
 def test_ball_size_is_checked_as_words_are_kept(monkeypatch, gg):
     # Gg's ball of radius 4 has 40 elements, so radius 5 passes a cap of 40
     monkeypatch.setattr(decision, "BALL_SIZE_CAP", 40)

@@ -1,5 +1,7 @@
 import hashlib
+import inspect
 import random
+import sys
 from fractions import Fraction
 from math import log
 
@@ -144,9 +146,8 @@ def test_perm_of_word_images_a_merged_rooted_letter():
     merged = letters[0]
     assert merged.root_perm == (2, 3, 0, 1) and merged not in group.canonical_letters
     q = level_quotient(group, 3)
-    assert merged not in q._images
     perm = q.perm_of_word("a a b")
-    assert merged in q._images
+    assert np.array_equal(q.perm_of_word("a a"), q.perm_of_state(merged))
     expected = np.arange(q.degree)
     for letter in letters:  # right action: the first letter acts first
         expected = _state_images(letter, 3)[expected]
@@ -317,9 +318,9 @@ def _perms_fixing(degree, points, rng, count=8):
 
 
 @pytest.mark.parametrize("name, level", [("Gg", 5), ("FGg", 3), ("Sg", 5)])
-def test_pointwise_stabilizer_depth_view_matches_rebuilt_chain(name, level):
-    # the stabilizer is read from the tail of the chain based at the
-    # points; a chain rebuilt from its generators is the oracle
+def test_pointwise_stabilizer_matches_rebuilt_chain(name, level):
+    # the generators and order are read from the tail of the chain based
+    # at the points; a chain rebuilt from the generators is the oracle
     g = builtin(name)
     q = level_quotient(g, level)
     rng = np.random.default_rng(13)
@@ -327,7 +328,7 @@ def test_pointwise_stabilizer_depth_view_matches_rebuilt_chain(name, level):
     nonmembers = 0
     for points in ([q.degree - 1], outside_vertex, list(range(0, q.degree, 3))):
         stab = pointwise_stabilizer(q, points)
-        assert stab.depth == len(points) and stab.chain().base[:len(points)] == points
+        assert all(np.array_equal(h[points], points) for h in stab.gens)
         oracle = chain_from_generators(q.degree, stab.gens)
         assert stab.order() == oracle.order()
         members = _random_products(q.degree, stab.gens, rng)
@@ -585,16 +586,21 @@ def _orbit_sizes(degree, gens):
 
 
 @pytest.mark.parametrize("name, level", [("Gg", 4), ("FGg", 3), ("G2", 2)])
-def test_suborbits_match_pointwise_stabilizer(name, level):
+def test_suborbits_match_pointwise_stabilizer(name, level, monkeypatch):
     # the profile comes from Schreier generators of the basepoint's
     # stabilizer and is kept per basepoint; a chain based at the basepoint
     # gives the same orbit sizes
-    g = builtin(name)
+    g = _make_builtin(name)
     q = level_quotient(g, level)
+    built = []
+    orbit_sizes = quotients._stabilizer_orbit_sizes
+    monkeypatch.setattr(quotients, "_stabilizer_orbit_sizes",
+                        lambda q, pt: built.append(pt) or orbit_sizes(q, pt))
     for pt, vertex in enumerate(g.shape.vertices(level)):
         stab = pointwise_stabilizer(q, [pt])
         assert suborbit_profile(g, level, vertex) == _orbit_sizes(q.degree, stab.gens)
-        assert q._suborbits[pt] == tuple(suborbit_profile(g, level, vertex))
+        assert suborbit_profile(g, level, vertex) == suborbit_profile(g, level, vertex)
+    assert built == list(range(q.degree))
     with pytest.raises(ValueError, match="not on level"):
         suborbit_profile(g, level, (0,) * (level + 1))
 
@@ -693,6 +699,95 @@ def test_layered_sequences_match_stabilizer_chains(name, top):
         assert q._chain is None
 
 
+def _handles(g, level, rng):
+    """Every kind of subgroup handle of the level quotient: the quotient,
+    two normal closures, lower central and derived terms, the rigid
+    stabilizers of the vertices of length 0-2 and the rigid level
+    stabilizers of depth 1-2."""
+    q = level_quotient(g, level)
+    handles = [q] + [normal_closure(q, [q.perm_of_word(random_reduced_word(g, 6, rng))])
+                     for _ in range(2)]
+    handles += quotients._series(q, 4, derived=False)[1:]
+    handles += quotients._series(q, 3, derived=True)[1:]
+    for depth in range(min(level, 2) + 1):
+        handles += [rigid_stabilizer(g, level, v) for v in g.shape.vertices(depth)]
+    handles += [rigid_level_stabilizer(g, level, d) for d in range(1, min(level, 2) + 1)]
+    return q, handles
+
+
+def _membership_probes(g, q, h, rng):
+    """Products of the handle's generators, images of random words and
+    arbitrary permutations."""
+    words = [q.perm_of_word(random_reduced_word(g, rng.randint(1, 12), rng))
+             for _ in range(6)]
+    nprng = np.random.default_rng(rng.randrange(1 << 30))
+    return (_random_products(q.degree, h.gens, nprng, count=6) + words
+            + [nprng.permutation(q.degree).astype(np.int32) for _ in range(3)])
+
+
+_MEMBERSHIP_LEVELS = (("Gg", 5), ("Gg", 6), ("FGg", 4), ("BGg", 4), ("Sg", 5),
+                      ("GSg", 4), ("G2", 3), ("GS6", 2))
+
+
+@pytest.mark.parametrize("name, level", _MEMBERSHIP_LEVELS,
+                         ids=[f"{n}@{level}" for n, level in _MEMBERSHIP_LEVELS])
+def test_membership_matches_a_chain_of_the_generators(name, level):
+    # p-group quotients sift through layered sequences, the others through
+    # a chain; a chain built from the handle's generators is the oracle
+    rng = random.Random(67)
+    g = _make_builtin(name)
+    q, handles = _handles(g, level, rng)
+    outcomes = set()
+    for h in handles:
+        oracle = chain_from_generators(q.degree, h.gens)
+        assert h.order() == oracle.order()
+        for perm in _membership_probes(g, q, h, rng):
+            assert h.contains(perm) == oracle.contains(perm)
+            outcomes.add(oracle.contains(perm))
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("name, level", [("Gg", 6), ("FGg", 4), ("Sg", 5)])
+def test_closures_that_defer_rows_match_the_default(name, level, monkeypatch):
+    # with 4 waiting perms per layer, `LayeredSequence.close` keeps breaking
+    # off a batch for the deeper queue; every answer must stay the same
+    def answers(g):
+        q = level_quotient(g, level)
+        return (q.order(), lower_central_ranks(g, level, 6), derived_series_orders(q, 3),
+                rigid_stabilizer(g, level, (0,)).order(),
+                rigid_level_stabilizer(g, level, 2).order())
+
+    expected = answers(_make_builtin(name))
+    monkeypatch.setattr(quotients, "_PENDING_ROWS", 4)
+    deferred = []
+    close_code = quotients.LayeredSequence.close.__code__
+    wait_line = next(n for n, line in enumerate(inspect.getsourcelines(
+        quotients.LayeredSequence.close)[0], close_code.co_firstlineno)
+        if "the rest waits" in line)
+
+    def count_waits(frame, event, arg):
+        if event == "line" and frame.f_lineno == wait_line:
+            deferred.append(wait_line)
+        return count_waits
+
+    def trace(frame, event, arg):
+        return count_waits if frame.f_code is close_code else None
+
+    g = _make_builtin(name)
+    sys.settrace(trace)
+    try:
+        assert answers(g) == expected
+    finally:
+        sys.settrace(None)
+    assert deferred
+    rng = random.Random(71)
+    q, handles = _handles(g, level, rng)
+    for h in handles:
+        oracle = chain_from_generators(q.degree, h.gens)
+        for perm in _membership_probes(g, q, h, rng):
+            assert h.contains(perm) == oracle.contains(perm)
+
+
 @pytest.mark.parametrize("name", ["G2", "GS4"])
 def test_composite_branching_takes_the_chain_path(name):
     g = _make_builtin(name)
@@ -748,7 +843,27 @@ def test_p_group_quotient_bundle_builds_no_chain(name, level, chain_builds):
     rigid_level_stabilizer(g, level, 1).order()
     hausdorff_ratio_exact(g, level)
     hausdorff_ratio(g, level, "full")
+    # membership sifts through the handles' layered sequences
+    rng = random.Random(73)
+    q, handles = _handles(g, level, rng)
+    for h in handles:
+        assert all(h.contains(p) for p in h.gens)
+        for perm in _membership_probes(g, q, h, rng):
+            h.contains(perm)
     assert chain_builds == []
+
+
+def test_deep_membership_builds_no_chain(chain_builds):
+    # K = <(ab)^2>^G at level 9 and a rigid vertex stabilizer there: a chain
+    # of either takes seconds to build, the sift a millisecond
+    g = _make_builtin("Gg")
+    q = level_quotient(g, 9)
+    k = normal_closure(q, [q.perm_of_word("(ab)^2")])
+    assert k.contains(q.perm_of_word("abab")) and not k.contains(q.perm_of_word("a"))
+    rist = rigid_stabilizer(g, 9, (0,))
+    assert all(rist.contains(h) for h in rist.gens)
+    assert not rist.contains(q.perm_of_word("b"))
+    assert chain_builds == [] and q._chain is None
 
 
 def test_conjugacy_stream_builds_no_chain(chain_builds, monkeypatch):

@@ -281,8 +281,11 @@ def test_kept_blocks_are_read_only():
     before = eigs.copy()
     eigs[:] = 0.0
     assert np.array_equal(spectrum_eigenvalues(gg, 5), before)
+    def unsolved():
+        raise AssertionError("the block was not kept")
+
     for k in range(1, 6):
-        block = level_quotient(gg, k)._spectrum_block
+        block = level_quotient(gg, k).kept("spectrum block", unsolved)
         assert len(block) == 2 ** (k - 1) and not block.flags.writeable
         with pytest.raises(ValueError):
             block[0] = 0.0
