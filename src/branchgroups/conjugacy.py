@@ -139,7 +139,7 @@ class GgConjugacy:
             self.transversal.append(t)
             return name, t
 
-        gens = [(x, q.gen_perms[x]) for x in "abcd"]
+        gens = [(x, q.perm_of_word(x)) for x in "abcd"]
         frontier = [add("", ident)]
         while frontier:
             steps = [(word + label, gp[t]) for word, t in frontier for label, gp in gens]

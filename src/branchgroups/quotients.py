@@ -8,14 +8,18 @@ The quotient G_n = G/Stab(L_n) acts on the m_1*...*m_n level-n vertices
   generator image rotates the children of each vertex (checked once, on
   the generator images, when the quotient is first asked).  The level
   stabilizers then give a normal series whose factors embed linearly in
-  F_p^(p^i), and a `LayeredSequence` keeps an echelon basis per factor.
-  The order, the normal closures, the lower central and derived series,
-  the rigid stabilizers and membership are all read from such sequences.
+  F_p^(p^i), and a `LayeredSequence` keeps an echelon basis per factor:
+  per row its pivot, its element h, the perms h^-1, ..., h^-(p-1) and
+  one echelon row.  The order, the normal closures, the lower central and
+  derived series, the rigid stabilizers and membership are all read from
+  such sequences.
 * A deterministic Schreier-Sims stabilizer chain otherwise (G2, GS_m for
   a composite m, mixed arities, non-rotating generators): base points are
   the first moved point (optionally prescribed), generators are processed
   in a fixed order and every Schreier generator is sifted, so runs are
-  reproducible bit for bit.
+  reproducible bit for bit.  A chain level keeps its base point, its
+  orbit, a transversal element and its inverse per orbit point, and its
+  generators.
 
 Every subgroup is a `SubgroupHandle`: its generators, its order once
 known, and the quotient's one engine.  On a p-group quotient membership
@@ -84,7 +88,9 @@ def _pinv(p: np.ndarray) -> np.ndarray:
 
 
 class _Level:
-    """One level of the chain: base point, orbit, generators, cursors.
+    """One level of the chain: its base point, the orbit points in the
+    order found, a transversal element and its inverse per orbit point,
+    the generators and two cursors per generator.
 
     ``gens`` are all strong generators fixing the base prefix above this
     level (each also appears in the lists of the shallower levels).
@@ -94,7 +100,7 @@ class _Level:
     """
 
     __slots__ = ("point", "points", "transversal", "inv_transversal",
-                 "gens", "orbit_cursor", "pair_cursor", "seen")
+                 "gens", "orbit_cursor", "pair_cursor")
 
     def __init__(self, point: int, identity: np.ndarray):
         self.point = point
@@ -104,7 +110,6 @@ class _Level:
         self.gens: List[np.ndarray] = []
         self.orbit_cursor: List[int] = []
         self.pair_cursor: List[int] = []
-        self.seen = set()
 
 
 class StabilizerChain:
@@ -114,7 +119,9 @@ class StabilizerChain:
     generator is sifted exactly once (work cursors make revisits cheap);
     a Schreier generator that once sifted to the identity stays inside
     the deeper subgroup because subgroups only grow, so the processing
-    order does not affect correctness.  No randomization anywhere.
+    order does not affect correctness.  The same holds for a repeated
+    Schreier generator: it sifts to the identity and installs nothing.
+    No randomization anywhere.
     """
 
     def __init__(self, degree: int, base_prescription: Sequence[int] = ()):
@@ -205,15 +212,8 @@ class StabilizerChain:
                 z = g[lv.transversal[x]]
                 y = int(z[lv.point])
                 sg = lv.inv_transversal[y][z]
-                key = sg.tobytes()
-                if key == self._id_bytes:
+                if sg.tobytes() == self._id_bytes:
                     continue
-                # exact dedup is memory-bounded: only small orbits keep a
-                # seen-set; duplicates elsewhere just sift twice
-                if len(lv.points) <= 64:
-                    if key in lv.seen:
-                        continue
-                    lv.seen.add(key)
                 residue = self.sift(sg, i + 1)
                 if residue is not None:
                     self._install(residue, i + 1)
@@ -227,13 +227,6 @@ class StabilizerChain:
         while self._dirty:
             if not self._process_level(self._dirty - 1):
                 self._dirty -= 1
-
-    def drop_seen(self):
-        """Free the dedup keys of a finished chain.  They only skip a second
-        sift during the build; a duplicate met in a later extension sifts
-        to the identity and installs nothing, so the chain is unchanged."""
-        for lv in self.levels:
-            lv.seen.clear()
 
     def add_generator(self, perm: np.ndarray) -> bool:
         """Install `perm` unless it is already a member; True iff installed."""
@@ -273,7 +266,6 @@ def chain_from_generators(degree: int, gens: Sequence[np.ndarray],
         staged = True
     if staged:
         chain._run()
-    chain.drop_seen()
     return chain
 
 
@@ -312,9 +304,9 @@ def _stack(perms, degree: int) -> np.ndarray:
 
 
 def _powers(g: np.ndarray, n: int) -> np.ndarray:
-    """g^0, g^1, ..., g^(n-1), one per row."""
+    """g^1, g^2, ..., g^n, one per row."""
     out = np.empty((n, len(g)), dtype=g.dtype)
-    out[0] = np.arange(len(g))
+    out[0] = g
     for k in range(1, n):
         out[k] = g[out[k - 1]]
     return out
@@ -333,7 +325,7 @@ def _comm_rows(h: np.ndarray, hinv: np.ndarray, xs: np.ndarray,
     return np.take_along_axis(xs, h[xs_inv[:, hinv]], axis=1)
 
 
-# perms that `LayeredSequence.close` lets wait in one layer's queue
+# perms that `LayeredSequence._close` lets wait in one layer's queue
 _PENDING_ROWS = 4096
 
 
@@ -350,28 +342,30 @@ class LayeredSequence:
     Holt, Eick and O'Brien 2005, ch. 8).  The standard series is the level
     stabilizers: layer i reads the rotations at the depth-i vertices.
 
-    `close(seeds, conj)` extends the sequence to the normal closure of the
-    seeds under conjugation by `conj`, sifting each layer's queue as one
-    batch: a new row h queues [h, s] for s in `conj` into its own layer,
-    and h^p and [h, x] for the earlier rows x of that layer into the next
-    one (the factor is elementary abelian).  The order is p to the number
-    of rows.
+    A sequence is built closed: the normal closure of the seeds under
+    conjugation by `conj`, sifting each layer's queue as one batch.  A new
+    row h queues [h, s] for s in `conj` into its own layer, and h^p and
+    [h, x] for the earlier rows x of that layer into the next one (the
+    factor is elementary abelian).  The order is p to the number of rows.
+    A row keeps its pivot, its element h, the perms h^-1, ..., h^-(p-1)
+    and its echelon vector (a row of the layer's `_dense` matrix).
     """
 
-    def __init__(self, p: int, degree: int, layers: Sequence[Tuple[np.ndarray, int]]):
+    def __init__(self, p: int, degree: int, layers: Sequence[Tuple[np.ndarray, int]],
+                 seeds, conj):
         self.p = p
         self.layers = list(layers)
         self.identity = np.arange(degree, dtype=np.int32)
         self.pivots: List[List[int]] = [[] for _ in self.layers]
-        self.rows: List[List[np.ndarray]] = [[] for _ in self.layers]
         self.elements: List[List[np.ndarray]] = [[] for _ in self.layers]
-        # per row: the perms h^0, h^-1, ..., h^-(p-1), one per line
+        # per row: the perms h^-1, ..., h^-(p-1), one per line
         self._inverse_powers: List[List[np.ndarray]] = [[] for _ in self.layers]
-        # per layer, once it has a row: the rows R again and the inverse mod p
-        # of U = R[:, pivots], unit upper triangular, both with room for a
-        # full basis; float64, so products run in BLAS (every sum is an
-        # integer below 2^53)
+        # per layer, once it has a row: the echelon rows R (r x k) and the
+        # inverse mod p of U = R[:, pivots] (r x r, unit upper triangular);
+        # float64, so products run in BLAS (every sum is an integer below
+        # 2^53).  While the sequence closes, both have room for k rows.
         self._dense: List[Optional[Tuple[np.ndarray, np.ndarray]]] = [None] * len(self.layers)
+        self._close(seeds, conj)
 
     def dimension(self, start: int = 0, stop: Optional[int] = None) -> int:
         return sum(len(e) for e in self.elements[start:stop])
@@ -403,11 +397,12 @@ class LayeredSequence:
             a = vecs[:, self.pivots[i][first]]
             hit = np.flatnonzero(a)
             coeff = a[hit, None]
-            vecs[hit] = (vecs[hit] - coeff * self.rows[i][first]) % p
+            row = self._dense[i][0][first].astype(vecs.dtype)
+            vecs[hit] = (vecs[hit] - coeff * row) % p
             if zero_is_identity:
                 keep = vecs[hit].any(axis=1)
                 hit, coeff = hit[keep], coeff[keep]
-            batch[hit] = self._inverse_powers[i][first][coeff, batch[hit]]
+            batch[hit] = self._inverse_powers[i][first][coeff - 1, batch[hit]]
             return
         # v = sum a_j R_j gives v[pivots] = a U, so a = v[pivots] U^-1
         rows, u_inv = self._dense[i]
@@ -419,7 +414,8 @@ class LayeredSequence:
         coeff = coeff[hit]
         for j in np.flatnonzero(coeff.any(axis=0)):
             on = coeff[:, j] != 0
-            batch[hit[on]] = self._inverse_powers[i][first + j][coeff[on, j, None], batch[hit[on]]]
+            batch[hit[on]] = self._inverse_powers[i][first + j][coeff[on, j, None] - 1,
+                                                                batch[hit[on]]]
 
     def sift(self, perms, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
         """The perms stripped through layers [start, stop), by default to the
@@ -437,7 +433,7 @@ class LayeredSequence:
         p = self.p
         piv = int(np.flatnonzero(v)[0])
         k = pow(int(v[piv]), -1, p)
-        h = _powers(g, k + 1)[k].copy()  # not a view holding the lower powers
+        h = _powers(g, k)[-1].copy()  # not a view holding the lower powers
         r = len(self.pivots[i])
         if not r:
             self._dense[i] = (np.zeros((len(v), len(v))), np.zeros((len(v), len(v))))
@@ -447,26 +443,25 @@ class LayeredSequence:
         u_inv[:r, r] = -(u_inv[:r, :r] @ rows[:r, piv]) % p
         u_inv[r, r] = 1
         rows[r] = v * k % p
-        self.rows[i].append(v * k % p)
         self.pivots[i].append(piv)
         self.elements[i].append(h)
-        self._inverse_powers[i].append(_powers(_pinv(h), p))
+        self._inverse_powers[i].append(_powers(_pinv(h), p - 1))
         return h
 
-    def close(self, seeds, conj) -> "LayeredSequence":
-        """Extend to the normal closure of the seeds (any iterable of perms)
-        under conjugation by `conj`; each seed must lie in K_0, and conj
-        must normalize every K_i.  A queued element is a member once
-        sifted, whatever is added later, so the order in which the layers'
-        queues are worked off does not matter.  The shallowest queue goes
+    def _close(self, seeds, conj):
+        """Close the empty sequence to the normal closure of the seeds (any
+        iterable of perms) under conjugation by `conj`; each seed must lie
+        in K_0, and conj must normalize every K_i.  A queued element is a
+        member once sifted, whatever is added later, so the order in which
+        the layers' queues are worked off does not matter.  The shallowest queue goes
         first, unless a deeper one holds `_PENDING_ROWS` perms: then the
         deepest such one.  Seeds are taken `_PENDING_ROWS` at a time, once
         every queue is empty.  Both bound the memory held by waiting perms,
         such as the same-layer commutators or the pairs of a derived
-        subgroup."""
+        subgroup.  Last, each layer's `_dense` pair is cut to its rows."""
         last = len(self.layers) - 1
         if last < 0:
-            return self
+            return
         degree = len(self.identity)
         conj = _stack(conj, degree)
         conj_inv = _pinv_rows(conj)
@@ -483,7 +478,7 @@ class LayeredSequence:
             if not any(queued):
                 queue(0, _stack(list(islice(seeds, _PENDING_ROWS)), degree))
                 if not queued[0]:
-                    return self
+                    break
             full = [i for i in range(last + 1) if queued[i] >= _PENDING_ROWS]
             i = full[-1] if full else next(i for i in range(last + 1) if queued[i])
             batch = self._distinct(np.concatenate(pending[i]))
@@ -497,18 +492,20 @@ class LayeredSequence:
                 if not len(batch):
                     break
                 h = self._add_row(i, batch[0], vecs[0])
-                hinv = self._inverse_powers[i][-1][1]
+                hinv = self._inverse_powers[i][-1][0]
                 queue(i, _comm_rows(h, hinv, conj, conj_inv))
                 if i < last:
-                    queue(i + 1, _powers(h, self.p + 1)[-1:])
+                    queue(i + 1, _powers(h, self.p)[-1:])
                     earlier = _stack(self.elements[i][:-1], degree)
-                    earlier_inv = _stack([pw[1] for pw in self._inverse_powers[i][:-1]], degree)
+                    earlier_inv = _stack([pw[0] for pw in self._inverse_powers[i][:-1]], degree)
                     queue(i + 1, _comm_rows(h, hinv, earlier, earlier_inv))
                 batch, vecs = batch[1:], vecs[1:]
                 if i < last and queued[i + 1] >= _PENDING_ROWS:
                     queue(i, batch)  # the rest waits for the deeper queue
                     break
                 self._strip(i, batch, vecs, len(self.pivots[i]) - 1, i == last)
+        self._dense = [None if d is None else (d[0][:r].copy(), d[1][:r, :r].copy())
+                       for d, r in zip(self._dense, map(len, self.pivots))]
 
     def _distinct(self, batch: np.ndarray) -> np.ndarray:
         """The distinct non-identity rows of the batch, in first-seen order."""
@@ -545,7 +542,7 @@ class SubgroupHandle:
 
     def sequence(self) -> LayeredSequence:
         if self._sequence is None:
-            self._sequence = self.parent.new_sequence().close(self.gens, self.gens)
+            self._sequence = self.parent.closed_sequence(self.gens, self.gens)
         return self._sequence
 
     def order(self) -> int:
@@ -571,9 +568,7 @@ class LevelQuotient(SubgroupHandle):
         self.group = group
         self.level = level
         self.degree = group.shape.level_size(level)
-        self.gen_perms: Dict[str, np.ndarray] = {
-            group.format_word((x,)): _state_images(x, level) for x in group.canonical_letters}
-        super().__init__(self, self.gen_perms.values())
+        super().__init__(self, [_state_images(x, level) for x in group.canonical_letters])
         self._lower_central: List[SubgroupHandle] = [self]
         self._derived: List[SubgroupHandle] = [self]
         self._kept: Dict = {}
@@ -592,13 +587,14 @@ class LevelQuotient(SubgroupHandle):
         the chain serves (decided once, on the generator images)."""
         return self.kept("layered prime", lambda: _layered_prime(self.group, self.level, self.gens))
 
-    def new_sequence(self, layers=None) -> LayeredSequence:
-        """An empty sequence over the given layers, by default the level
-        stabilizers (layer i reads the rotations at the depth-i vertices)."""
+    def closed_sequence(self, seeds, conj, layers=None) -> LayeredSequence:
+        """The sequence of the normal closure of the seeds under conjugation
+        by `conj`, over the given layers, by default the level stabilizers
+        (layer i reads the rotations at the depth-i vertices)."""
         p, n = self.layered_prime(), self.level
         if layers is None:
             layers = [_depth_layer(p, n, i, np.arange(p ** i)) for i in range(n)]
-        return LayeredSequence(p, self.degree, layers)
+        return LayeredSequence(p, self.degree, layers, seeds, conj)
 
     def perm_of_word(self, word) -> np.ndarray:
         p = np.arange(self.degree, dtype=np.int32)
@@ -661,7 +657,7 @@ def normal_closure(q: LevelQuotient, seeds: Sequence[np.ndarray]) -> SubgroupHan
     a layered sequence when G_n lies in W_n(p), else a stabilizer chain."""
     if not q.layered_prime():
         return _chain_closure(q, seeds)
-    seq = q.new_sequence().close(seeds, q.gens)
+    seq = q.closed_sequence(seeds, q.gens)
     return SubgroupHandle(q, seq.perms(), seq)
 
 
@@ -771,7 +767,7 @@ def _stabilizer_generators(q: LevelQuotient, depth: int) -> List[np.ndarray]:
         if seq.p ** seq.dimension(0, depth) * len(q.gens) < len(gens):
             words = seq.identity[None]
             for e in seq.perms(0, depth):
-                words = np.concatenate([words[:, e_a] for e_a in _powers(e, seq.p)])
+                words = np.concatenate([words] + [words[:, e_a] for e_a in _powers(e, seq.p - 1)])
             gens = list(seq.sift(np.concatenate([s[words] for s in q.gens]), stop=depth))
         return gens
 
@@ -795,7 +791,7 @@ def _layered_rist(q: LevelQuotient, vertex: Tuple[int, ...]) -> SubgroupHandle:
             outside.append(_depth_layer(p, n, j, k[~mine]))
         inside.append(_depth_layer(p, n, j, k[mine]))
     gens = _stabilizer_generators(q, d)
-    seq = q.new_sequence(outside + inside).close(gens, gens)
+    seq = q.closed_sequence(gens, gens, outside + inside)
     return SubgroupHandle(q, seq.perms(len(outside)), seq, len(outside))
 
 

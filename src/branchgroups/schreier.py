@@ -229,31 +229,26 @@ def _ternary_rule(exponents):
     return rule
 
 
-_RULES = {}
-
-
 def substitution_rules(name: str):
     """The substitutional rule of a built-in group: Gg, FGg, BGg, GSg
     (BGg and GSg give graphs isomorphic to each other).  The rule maps
     the level-n permutation of each generator label to the level-(n+1)
-    one."""
-    key = builtin(name).name
-    if key not in _RULES:
-        if key == "Gg":
-            _RULES[key] = _gg_rule
-        elif key in ("FGg", "BGg", "GSg"):
-            _RULES[key] = _ternary_rule(builtin(key).ggs_vector.exponents)
-        else:
-            raise KeyError(f"no substitution rules for {key!r}")
-    return _RULES[key]
+    one.  KeyError for any other group."""
+    group = builtin(name)
+    if group.name == "Gg":
+        return _gg_rule
+    if group.name in ("FGg", "BGg", "GSg"):
+        return _ternary_rule(group.ggs_vector.exponents)
+    raise KeyError(f"no substitution rules for {group.name!r}")
 
 
 def substitutional_expand(name: str, level: int) -> SchreierGraph:
     """Schreier graph at a level from the substitutional rules alone,
     applied `level` times to the one-vertex graph of level 0."""
     group = builtin(name)
+    rule = substitution_rules(name)
     check_level_degree(group, level)
     perms = {label: np.zeros(1, dtype=np.int64) for label, _, _ in _generator_pairs(group)}
     for _ in range(level):
-        perms = substitution_rules(name)(perms)
+        perms = rule(perms)
     return _level_graph(group, level, perms)

@@ -337,6 +337,9 @@ def test_cli_schreier_and_spectrum(tmp_path, capsys):
     # a group without substitution rules is a usage error
     assert main(["schreier", "BSV", "--level", "3", "--substitution"]) == EXIT_USAGE
     assert "no substitution rules for 'BSV'" in capsys.readouterr().err
+    # at level 0 too, where no rule is ever applied
+    assert main(["schreier", "Sg", "--level", "0", "--substitution"]) == EXIT_USAGE
+    assert "no substitution rules for 'Sg'" in capsys.readouterr().err
 
     csv = tmp_path / "s.csv"
     assert main(["spectrum", "Gg", "--level", "3", "--csv", str(csv),

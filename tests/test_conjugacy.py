@@ -149,7 +149,7 @@ def test_brute_force_agreement_small():
     words = ["a", "b", "c", "d", "ab", "ba", "ad", "ac", "abad", "b a b a"]
     perms = {w: tuple(int(x) for x in q.perm_of_word(w)) for w in words}
     # enumerate the whole level-3 quotient (order 128)
-    gens = list(q.gen_perms.values())
+    gens = q.gens
     ident = tuple(range(q.degree))
     group = {ident}
     frontier = [np.arange(q.degree)]
@@ -387,7 +387,7 @@ def test_coset_memo_over_the_whole_quotient():
     while frontier:
         nxt = []
         for p in frontier:
-            for gen in q.gen_perms.values():
+            for gen in q.gens:
                 r = gen[p]
                 if r.tobytes() not in elements:
                     elements[r.tobytes()] = r

@@ -88,7 +88,7 @@ def _brute_force_order(q, cap=1 << 21):
     identity = np.arange(q.degree, dtype=np.int32)
     seen = {identity.tobytes()}
     frontier = [identity]
-    gens = list(q.gen_perms.values())
+    gens = q.gens
     while frontier:
         nxt = []
         for p in frontier:
@@ -131,10 +131,13 @@ def _chain_digest(chain):
     ("Gg", 6, "c0a2b061cb4e13f72caac33f69dea6bafc006096"),
     ("FGg", 4, "1c478ddcb6754f07db360d230e7d4c443b71a400"),
     ("Sg", 5, "e111777e18606af6df35ee5c5ebc58b365dc67f6"),
-], ids=["Gg@6", "FGg@4", "Sg@5"])
+    ("G2", 4, "9f2e39a340d33036da8c4d3aef6379c8c08536aa"),
+    ("GS6", 2, "378dd26d93b9fb92d1c5a038a677db11a934dc5b"),
+], ids=["Gg@6", "FGg@4", "Sg@5", "G2@4", "GS6@2"])
 def test_chain_is_pinned(name, level, digest):
     # the chain is deterministic: a change to its base, orbit order or
-    # strong generators changes these digests
+    # strong generators changes these digests.  G2@4 and GS6@2 are
+    # quotients that take the chain path for their own answers.
     assert _chain_digest(level_quotient(builtin(name), level).chain()) == digest
 
 
@@ -263,28 +266,6 @@ def test_rigid_level_stabilizer_with_several_vertex_orbits():
     for level in range(1, 5):
         for depth in range(1, min(level, 2) + 1):
             _check_rist_level_against_oracle(g, level, depth)
-
-
-def test_chain_extended_after_dropping_seen_is_unchanged():
-    # the dedup keys only skip a second sift during a build: a chain whose
-    # keys were dropped and which is then extended matches one that kept them
-    q = level_quotient(builtin("Gg"), 5)
-    # finished chains, the quotient's and a normal closure's, hold no keys
-    closure = normal_closure(q, [q.perm_of_word("(ab)^2")])
-    assert not any(lv.seen for h in (q, closure) for lv in h.chain().levels)
-    gens = [q.perm_of_word(w) for w in ("b", "c", "aba", "aca")]
-    extra = q.perm_of_word("ad")
-    kept = chain_from_generators(q.degree, [])
-    dropped = chain_from_generators(q.degree, [])
-    for g in gens:
-        kept.add_generator(g)
-        dropped.add_generator(g)
-    assert any(lv.seen for lv in kept.levels)
-    dropped.drop_seen()
-    assert not any(lv.seen for lv in dropped.levels)
-    assert kept.add_generator(extra) and dropped.add_generator(extra)
-    assert _chain_digest(kept) == _chain_digest(dropped)
-    assert kept.order() == dropped.order() == q.order()
 
 
 def test_rigid_stabilizer_rejects_impossible_vertices(gg):
@@ -749,7 +730,7 @@ def test_membership_matches_a_chain_of_the_generators(name, level):
 
 @pytest.mark.parametrize("name, level", [("Gg", 6), ("FGg", 4), ("Sg", 5)])
 def test_closures_that_defer_rows_match_the_default(name, level, monkeypatch):
-    # with 4 waiting perms per layer, `LayeredSequence.close` keeps breaking
+    # with 4 waiting perms per layer, `LayeredSequence._close` keeps breaking
     # off a batch for the deeper queue; every answer must stay the same
     def answers(g):
         q = level_quotient(g, level)
@@ -760,9 +741,9 @@ def test_closures_that_defer_rows_match_the_default(name, level, monkeypatch):
     expected = answers(_make_builtin(name))
     monkeypatch.setattr(quotients, "_PENDING_ROWS", 4)
     deferred = []
-    close_code = quotients.LayeredSequence.close.__code__
+    close_code = quotients.LayeredSequence._close.__code__
     wait_line = next(n for n, line in enumerate(inspect.getsourcelines(
-        quotients.LayeredSequence.close)[0], close_code.co_firstlineno)
+        quotients.LayeredSequence._close)[0], close_code.co_firstlineno)
         if "the rest waits" in line)
 
     def count_waits(frame, event, arg):
@@ -786,6 +767,40 @@ def test_closures_that_defer_rows_match_the_default(name, level, monkeypatch):
         oracle = chain_from_generators(q.degree, h.gens)
         for perm in _membership_probes(g, q, h, rng):
             assert h.contains(perm) == oracle.contains(perm)
+
+
+def _check_closed_sequence(seq):
+    """Each layer keeps r echelon rows, an r x r U^-1 and, per row, the
+    p - 1 perms h^-1, ..., h^-(p-1) in an array of their own."""
+    for i, (leaves, _) in enumerate(seq.layers):
+        r = len(seq.pivots[i])
+        assert len(seq.elements[i]) == len(seq._inverse_powers[i]) == r
+        if not r:
+            assert seq._dense[i] is None
+            continue
+        rows, u_inv = seq._dense[i]
+        assert rows.shape == (r, len(leaves)) and u_inv.shape == (r, r)
+        assert rows.base is None and u_inv.base is None
+        for h, powers in zip(seq.elements[i], seq._inverse_powers[i]):
+            assert powers.shape == (seq.p - 1, len(seq.identity)) and powers.base is None
+            assert not (powers == seq.identity).all(axis=1).any()
+            product = h
+            for inverse in powers:
+                assert np.array_equal(product[inverse], seq.identity)
+                product = h[product]
+
+
+@pytest.mark.parametrize("name, level", [("Gg", 6), ("FGg", 4), ("Sg", 5)])
+def test_closed_sequences_keep_each_datum_once(name, level):
+    # the sequences behind the order, a normal closure and a rigid stabilizer
+    g = _make_builtin(name)
+    q = level_quotient(g, level)
+    q.order()
+    handles = [q, normal_closure(q, [q.perm_of_word(random_reduced_word(g, 6, random.Random(5)))]),
+               rigid_stabilizer(g, level, (0,))]
+    for h in handles:
+        _check_closed_sequence(h.sequence())
+    assert all(h.sequence().dimension() for h in handles)
 
 
 @pytest.mark.parametrize("name", ["G2", "GS4"])

@@ -1,6 +1,7 @@
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from oracles import growth_by_all_sources, growth_series_product
@@ -261,8 +262,19 @@ def test_dot_output_stable():
 def test_substitution_unknown_name():
     with pytest.raises(KeyError):
         substitution_rules("BSV")
+    # the rule is looked up before the first step, so level 0 refuses too
+    for name in ("Sg", "BSV"):
+        with pytest.raises(KeyError, match="no substitution rules"):
+            substitutional_expand(name, 0)
 
 
 def test_substitution_rules_resolve_builtin_aliases():
-    assert substitution_rules("fabrykowski-gupta") is substitution_rules("FGg")
     assert substitution_rules("grigorchuk") is substitution_rules("gg")
+    # a ternary rule is made per call: the alias's rule gives the same images
+    alias, own = substitution_rules("fabrykowski-gupta"), substitution_rules("FGg")
+    perms = {"a": np.zeros(1, dtype=np.int64), "t": np.zeros(1, dtype=np.int64)}
+    for _ in range(3):
+        images = alias(perms)
+        assert images.keys() == perms.keys()
+        assert all(np.array_equal(images[x], own(perms)[x]) for x in perms)
+        perms = images
