@@ -242,7 +242,9 @@ def main(argv=None) -> int:
     try:
         return _dispatch(args)
     except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceBoundExceeded as exc:
         print(f"resource bound exceeded: {exc}", file=sys.stderr)

@@ -47,7 +47,7 @@ Python integers.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice
 from math import factorial, log
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -318,15 +318,47 @@ def _pinv_rows(perms: np.ndarray) -> np.ndarray:
     return out
 
 
-def _comm_rows(h: np.ndarray, hinv: np.ndarray, xs: np.ndarray,
-               xs_inv: np.ndarray) -> np.ndarray:
-    """[h, x] = h^-1 x^-1 h x for every row x; composition is left-to-right
-    application, so (g h)[i] = h[g[i]]."""
-    return np.take_along_axis(xs, h[xs_inv[:, hinv]], axis=1)
+def _pair_indices(js: np.ndarray, starts, stops):
+    """(jj, ll) listing the pairs (j, l) for j in js and l in [start_j,
+    stop_j), in that order."""
+    counts = np.full(len(js), stops - starts)
+    jj = np.repeat(js, counts)
+    return jj, np.arange(len(jj)) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+
+
+def _comm_pairs(h: np.ndarray, h_inv: np.ndarray, xs: np.ndarray, xs_inv: np.ndarray,
+                jj: np.ndarray, ll: np.ndarray) -> np.ndarray:
+    """[h_j, x_l] = h_j^-1 x_l^-1 h_j x_l for each pair (j, l) of the index
+    arrays; composition is left-to-right application, so (g h)[i] =
+    h[g[i]].  Made _PAIR_ROWS at a time, so the temporaries stay small;
+    the stacks must be C-contiguous, as each gather is a flat take."""
+    d = h.shape[1]
+    out = np.empty((len(jj), d), dtype=h.dtype)
+    for a in range(0, len(jj), _PAIR_ROWS):
+        j, l = jj[a:a + _PAIR_ROWS], ll[a:a + _PAIR_ROWS, None] * d
+        t = xs_inv.take(h_inv[j] + l)
+        t = h.take(t + j[:, None] * d)
+        out[a:a + _PAIR_ROWS] = xs.take(t + l)
+    return out
+
+
+def _unit_upper_inverse(u: np.ndarray, p: int) -> np.ndarray:
+    """The inverse mod p of a unit upper triangular float64 matrix I + N:
+    (I - N)(I + N^2)(I + N^4)..., until the power of the nilpotent N is 0."""
+    eye = np.eye(len(u))
+    n = u - eye
+    inv = (eye - n) % p
+    n = n @ n % p
+    while n.any():
+        inv = inv @ (eye + n) % p
+        n = n @ n % p
+    return inv
 
 
 # perms that `LayeredSequence._close` lets wait in one layer's queue
 _PENDING_ROWS = 4096
+# commutator pairs `_comm_pairs` makes at once
+_PAIR_ROWS = 512
 
 
 class LayeredSequence:
@@ -343,12 +375,18 @@ class LayeredSequence:
     stabilizers: layer i reads the rotations at the depth-i vertices.
 
     A sequence is built closed: the normal closure of the seeds under
-    conjugation by `conj`, sifting each layer's queue as one batch.  A new
-    row h queues [h, s] for s in `conj` into its own layer, and h^p and
-    [h, x] for the earlier rows x of that layer into the next one (the
-    factor is elementary abelian).  The order is p to the number of rows.
-    A row keeps its pivot, its element h, the perms h^-1, ..., h^-(p-1)
-    and its echelon vector (a row of the layer's `_dense` matrix).
+    conjugation by `conj`, sifting each layer's queue as one batch.  One
+    greedy elimination over the batch's residue vectors picks its new
+    rows: each is the first vector, in batch order, that the rows before
+    it do not strip to zero.  A new row h queues [h, s] for s in `conj`
+    into its own layer, and h^p and [h, x] for the earlier rows x of that
+    layer into the next one (the factor is elementary abelian).  The
+    queues get these, and the perms each row strips to zero, in the order
+    of a loop that adds one row at a time, so every row is that loop's.
+    The order is p to the number of rows.  Per row a layer keeps its
+    pivot, its element h (a line of the layer's `elements` array), the
+    perms h^-1, ..., h^-(p-1) and its echelon vector (a row of the layer's
+    `_dense` matrix).
     """
 
     def __init__(self, p: int, degree: int, layers: Sequence[Tuple[np.ndarray, int]],
@@ -357,7 +395,8 @@ class LayeredSequence:
         self.layers = list(layers)
         self.identity = np.arange(degree, dtype=np.int32)
         self.pivots: List[List[int]] = [[] for _ in self.layers]
-        self.elements: List[List[np.ndarray]] = [[] for _ in self.layers]
+        # per layer, once closed: the elements h, one per line
+        self.elements: List = [[] for _ in self.layers]
         # per row: the perms h^-1, ..., h^-(p-1), one per line
         self._inverse_powers: List[List[np.ndarray]] = [[] for _ in self.layers]
         # per layer, once it has a row: the echelon rows R (r x k) and the
@@ -428,37 +467,153 @@ class LayeredSequence:
             self._strip(i, batch, self._vectors(i, batch))
         return batch
 
-    def _add_row(self, i: int, g: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Make the residue g (vector v != 0) a row, scaled to pivot 1."""
-        p = self.p
-        piv = int(np.flatnonzero(v)[0])
-        k = pow(int(v[piv]), -1, p)
-        h = _powers(g, k)[-1].copy()  # not a view holding the lower powers
-        r = len(self.pivots[i])
-        if not r:
-            self._dense[i] = (np.zeros((len(v), len(v))), np.zeros((len(v), len(v))))
+    def _eliminate(self, i: int, vecs: np.ndarray, room: Optional[int]):
+        """Pick a batch's new rows for layer i by greedy elimination over its
+        residue vectors (zero at the layer's pivots): a row is the first
+        vector, in batch order, that the rows before it leave nonzero.
+
+        Returns (picked, strips, dead, rest): per row its source (an index
+        into the batch), pivot, scale to pivot 1 and scaled vector; per row
+        the perms it strips and their coefficients; the perms zero from
+        the start, then per row those it leaves zero.  Once these and each
+        row's p-th power and commutators with the earlier rows reach `room`
+        (the free part of the next layer's queue, None on the last layer),
+        it stops after picking that row: `rest` lists the perms still live.
+        The last layer drops its dead perms, so it strips the sources only."""
+        p, r = self.p, len(self.pivots[i])
+        vecs = vecs.astype(np.min_scalar_type(p * p))  # a + c (p - x) < p^2
+        nonzero = vecs.any(axis=1)
+        live = np.flatnonzero(nonzero)
+        dead = [np.flatnonzero(~nonzero)]
+        spent = len(dead[0])
+        picked, strips = [], []
+        while len(live):
+            src, live = live[0], live[1:]
+            v = vecs[src]
+            piv = int(v.nonzero()[0][0])
+            scale = pow(int(v[piv]), -1, p)
+            row = v if scale == 1 else v * scale % p
+            picked.append((src, piv, scale, row))
+            if room is not None:  # h^p and [h, x] for the earlier rows x
+                spent += r + len(picked)
+                if spent >= room:
+                    return picked, strips, dead, live
+            c = vecs[:, piv][live]
+            on = c.nonzero()[0]
+            hit, coeff = live[on], c[on][:, None]
+            # over F_2 every coefficient is 1
+            w = vecs[hit] ^ row if p == 2 else (vecs[hit] + coeff * (p - row)) % p
+            vecs[hit] = w
+            strips.append((hit, coeff))
+            gone = on[~w.any(axis=1)]
+            dead.append(live[gone])
+            spent += len(gone)
+            if len(gone):
+                keep = np.ones(len(live), dtype=bool)
+                keep[gone] = False
+                live = live[keep]
+        if room is None:
+            source = np.zeros(len(vecs), dtype=bool)
+            source[[src for src, _, _, _ in picked]] = True
+            strips = [(hit[source[hit]], coeff[source[hit]]) for hit, coeff in strips]
+        return picked, strips, dead, None
+
+    def _add_rows(self, i: int, batch: np.ndarray, picked, strips, stacks):
+        """Make the picked perms of the batch rows of layer i, in order:
+        h = g^scale for the source g, which the rows before it have
+        stripped, then strip h out of the perms it strips.  h and h^-1 go
+        to the layer's stack; R and U^-1 grow by block."""
+        p, degree = self.p, len(self.identity)
+        r0 = len(self.pivots[i])
+        r = r0 + len(picked)
+        if stacks[i].shape[1] < r:
+            grown = np.empty((2, max(2 * stacks[i].shape[1], r), degree), dtype=np.int32)
+            grown[:, :r0] = stacks[i][:, :r0]
+            stacks[i] = grown
+        for j, (src, _, scale, _) in enumerate(picked):
+            h, h_inv = stacks[i][:, r0 + j]
+            h[:] = batch[src] if scale == 1 else _powers(batch[src], scale)[-1]
+            h_inv[h] = self.identity
+            powers = _powers(h_inv, p - 1)
+            self._inverse_powers[i].append(powers)
+            if j < len(strips) and len(strips[j][0]):
+                hit, coeff = strips[j]
+                # h^-a is line a - 1 of the powers
+                batch[hit] = powers.take(batch[hit] + (coeff - 1) * np.intp(degree))
+        pivots = [piv for _, piv, _, _ in picked]
+        if not r0:
+            k = len(self.layers[i][0])
+            self._dense[i] = (np.zeros((k, k)), np.zeros((k, k)))
         rows, u_inv = self._dense[i]
-        # U grows by the column of the old rows at the new pivot and a unit
-        # row (the new row is zero at the old pivots)
-        u_inv[:r, r] = -(u_inv[:r, :r] @ rows[:r, piv]) % p
-        u_inv[r, r] = 1
-        rows[r] = v * k % p
-        self.pivots[i].append(piv)
-        self.elements[i].append(h)
-        self._inverse_powers[i].append(_powers(_pinv(h), p - 1))
-        return h
+        rows[r0:r] = [row for _, _, _, row in picked]
+        # U = [[U_00, U_01], [0, U_11]]: the new rows are zero at the old
+        # pivots and U_11 is unit upper triangular, so U^-1 has the blocks
+        # U_00^-1, -U_00^-1 U_01 U_11^-1 and U_11^-1
+        inv = _unit_upper_inverse(rows[r0:r, pivots], p)
+        u_inv[r0:r, r0:r] = inv
+        u_inv[:r0, r0:r] = (-(u_inv[:r0, :r0] @ rows[:r0, pivots]) % p) @ inv % p
+        self.pivots[i].extend(pivots)
+
+    def _sift_batch(self, i: int, batch: np.ndarray, room: Optional[int], stacks,
+                    conj: np.ndarray, conj_inv: np.ndarray):
+        """Sift a batch of distinct perms of K_i and add its new rows;
+        yield (layer, perms) to queue, in the order of a loop that adds one
+        row at a time.  That loop queues the perms zero from the start into
+        layer i + 1; then per row h_j it queues [h_j, s] for s in conj into
+        layer i, and h_j^p and [h_j, x] for the earlier rows x into layer
+        i + 1, strips h_j out of the rest and queues the perms it leaves
+        zero into layer i + 1, until it puts the rest back into layer i (see
+        `_eliminate`).  Here the commutators and powers of all new rows are
+        made by stacked gathers, and the perms that row j leaves zero, those
+        whose last nonzero coefficient is row j's, are gathered last."""
+        last = len(self.layers) - 1
+        vecs = self._vectors(i, batch)
+        self._strip(i, batch, vecs, zero_is_identity=i == last)
+        picked, strips, dead, rest = self._eliminate(i, vecs, room)
+        r0 = len(self.pivots[i])
+        r = r0 + len(picked)
+        if picked:
+            self._add_rows(i, batch, picked, strips, stacks)
+            h, h_inv = stacks[i][0, :r], stacks[i][1, :r]
+            yield i, _comm_pairs(h, h_inv, conj, conj_inv,
+                                 *_pair_indices(np.arange(r0, r), 0, len(conj)))
+        if rest is not None:
+            yield i, batch[rest]  # the rest waits for the deeper queue
+        if i == last:
+            return
+        zero = batch[np.concatenate(dead)]
+        z = list(accumulate(map(len, dead), initial=0))
+        if picked:
+            d = len(self.identity)
+            power = h[r0:]
+            for _ in range(self.p - 1):
+                power = h.take(power + np.arange(r0 * d, r * d, d)[:, None])
+            earlier = np.arange(r0, r)
+            comms = _comm_pairs(h, h_inv, h, h_inv, *_pair_indices(earlier, 0, earlier))
+            c = list(accumulate(earlier, initial=0))
+            for j in range(len(picked)):
+                yield i + 1, zero[z[j]:z[j + 1]]
+                yield i + 1, power[j:j + 1]
+                yield i + 1, comms[c[j]:c[j + 1]]
+        if rest is None:
+            yield i + 1, zero[z[-2]:]
 
     def _close(self, seeds, conj):
         """Close the empty sequence to the normal closure of the seeds (any
         iterable of perms) under conjugation by `conj`; each seed must lie
         in K_0, and conj must normalize every K_i.  A queued element is a
         member once sifted, whatever is added later, so the order in which
-        the layers' queues are worked off does not matter.  The shallowest queue goes
-        first, unless a deeper one holds `_PENDING_ROWS` perms: then the
-        deepest such one.  Seeds are taken `_PENDING_ROWS` at a time, once
-        every queue is empty.  Both bound the memory held by waiting perms,
-        such as the same-layer commutators or the pairs of a derived
-        subgroup.  Last, each layer's `_dense` pair is cut to its rows."""
+        the layers' queues are worked off does not matter.  The shallowest
+        queue goes first, unless a deeper one holds `_PENDING_ROWS` perms:
+        then the deepest such one.  Seeds are taken `_PENDING_ROWS` at a
+        time, once every queue is empty.  Both bound the memory held by
+        waiting perms, such as the same-layer commutators or the pairs of a
+        derived subgroup.
+
+        A queue is worked off as one batch of its distinct perms
+        (`_sift_batch`).  While the sequence closes, each layer stacks its
+        elements and their inverses in one growing array; last, each
+        layer's elements and `_dense` pair are cut to its rows."""
         last = len(self.layers) - 1
         if last < 0:
             return
@@ -467,6 +622,7 @@ class LayeredSequence:
         conj_inv = _pinv_rows(conj)
         pending: List[List[np.ndarray]] = [[] for _ in self.layers]
         queued = [0] * len(self.layers)
+        stacks = [np.empty((2, 0, degree), dtype=np.int32) for _ in self.layers]
 
         def queue(i: int, perms: np.ndarray):
             if i <= last and len(perms):
@@ -483,27 +639,11 @@ class LayeredSequence:
             i = full[-1] if full else next(i for i in range(last + 1) if queued[i])
             batch = self._distinct(np.concatenate(pending[i]))
             pending[i], queued[i] = [], 0
-            vecs = self._vectors(i, batch)
-            self._strip(i, batch, vecs, zero_is_identity=i == last)
-            while True:
-                live = vecs.any(axis=1)
-                queue(i + 1, batch[~live])
-                batch, vecs = batch[live], vecs[live]
-                if not len(batch):
-                    break
-                h = self._add_row(i, batch[0], vecs[0])
-                hinv = self._inverse_powers[i][-1][0]
-                queue(i, _comm_rows(h, hinv, conj, conj_inv))
-                if i < last:
-                    queue(i + 1, _powers(h, self.p)[-1:])
-                    earlier = _stack(self.elements[i][:-1], degree)
-                    earlier_inv = _stack([pw[0] for pw in self._inverse_powers[i][:-1]], degree)
-                    queue(i + 1, _comm_rows(h, hinv, earlier, earlier_inv))
-                batch, vecs = batch[1:], vecs[1:]
-                if i < last and queued[i + 1] >= _PENDING_ROWS:
-                    queue(i, batch)  # the rest waits for the deeper queue
-                    break
-                self._strip(i, batch, vecs, len(self.pivots[i]) - 1, i == last)
+            room = _PENDING_ROWS - queued[i + 1] if i < last else None
+            for layer, perms in self._sift_batch(i, batch, room, stacks, conj, conj_inv):
+                queue(layer, perms)
+            del batch  # before the next batch is built
+        self.elements = [stack[0, :r].copy() for stack, r in zip(stacks, map(len, self.pivots))]
         self._dense = [None if d is None else (d[0][:r].copy(), d[1][:r, :r].copy())
                        for d, r in zip(self._dense, map(len, self.pivots))]
 
@@ -666,13 +806,21 @@ def commutator_subgroup(q: LevelQuotient, h1_gens: Sequence[np.ndarray],
     """Normal closure of the commutators of the given generating sets."""
     ys = _stack(h2_gens, q.degree)
     ys_inv = _pinv_rows(ys)
+    same = h1_gens is h2_gens
+    step = max(1, _PAIR_ROWS // max(1, len(ys)))
 
     def seeds():
-        for i, x in enumerate(h1_gens):
+        for a in range(0, len(h1_gens), step):
+            if same:
+                xs, xs_inv = ys[a:a + step], ys_inv[a:a + step]
+            else:
+                xs = _stack(h1_gens[a:a + step], q.degree)
+                xs_inv = _pinv_rows(xs)
+            js = np.arange(len(xs))
             # one generating set: [x, x] = 1 and [y, x] = [x, y]^-1, so one
             # commutator per pair
-            k = i + 1 if h1_gens is h2_gens else 0
-            yield from _comm_rows(x, _pinv(x), ys[k:], ys_inv[k:])
+            yield from _comm_pairs(xs, xs_inv, ys, ys_inv,
+                                   *_pair_indices(js, js + a + 1 if same else 0, len(ys)))
 
     return normal_closure(q, seeds())
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 import re
+from itertools import islice
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,7 +30,15 @@ from branchgroups.presentations import (
     parse_free_word,
     translate,
 )
-from branchgroups.quotients import level_quotient
+from branchgroups import quotients
+from branchgroups.quotients import (
+    LayeredSequence,
+    _pinv,
+    _pinv_rows,
+    _powers,
+    _stack,
+    level_quotient,
+)
 
 # -- random words ------------------------------------------------------------
 
@@ -382,6 +391,95 @@ def parse_letters_reference(text: str, alphabet, letter, inverse, order) -> list
         raise ValueError(f"{'dangling' if value == '^' else 'unexpected'} {value!r} "
                          f"at column {col + 1}")
     return letters
+
+
+# -- layered sequences, one row at a time ----------------------------------------
+
+
+def _comm_rows(h: np.ndarray, hinv: np.ndarray, xs: np.ndarray,
+               xs_inv: np.ndarray) -> np.ndarray:
+    """[h, x] = h^-1 x^-1 h x for every row x; composition is left-to-right
+    application, so (g h)[i] = h[g[i]]."""
+    return np.take_along_axis(xs, h[xs_inv[:, hinv]], axis=1)
+
+
+class OneRowSequence(LayeredSequence):
+    """A layered sequence closed by the reference loop, which turns a batch
+    into rows one residue at a time: make the first live residue a row,
+    queue its commutators and p-th power, strip it out of the rest of the
+    batch, and start over.  `LayeredSequence._close` must give the same
+    pivots, elements, inverse powers, echelon rows and U^-1, bit for bit.
+    It reads `quotients._PENDING_ROWS` when it runs, as the library does."""
+
+    def _add_row(self, i: int, g: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Make the residue g (vector v != 0) a row, scaled to pivot 1."""
+        p = self.p
+        piv = int(np.flatnonzero(v)[0])
+        k = pow(int(v[piv]), -1, p)
+        h = _powers(g, k)[-1].copy()  # not a view holding the lower powers
+        r = len(self.pivots[i])
+        if not r:
+            self._dense[i] = (np.zeros((len(v), len(v))), np.zeros((len(v), len(v))))
+        rows, u_inv = self._dense[i]
+        # U grows by the column of the old rows at the new pivot and a unit
+        # row (the new row is zero at the old pivots)
+        u_inv[:r, r] = -(u_inv[:r, :r] @ rows[:r, piv]) % p
+        u_inv[r, r] = 1
+        rows[r] = v * k % p
+        self.pivots[i].append(piv)
+        self.elements[i].append(h)
+        self._inverse_powers[i].append(_powers(_pinv(h), p - 1))
+        return h
+
+    def _close(self, seeds, conj):
+        last = len(self.layers) - 1
+        if last < 0:
+            return
+        pending_rows = quotients._PENDING_ROWS
+        degree = len(self.identity)
+        conj = _stack(conj, degree)
+        conj_inv = _pinv_rows(conj)
+        pending: List[List[np.ndarray]] = [[] for _ in self.layers]
+        queued = [0] * len(self.layers)
+
+        def queue(i: int, perms: np.ndarray):
+            if i <= last and len(perms):
+                pending[i].append(perms)
+                queued[i] += len(perms)
+
+        seeds = iter(seeds)
+        while True:
+            if not any(queued):
+                queue(0, _stack(list(islice(seeds, pending_rows)), degree))
+                if not queued[0]:
+                    break
+            full = [i for i in range(last + 1) if queued[i] >= pending_rows]
+            i = full[-1] if full else next(i for i in range(last + 1) if queued[i])
+            batch = self._distinct(np.concatenate(pending[i]))
+            pending[i], queued[i] = [], 0
+            vecs = self._vectors(i, batch)
+            self._strip(i, batch, vecs, zero_is_identity=i == last)
+            while True:
+                live = vecs.any(axis=1)
+                queue(i + 1, batch[~live])
+                batch, vecs = batch[live], vecs[live]
+                if not len(batch):
+                    break
+                h = self._add_row(i, batch[0], vecs[0])
+                hinv = self._inverse_powers[i][-1][0]
+                queue(i, _comm_rows(h, hinv, conj, conj_inv))
+                if i < last:
+                    queue(i + 1, _powers(h, self.p)[-1:])
+                    earlier = _stack(self.elements[i][:-1], degree)
+                    earlier_inv = _stack([pw[0] for pw in self._inverse_powers[i][:-1]], degree)
+                    queue(i + 1, _comm_rows(h, hinv, earlier, earlier_inv))
+                batch, vecs = batch[1:], vecs[1:]
+                if i < last and queued[i + 1] >= pending_rows:
+                    queue(i, batch)  # the rest waits for the deeper queue
+                    break
+                self._strip(i, batch, vecs, len(self.pivots[i]) - 1, i == last)
+        self._dense = [None if d is None else (d[0][:r].copy(), d[1][:r, :r].copy())
+                       for d, r in zip(self._dense, map(len, self.pivots))]
 
 
 # -- order certificates ---------------------------------------------------------

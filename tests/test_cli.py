@@ -325,6 +325,17 @@ def test_cli_huge_letter_powers_are_reduced():
     assert main(["trivial", "Gg", "b^7"]) == EXIT_FALSE
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["order", "XYZ", "a"], "unknown built-in group 'XYZ'"),
+    (["schreier", "Sg", "--level", "0", "--substitution"], "no substitution rules for 'Sg'"),
+], ids=["order", "schreier"])
+def test_cli_key_errors_print_their_message(capsys, argv, message):
+    # a usage error raised as a KeyError prints its message, unquoted, as
+    # a ValueError's does
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_cli_schreier_and_spectrum(tmp_path, capsys):
     dot = tmp_path / "g.dot"
     assert main(["schreier", "Gg", "--level", "3", "--dot", str(dot),

@@ -8,7 +8,7 @@ from math import log
 import numpy as np
 import pytest
 
-from oracles import random_reduced_word
+from oracles import OneRowSequence, random_reduced_word
 
 from branchgroups import quotients
 from branchgroups.cli import parse_group_file
@@ -730,8 +730,9 @@ def test_membership_matches_a_chain_of_the_generators(name, level):
 
 @pytest.mark.parametrize("name, level", [("Gg", 6), ("FGg", 4), ("Sg", 5)])
 def test_closures_that_defer_rows_match_the_default(name, level, monkeypatch):
-    # with 4 waiting perms per layer, `LayeredSequence._close` keeps breaking
-    # off a batch for the deeper queue; every answer must stay the same
+    # with 4 waiting perms per layer, `LayeredSequence._sift_batch` keeps
+    # breaking off a batch for the deeper queue; every answer must stay the
+    # same
     def answers(g):
         q = level_quotient(g, level)
         return (q.order(), lower_central_ranks(g, level, 6), derived_series_orders(q, 3),
@@ -741,9 +742,9 @@ def test_closures_that_defer_rows_match_the_default(name, level, monkeypatch):
     expected = answers(_make_builtin(name))
     monkeypatch.setattr(quotients, "_PENDING_ROWS", 4)
     deferred = []
-    close_code = quotients.LayeredSequence._close.__code__
+    close_code = quotients.LayeredSequence._sift_batch.__code__
     wait_line = next(n for n, line in enumerate(inspect.getsourcelines(
-        quotients.LayeredSequence._close)[0], close_code.co_firstlineno)
+        quotients.LayeredSequence._sift_batch)[0], close_code.co_firstlineno)
         if "the rest waits" in line)
 
     def count_waits(frame, event, arg):
@@ -801,6 +802,91 @@ def test_closed_sequences_keep_each_datum_once(name, level):
     for h in handles:
         _check_closed_sequence(h.sequence())
     assert all(h.sequence().dimension() for h in handles)
+
+
+def _same_sequence(seq, oracle):
+    """Equal pivots and, bit for bit, equal elements, inverse powers,
+    echelon rows and U^-1 in every layer."""
+    def same(a, b):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    for i in range(len(seq.layers)):
+        assert seq.pivots[i] == oracle.pivots[i]
+        assert len(seq.elements[i]) == len(oracle.elements[i])
+        assert all(map(same, seq.elements[i], oracle.elements[i]))
+        assert all(map(same, seq._inverse_powers[i], oracle._inverse_powers[i]))
+        if oracle._dense[i] is None:
+            assert seq._dense[i] is None
+        else:
+            assert all(map(same, seq._dense[i], oracle._dense[i]))
+
+
+_ORACLE_LEVELS = (("Gg", 5), ("Gg", 6), ("Gg", 7), ("FGg", 3), ("FGg", 4), ("BGg", 4),
+                  ("Sg", 5), ("Sg", 6), ("GSg", 4))
+
+
+@pytest.mark.parametrize("pending", [quotients._PENDING_ROWS, 4], ids=["default", "pending-4"])
+@pytest.mark.parametrize("name, level", _ORACLE_LEVELS,
+                         ids=[f"{n}@{level}" for n, level in _ORACLE_LEVELS])
+def test_closed_sequences_match_the_one_row_oracle(name, level, pending, monkeypatch):
+    # every sequence the library closes (the order, normal closures of
+    # random words, commutator seeds of both series, rigid stabilizers over
+    # outside-then-inside layers) is closed again by the one-row loop
+    monkeypatch.setattr(quotients, "_PENDING_ROWS", pending)
+    closed_sequence = quotients.LevelQuotient.closed_sequence
+    layer_orders = []
+
+    def both(q, seeds, conj, layers=None):
+        seeds = list(seeds)
+        seq = closed_sequence(q, seeds, conj, layers)
+        _same_sequence(seq, OneRowSequence(seq.p, q.degree, seq.layers, seeds, conj))
+        layer_orders.append(layers is None)
+        return seq
+
+    monkeypatch.setattr(quotients.LevelQuotient, "closed_sequence", both)
+    rng = random.Random(83)
+    g = _make_builtin(name)
+    q = level_quotient(g, level)
+    q.order()
+    for _ in range(3):
+        normal_closure(q, [q.perm_of_word(random_reduced_word(g, rng.randint(2, 12), rng))
+                           for _ in range(2)])
+    quotients._series(q, 4, derived=False)
+    quotients._series(q, 3, derived=True)
+    rigid_stabilizer(g, level, (0,))
+    rigid_stabilizer(g, level, (1, 0))
+    assert set(layer_orders) == {True, False} and len(layer_orders) > 8
+
+
+def test_quotients_bundle_sequences_are_pinned(monkeypatch):
+    # sha1 over every sequence the benchmark's quotient analyses close on
+    # fresh groups: per layer the pivots and the bytes of the elements,
+    # inverse powers, echelon rows and U^-1 (recorded before the rows of a
+    # batch were picked by one elimination)
+    closed_sequence = quotients.LevelQuotient.closed_sequence
+    closed = []
+    monkeypatch.setattr(quotients.LevelQuotient, "closed_sequence",
+                        lambda q, *args: closed.append(closed_sequence(q, *args)) or closed[-1])
+    for name, level in (("Gg", 5), ("Gg", 6), ("Gg", 7), ("FGg", 3), ("FGg", 4),
+                        ("BGg", 4), ("Sg", 5), ("Sg", 6)):
+        g = _make_builtin(name)
+        q = level_quotient(g, level)
+        q.order()
+        hausdorff_ratio_exact(g, level)
+        derived_series_orders(q, 3)
+        lower_central_ranks(g, level, 6)
+        suborbit_profile(g, level)
+        rigid_level_stabilizer(g, level, 1).order()
+    digest = hashlib.sha1()
+    for seq in closed:
+        for i in range(len(seq.layers)):
+            digest.update(repr(seq.pivots[i]).encode())
+            for h, powers in zip(seq.elements[i], seq._inverse_powers[i]):
+                digest.update(np.ascontiguousarray(h).tobytes() + powers.tobytes())
+            for dense in seq._dense[i] or ():
+                digest.update(dense.tobytes())
+    assert (len(closed), digest.hexdigest()) == (
+        88, "aa59e1217d2f4296830c558936e1bb48a82b773f")
 
 
 @pytest.mark.parametrize("name", ["G2", "GS4"])
