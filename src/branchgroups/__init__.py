@@ -13,7 +13,6 @@ from .automorphisms import (
     TreeAutomorphism,
     build_recursive,
     compose,
-    compose_all,
     identity_state,
     intern_word,
     invert,
@@ -21,7 +20,7 @@ from .automorphisms import (
     portrait,
     rooted_state,
 )
-from .conjugacy import CosetSet, are_conjugate, k_membership_level, q_set
+from .conjugacy import CosetSet, q_set
 from .decision import (
     OrderResult,
     ball,
@@ -72,15 +71,12 @@ from .spectra import (
     SpectralReport,
     delta_matrix,
     gg_closed_form,
-    julia_set_approx,
-    phi_check,
     spectral_report,
     spectrum_eigenvalues,
 )
 from .presentations import (
     EndomorphicPresentation,
     Substitution,
-    hnn_presentation_relators,
     presentation,
     verify,
 )

@@ -439,18 +439,6 @@ def invert(f: TreeAutomorphism) -> TreeAutomorphism:
     return intern_word(f.shape, [(f, -1)])
 
 
-def compose_all(
-    states: Sequence[TreeAutomorphism],
-    shape: Optional[TreeShape] = None,
-) -> TreeAutomorphism:
-    """Product of a list of states (empty product = identity)."""
-    if not states:
-        if shape is None:
-            raise ValueError("empty product needs an explicit shape")
-        return identity_state(shape)
-    return intern_word(states[0].shape, [(s, 1) for s in states])
-
-
 def build_recursive(
     shape: TreeShape,
     rooted: dict,

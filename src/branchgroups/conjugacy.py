@@ -372,20 +372,11 @@ class GgConjugacy:
         return CosetSet(self._adjusted((key, c_g, c_h)), self)
 
 
-def k_membership_level() -> int:
-    """Minimal level at which the image of K has index exactly 16."""
-    return GgConjugacy.instance().n_k
-
-
 def q_set(g, h) -> CosetSet:
     """The exact solution-coset set Q(g, h) = {Kf : g^f = h} in Gg."""
     ctx = GgConjugacy.instance()
     group = ctx.group
     return ctx.q_set(group.word(g), group.word(h))
-
-
-def are_conjugate(g, h) -> bool:
-    return bool(q_set(g, h))
 
 
 def coset_of(word) -> int:

@@ -652,15 +652,39 @@ def _is_transitive(perms: Iterable[Perm], m: int) -> bool:
     return len(reached) == m
 
 
+def _generators(b: BTable) -> List[str]:
+    """Names of B that generate it, picked greedily in table order: a name
+    is kept when the names kept before it do not generate it."""
+    gens: List[str] = []
+    reached = {None}
+    for x in b.names:
+        if x in reached:
+            continue
+        gens.append(x)
+        while True:
+            grown = reached | {b.mult(y, s) for y in reached for s in gens}
+            if grown == reached:
+                break
+            reached = grown
+    return gens
+
+
 def validate_triple(t: DefiningTriple) -> None:
-    """Check the spinal conditions; raise ValidationError naming the culprit."""
+    """Check the spinal conditions; raise ValidationError naming the culprit.
+
+    As B is a group, a map omega is a homomorphism iff
+    omega(s y) = omega(s) omega(y) for each s of a generating set of B and
+    each y in B (induct on the length of x as a word in the generators),
+    so the check multiplies |generators| * |B| pairs per map, not |B|^2.
+    """
     shape = t.shape
     b = t.b_table
+    gens = _generators(b)
     total, pre = t.ring_size()
     for p in t.a_gens:
         if sorted(p) != list(range(shape.branching(0))):
             raise ValidationError("rooted part", f"{p} is not a permutation of Y_1")
-    # homomorphism property and degrees
+    # degrees and homomorphism property
     for i in range(total):
         maps = t.level_maps(i)
         m_i = shape.branching(i)
@@ -678,6 +702,8 @@ def validate_triple(t: DefiningTriple) -> None:
                         "defining family shape",
                         f"omega_{i + 1},{j + 1}({x}) has degree {len(px)} != {m_next}",
                     )
+            for x in gens:
+                px = omega.get(x, identity_perm(m_next))
                 for y in b.names:
                     py = omega.get(y, identity_perm(m_next))
                     z = b.mult(x, y)
@@ -836,9 +862,21 @@ class GGSVector:
         return f"GGSVector(m={self.m}, E={self.exponents})"
 
 
+# largest degree m of a GGS group that from_ggs builds
+GGS_DEGREE_CAP = 64
+
+
 def from_ggs(v: GGSVector, name: Optional[str] = None) -> GroupDefinition:
-    """GGS group of a defining vector: a = (1..m) rooted, b = (a^e_1, ..., b)."""
+    """GGS group of a defining vector: a = (1..m) rooted, b = (a^e_1, ..., b).
+
+    Raises ResourceBoundExceeded, before any state is built, when m passes
+    GGS_DEGREE_CAP: the construction takes time about m^3.
+    """
     m = v.m
+    if m > GGS_DEGREE_CAP:
+        raise ResourceBoundExceeded(
+            f"GGS degree {m} is over the bound {GGS_DEGREE_CAP} on the degree of a "
+            "GGS group (groups.GGS_DEGREE_CAP)")
     shape = TreeShape.regular(m)
     a = perm_from_cycles(m, [list(range(m))])
     b_table = BTable.cyclic(m, "b")

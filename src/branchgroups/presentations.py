@@ -108,10 +108,6 @@ class EndomorphicPresentation:
     iterated: Tuple[FreeWord, ...]
     twists: Tuple[Substitution, ...] = ()
 
-    @property
-    def ascending(self) -> bool:
-        return not self.fixed
-
     def expand(self, depth: int) -> List[FreeWord]:
         """Q plus all images of the twist-closed R under compositions of
         <= depth substitutions, breadth-first, deduplicated, in discovery
@@ -292,21 +288,6 @@ def _make_presentation(key: str):
         # lambda = tau mu^-1, tau = tau
         return pres, "BSV", {"L": "tau mu'", "T": "tau"}
     raise KeyError(f"unknown presentation {key!r}")
-
-
-def hnn_presentation_relators() -> List[FreeWord]:
-    """Relators of the finitely presented ascending HNN extension of the
-    first Grigorchuk group: the first three are the group's relators, the
-    last three turn conjugation by the stable letter into the
-    substitution a -> aca, c -> cd, d -> c."""
-    return [
-        _p("a^2"),
-        _p("[d,d^a]"),
-        _p("[d^(ac),d^(aca)]"),
-        _p("a^t a c a"),
-        _p("c^t c d"),
-        _p("d^t c"),
-    ]
 
 
 def parse_presentation_file(text: str):

@@ -23,19 +23,12 @@ for the first Grigorchuk group
 with all 2^n eigenvalues simple, and for the Fabrykowski-Gupta group the
 spectrum lies in {4, 1} union 1 + J(6) with J the nested-radical set
 +-sqrt(6 +- sqrt(6 +- ...)).
-
-The determinant identity |Q_n(lambda, mu)| = Phi_0 Phi_1 ... Phi_n for
-Q_n = Delta_n - (lambda+1) a_n - (mu+1) is checked in exact rational
-arithmetic (fraction-free Bareiss elimination), so the residual of a
-correct implementation is exactly zero.  Q_n is built from the float
-Delta_n (`delta_matrix`), whose entries are small integers and so exact.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import List, Optional
 
 import numpy as np
@@ -160,12 +153,19 @@ def gg_closed_form(level: int) -> np.ndarray:
     return np.sort(np.array(values))
 
 
-def _julia_levels(lam: float, depth: int) -> List[List[float]]:
-    """The sorted approximants of each depth 1..depth, each level computed
-    from the one before."""
+def julia_set_cumulative(lam: float, depth: int) -> np.ndarray:
+    """Union of the approximants of J(lam) of all depths up to `depth`.
+
+    The depth-d approximants are +-sqrt(lam +- sqrt(lam +- ...)) with d
+    nested radicals and every sign choice, real branches only (negative
+    radicands are discarded), each depth computed from the one before.
+    The nested-radical set is a closure, so its finite approximation
+    accumulates across depths: a shallow value like sqrt(lam) belongs to
+    every stage but is not itself a deep sign-choice evaluation.
+    """
     if lam < 0:
         raise ValueError("lambda must be >= 0")
-    levels = []
+    values = set()
     inner = [0.0]
     for _ in range(depth):
         nxt = set()
@@ -176,29 +176,8 @@ def _julia_levels(lam: float, depth: int) -> List[List[float]]:
                     nxt.add(r)
                     nxt.add(-r)
         inner = sorted(nxt)
-        levels.append(inner)
-    return levels
-
-
-def julia_set_approx(lam: float, depth: int) -> np.ndarray:
-    """Depth-d approximants of J(lam): +-sqrt(lam +- sqrt(lam +- ...)).
-
-    All sign choices with d nested radicals, real branches only (negative
-    radicands are discarded).
-    """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    return np.array(_julia_levels(lam, depth)[-1])
-
-
-def julia_set_cumulative(lam: float, depth: int) -> np.ndarray:
-    """Union of the approximants of all depths up to `depth`.
-
-    The nested-radical set is a closure, so its finite approximation
-    accumulates across depths: a shallow value like sqrt(lam) belongs to
-    every stage but is not itself a deep sign-choice evaluation.
-    """
-    return np.array(sorted(set().union(*_julia_levels(lam, depth))))
+        values |= nxt
+    return np.array(sorted(values))
 
 
 def fgg_reference(level: int, depth: Optional[int] = None) -> np.ndarray:
@@ -253,64 +232,3 @@ def spectral_report(group_or_name, level: int) -> SpectralReport:
         report.matched = [d < 1e-6 for d in dists]
     return report
 
-
-# -- the Phi-polynomial determinant identity ------------------------------
-
-
-def bareiss_determinant(matrix: List[List[Fraction]]) -> Fraction:
-    """Fraction-free Bareiss elimination (exact)."""
-    n = len(matrix)
-    if n == 0:
-        return Fraction(1)
-    m = [row[:] for row in matrix]
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-            m[i][k] = Fraction(0)
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def phi_values(n: int, lam: Fraction, mu: Fraction) -> List[Fraction]:
-    """Phi_0..Phi_n of the determinant recursion at (lambda, mu)."""
-    out = [Fraction(2) - mu - lam]
-    if n >= 1:
-        out.append(Fraction(2) - mu + lam)
-    if n >= 2:
-        out.append(mu * mu - 4 - lam * lam)
-    for k in range(3, n + 1):
-        out.append(out[-1] ** 2 - 2 * (2 * lam) ** (2 ** (k - 2)))
-    return out
-
-
-def q_matrix(n: int, lam: Fraction, mu: Fraction) -> List[List[Fraction]]:
-    """Q_n = Delta_n - (lambda+1) a_n - (mu+1) I over the rationals."""
-    gg = builtin("Gg")
-    a_images = level_quotient(gg, n).perm_of_state(gg.states["a"])
-    out = [[Fraction(int(x)) for x in row] for row in delta_matrix(gg, n)]
-    for i, row in enumerate(out):
-        row[int(a_images[i])] -= lam + 1
-        row[i] -= mu + 1
-    return out
-
-
-def phi_check(n: int, lam, mu) -> Fraction:
-    """|det Q_n(lambda, mu) - Phi_0 ... Phi_n|, computed exactly."""
-    lam = Fraction(lam)
-    mu = Fraction(mu)
-    det = bareiss_determinant(q_matrix(n, lam, mu))
-    prod = Fraction(1)
-    for phi in phi_values(n, lam, mu):
-        prod *= phi
-    return abs(det - prod)

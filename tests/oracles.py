@@ -1,8 +1,9 @@
 """Helpers that only the tests use: random words, the randomized property
 suites, and the oracles the tests compare library output against.
 
-The package keeps only what its CLI, its public names or the benchmark
-call; everything here reads the library from outside.  Each property
+The package keeps only what its own modules, its CLI or the benchmark
+call, and the entry points the README names; everything here reads the
+library from outside.  Each property
 checker runs a number of seeded random cases and returns the count of
 failures (zero on a healthy build).
 """
@@ -11,22 +12,28 @@ from __future__ import annotations
 
 import random
 import re
+from fractions import Fraction
 from itertools import islice
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from branchgroups.automorphisms import compose, format_perm
+from branchgroups.automorphisms import compose, format_perm, identity_perm, perm_mul
 from branchgroups.decision import canonical_portrait_depth, eta_weights
 from branchgroups import groups
-from branchgroups.errors import ResourceBoundExceeded
-from branchgroups.groups import GroupDefinition, Word, builtin, check_word_length
+from branchgroups.errors import ResourceBoundExceeded, ValidationError
+from branchgroups.groups import (
+    DefiningTriple,
+    GroupDefinition,
+    Word,
+    builtin,
+    check_word_length,
+)
 from branchgroups.presentations import (
     FreeWord,
     Substitution,
     free_inverse,
     free_reduce,
-    hnn_presentation_relators,
     parse_free_word,
     translate,
 )
@@ -39,6 +46,7 @@ from branchgroups.quotients import (
     _stack,
     level_quotient,
 )
+from branchgroups.spectra import delta_matrix
 
 # -- random words ------------------------------------------------------------
 
@@ -509,6 +517,30 @@ def certificate_sign(g: GroupDefinition, w, t_word, conj_len: int) -> Optional[i
     return None
 
 
+# -- spinal triples ---------------------------------------------------------------
+
+
+def check_homomorphisms_all_pairs(t: DefiningTriple) -> None:
+    """The homomorphism check of every map omega of a triple over every
+    pair (x, y) of B x B; raise ValidationError as `validate_triple` does."""
+    b = t.b_table
+    total, _ = t.ring_size()
+    for i in range(total):
+        m_next = t.shape.branching(i + 1)
+        for j, omega in enumerate(t.level_maps(i)):
+            for x in b.names:
+                px = omega.get(x, identity_perm(m_next))
+                for y in b.names:
+                    py = omega.get(y, identity_perm(m_next))
+                    z = b.mult(x, y)
+                    pz = identity_perm(m_next) if z is None else omega.get(z, identity_perm(m_next))
+                    if perm_mul(px, py) != pz:
+                        raise ValidationError(
+                            "homomorphism property",
+                            f"omega_{i + 1},{j + 1} is not a homomorphism at ({x},{y})",
+                        )
+
+
 # -- group files -----------------------------------------------------------------
 
 
@@ -558,6 +590,15 @@ def format_group_file(group: GroupDefinition) -> str:
 # -- presentations -------------------------------------------------------------
 
 
+def hnn_presentation_relators() -> List[FreeWord]:
+    """Relators of the finitely presented ascending HNN extension of the
+    first Grigorchuk group: the first three are the group's relators, the
+    last three turn conjugation by the stable letter into the
+    substitution a -> aca, c -> cd, d -> c."""
+    return [parse_free_word(text) for text in (
+        "a^2", "[d,d^a]", "[d^(ac),d^(aca)]", "a^t a c a", "c^t c d", "d^t c")]
+
+
 def hnn_defines_substitution() -> bool:
     """Check that the t-relators encode the substitution: the relator
     x^t * w = 1 forces x^t = w^{-1} = phi(x) for x in {a, c, d}, where
@@ -590,6 +631,74 @@ def mutate_relator(relator: FreeWord, position: int, alphabet: Sequence[str],
 
 
 # -- spectra and growth --------------------------------------------------------
+#
+# The determinant identity |Q_n(lambda, mu)| = Phi_0 Phi_1 ... Phi_n of
+# Bartholdi and Grigorchuk (Proc. Steklov Inst. 231, 2000) for
+# Q_n = Delta_n - (lambda+1) a_n - (mu+1) on the first Grigorchuk group is
+# checked in exact rational arithmetic (fraction-free Bareiss elimination),
+# so the residual of a correct `delta_matrix` is exactly zero.  Q_n is
+# built from the float Delta_n, whose entries are small integers and so
+# exact.
+
+
+def bareiss_determinant(matrix: List[List[Fraction]]) -> Fraction:
+    """Fraction-free Bareiss elimination (exact)."""
+    n = len(matrix)
+    if n == 0:
+        return Fraction(1)
+    m = [row[:] for row in matrix]
+    sign = 1
+    prev = Fraction(1)
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for r in range(k + 1, n):
+                if m[r][k] != 0:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return Fraction(0)
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
+            m[i][k] = Fraction(0)
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def phi_values(n: int, lam: Fraction, mu: Fraction) -> List[Fraction]:
+    """Phi_0..Phi_n of the determinant recursion at (lambda, mu)."""
+    out = [Fraction(2) - mu - lam]
+    if n >= 1:
+        out.append(Fraction(2) - mu + lam)
+    if n >= 2:
+        out.append(mu * mu - 4 - lam * lam)
+    for k in range(3, n + 1):
+        out.append(out[-1] ** 2 - 2 * (2 * lam) ** (2 ** (k - 2)))
+    return out
+
+
+def q_matrix(n: int, lam: Fraction, mu: Fraction) -> List[List[Fraction]]:
+    """Q_n = Delta_n - (lambda+1) a_n - (mu+1) I over the rationals."""
+    gg = builtin("Gg")
+    a_images = level_quotient(gg, n).perm_of_state(gg.states["a"])
+    out = [[Fraction(int(x)) for x in row] for row in delta_matrix(gg, n)]
+    for i, row in enumerate(out):
+        row[int(a_images[i])] -= lam + 1
+        row[i] -= mu + 1
+    return out
+
+
+def phi_check(n: int, lam, mu) -> Fraction:
+    """|det Q_n(lambda, mu) - Phi_0 ... Phi_n|, computed exactly."""
+    lam = Fraction(lam)
+    mu = Fraction(mu)
+    det = bareiss_determinant(q_matrix(n, lam, mu))
+    prod = Fraction(1)
+    for phi in phi_values(n, lam, mu):
+        prod *= phi
+    return abs(det - prod)
+
 
 
 def one_sided_hausdorff(values: np.ndarray, reference: np.ndarray) -> float:

@@ -27,10 +27,11 @@ from oracles import (
     growth_series_product,
     mutate_relator,
     one_sided_hausdorff,
+    phi_check,
     random_reduced_word,
 )
 
-from branchgroups.conjugacy import are_conjugate, coset_of, k_membership_level, q_set
+from branchgroups.conjugacy import GgConjugacy, coset_of, q_set
 from branchgroups.decision import ball, is_trivial, order
 from branchgroups.groups import GGSVector, Word, builtin, from_ggs, is_ggs_torsion
 from branchgroups.presentations import presentation, translate, verify
@@ -44,12 +45,7 @@ from branchgroups.quotients import (
     suborbit_profile,
 )
 from branchgroups.schreier import schreier_graph, substitutional_expand
-from branchgroups.spectra import (
-    fgg_reference,
-    gg_closed_form,
-    phi_check,
-    spectrum_eigenvalues,
-)
+from branchgroups.spectra import fgg_reference, gg_closed_form, spectrum_eigenvalues
 
 
 def report(number: int, ok: bool, detail: str):
@@ -171,7 +167,7 @@ def test_criterion_5_lower_central_and_rigid():
     for n in (3, 4, 5):
         orders = derived_series_orders(level_quotient(gg, n), 1)
         ok_index &= orders[0] // orders[1] == 8
-    n_k = k_membership_level()
+    n_k = GgConjugacy.instance().n_k
     rist_indices = {n: rigid_level_stabilizer(gg, n, 1).index()
                     for n in range(n_k, 7)}
     # at level n_K = 3 the level-1 stabilizer is the product of the two
@@ -299,7 +295,7 @@ def test_criterion_8_conjugacy():
         if cycle_type(q6.perm_of_word(g)) == cycle_type(q6.perm_of_word(h)):
             continue
         negatives += 1
-        ok &= not are_conjugate(g, h)
+        ok &= not q_set(g, h)
     assert report(8, ok, "200 conjugate pairs with witness cosets, "
                         "200 separated pairs non-conjugate, Q(1,1) full")
 

@@ -10,7 +10,6 @@ from branchgroups import automorphisms
 from branchgroups.automorphisms import (
     build_recursive,
     compose,
-    compose_all,
     format_perm,
     identity_perm,
     identity_state,
@@ -235,7 +234,7 @@ def test_hash_consing_soundness(gg):
     rng = random.Random(5)
     for _ in range(50):
         word = [rng.choice("abcd") for _ in range(rng.randint(1, 8))]
-        state = compose_all([gg.states[x] for x in word])
+        state = intern_word(gg.shape, [(gg.states[x], 1) for x in word])
         v = tuple(rng.randrange(2) for _ in range(4))
         img = v
         for x in word:
@@ -266,8 +265,8 @@ def test_interned_states_are_closed_and_canonical():
     rng = random.Random(17)
     for g in groups:
         for _ in range(20):
-            state = compose_all([rng.choice(g.canonical_letters)
-                                 for _ in range(rng.randint(1, 6))])
+            state = intern_word(g.shape, [(rng.choice(g.canonical_letters), 1)
+                                          for _ in range(rng.randint(1, 6))])
             invert(state)
             compose(state, state)
     table = dict(automorphisms._INTERN)

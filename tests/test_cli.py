@@ -612,8 +612,12 @@ def test_cli_long_powers_in_presentation_files_exit_3(tmp_path, monkeypatch, cap
      "group S\narity 2\nrooted a = (1 2)\nrecursive b = (a, b^2)\n", ["trivial", "{path}", "b"],
      "section closure exceeded 1024 letters in one word (automorphisms.SECTION_WORD_CAP); "
      "the element may not be finite-state"),
+    # refused before any state of the group is built
+    (None, None, ["order", "GS257", "a"],
+     f"GGS degree 257 is over the bound {groups.GGS_DEGREE_CAP} on the degree of a GGS "
+     "group (groups.GGS_DEGREE_CAP)"),
 ], ids=["whole-word", "entry-power", "twist-image", "substitution-image", "arity",
-        "section-word"])
+        "section-word", "ggs-degree"])
 def test_cli_input_bounds_exit_3(tmp_path, monkeypatch, capsys, bound, text, argv, message):
     if bound is not None:  # a smaller bound keeps a doubling probe cheap
         monkeypatch.setattr(*bound)

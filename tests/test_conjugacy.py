@@ -9,13 +9,7 @@ import pytest
 from oracles import random_reduced_word
 
 from branchgroups.automorphisms import rooted_state
-from branchgroups.conjugacy import (
-    GgConjugacy,
-    are_conjugate,
-    coset_of,
-    k_membership_level,
-    q_set,
-)
+from branchgroups.conjugacy import GgConjugacy, coset_of, q_set
 from branchgroups.groups import Word, builtin
 from branchgroups.quotients import level_quotient, normal_closure
 
@@ -28,7 +22,7 @@ def gg():
 
 
 def test_k_membership_level(gg):
-    n_k = k_membership_level()
+    n_k = GgConjugacy.instance().n_k
     assert n_k == 3
     # index below n_K is smaller than 16, at n_K and n_K + 1 exactly 16
     q1 = level_quotient(gg, 1)
@@ -57,10 +51,10 @@ def test_q_set_examples(gg):
     assert len(q_set("1", "1")) == 16
     assert not q_set("b", "c")
     assert not q_set("b", "d")
-    assert are_conjugate("b", "aba")
-    assert are_conjugate("ab", "ba")
-    assert are_conjugate("abab", "baba")
-    assert not are_conjugate("a", "b")
+    assert q_set("b", "aba")
+    assert q_set("ab", "ba")
+    assert q_set("abab", "baba")
+    assert not q_set("a", "b")
 
 
 def test_trivial_to_nontrivial_is_empty():
@@ -131,7 +125,7 @@ def test_consistency_with_quotients(gg):
     while checked < 60:
         g = Word(random_reduced_word(gg, rng.randint(1, 8), rng), True)
         h = Word(random_reduced_word(gg, rng.randint(1, 8), rng), True)
-        if are_conjugate(g, h):
+        if q_set(g, h):
             assert cycle_type(q6.perm_of_word(g)) == cycle_type(q6.perm_of_word(h))
             checked += 1
         else:
@@ -175,7 +169,7 @@ def test_brute_force_agreement_small():
 
     for w1 in words:
         for w2 in words:
-            ours = are_conjugate(w1, w2)
+            ours = bool(q_set(w1, w2))
             theirs = quotient_conjugate(perms[w1], perms[w2])
             if ours:
                 assert theirs, (w1, w2)
@@ -194,8 +188,8 @@ def test_conjugacy_is_transitive(gg):
         f2 = random_reduced_word(gg, rng.randint(0, 4), rng)
         h = Word(gg.reduce(gg.inverse_word(f1) + g.letters + tuple(f1)), True)
         k = Word(gg.reduce(gg.inverse_word(f2) + h.letters + tuple(f2)), True)
-        assert are_conjugate(g, h) and are_conjugate(h, k)
-        assert are_conjugate(g, k)
+        assert q_set(g, h) and q_set(h, k)
+        assert q_set(g, k)
         triples += 1
     # and the q_set composition law: Q(g,h) Q(h,k) is contained in Q(g,k)
     ctx = GgConjugacy.instance()

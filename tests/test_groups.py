@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oracles import random_reduced_word
+from oracles import check_homomorphisms_all_pairs, random_reduced_word
 
 from branchgroups import groups
 from branchgroups.automorphisms import build_recursive, perm_from_cycles
@@ -19,6 +19,7 @@ from branchgroups.groups import (
     from_triple,
     grigorchuk_2group,
     is_ggs_torsion,
+    validate_triple,
 )
 from branchgroups.shapes import TreeShape
 
@@ -131,6 +132,82 @@ def test_from_triple_validation_errors():
         t = DefiningTriple(shape, [flip], klein, [],
                            [[{"b": (1, 2, 0), "c": flip}]])
         from_triple(t)
+
+
+class _Captured(Exception):
+    pass
+
+
+def _builtin_triple(monkeypatch, name):
+    """The defining triple a built-in spinal group is made from."""
+    def capture(t):
+        raise _Captured(t)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(groups, "validate_triple", capture)
+        with pytest.raises(_Captured) as caught:
+            groups._make_builtin(name)
+    return caught.value.args[0]
+
+
+def _mutate(t, rng):
+    """A copy of a triple with one map omega changed, and the kind of change.
+
+    "image" replaces the image of one element by another permutation;
+    "relabel" precomposes omega with a random bijection of B's elements;
+    "conjugate" conjugates every image of omega by one permutation, so
+    omega stays a homomorphism.  Changing one image of a homomorphism
+    never gives a homomorphism on these groups (each element of B is a
+    product of two others), so the other two kinds supply the cases that
+    both checks accept."""
+    levels = [[dict(omega) for omega in level] for level in t.omega_prefix + t.omega_cycle]
+    k = rng.randrange(len(levels))
+    j = rng.randrange(len(levels[k]))
+    omega = levels[k][j]
+    degree = t.shape.branching(k + 1)
+    names = t.b_table.names
+    image = {x: omega.get(x, tuple(range(degree))) for x in names}
+    kind = rng.choice(["image", "relabel", "conjugate"])
+    if kind == "image":
+        x = rng.choice(names)
+        while (perm := tuple(rng.sample(range(degree), degree))) == image[x]:
+            pass
+        image[x] = perm
+    elif kind == "relabel":
+        image = dict(zip(names, (image[y] for y in rng.sample(names, len(names)))))
+    else:
+        pi = rng.sample(range(degree), degree)
+        inverse = [0] * degree
+        for u, v in enumerate(pi):
+            inverse[v] = u
+        image = {x: tuple(pi[p[inverse[u]]] for u in range(degree)) for x, p in image.items()}
+    levels[k][j] = image
+    cut = len(t.omega_prefix)
+    return DefiningTriple(t.shape, t.a_gens, t.b_table, levels[:cut], levels[cut:]), kind
+
+
+def _rejects_homomorphism(check, t):
+    try:
+        check(t)
+    except ValidationError as exc:
+        return exc.condition == "homomorphism property"
+    return False
+
+
+def test_generator_pairs_reject_what_all_pairs_reject(monkeypatch):
+    rng = random.Random(2029)
+    verdicts = {"image": set(), "relabel": set(), "conjugate": set()}
+    for name in ("Gg", "Sg", "FGg", "GS5", "GS7"):
+        t = _builtin_triple(monkeypatch, name)
+        assert not _rejects_homomorphism(validate_triple, t)
+        assert not _rejects_homomorphism(check_homomorphisms_all_pairs, t)
+        for _ in range(60):
+            mutated, kind = _mutate(t, rng)
+            rejected = _rejects_homomorphism(check_homomorphisms_all_pairs, mutated)
+            assert _rejects_homomorphism(validate_triple, mutated) == rejected, (name, kind)
+            verdicts[kind].add(rejected)
+    # a relabelling by an automorphism of B keeps omega a homomorphism; others may not
+    assert verdicts == {"image": {True}, "relabel": {True, False}, "conjugate": {False}}
 
 
 def test_reduce_examples():

@@ -5,6 +5,15 @@ a public name, and every method that is not a dunder, must be named
 somewhere in the package or in ``perfbench`` other than on its own
 ``def``/``class`` line: in a call, an import, an attribute string or a
 docstring that points a reader to it.
+
+Every public name (``branchgroups.__all__``) must be referenced in code
+by a package module other than ``__init__.py`` or by a ``perfbench``
+file: a loaded name, an import, an attribute, or a string that is the
+bare name (a ``getattr`` target).  A submodule counts when another
+module imports from it.  Docstrings and comments do not count.  The only
+exceptions are the entry points in ``ALLOWED_PUBLIC``, each with the
+reason it stays; an entry leaves the dict when it gains a caller or
+stops being public.
 """
 
 import ast
@@ -18,6 +27,18 @@ PACKAGE = ROOT / "src" / "branchgroups"
 
 # the paper and the README list reachable-section closures
 ALLOWED = {"TreeAutomorphism.reachable_sections"}
+
+# public entry points with no caller in the package or the benchmark
+ALLOWED_PUBLIC = {
+    "portrait": "the README's calculus bullet lists portraits, and its "
+                "bounds paragraph names PORTRAIT_NODE_CAP for `portrait`",
+    "eta_weights": "the README's decision bullet names it for growth estimates",
+    "canonical_portrait_depth": "the README's bounds paragraph names it as "
+                                "keeping decision.ORDER_DEPTH_CAP",
+    "nilpotency_class": "the README's quotients bullet lists nilpotency classes",
+    "is_ggs_torsion": "the README's constructors bullet lists the GGS torsion "
+                      "test; the GGS spelling of the decision layer is to call it",
+}
 
 
 def _definitions(tree):
@@ -48,3 +69,44 @@ def test_every_private_name_has_a_caller_outside_the_tests():
                        if (other, number) != (path, node.lineno)):
                 unused.append(f"{path.name}: {label}")
     assert unused == []
+
+
+def _code_references(tree):
+    """The names a module's code refers to: loaded names, attributes,
+    imported names and the modules they are imported from, and strings
+    that are a bare identifier.  Docstrings are left out."""
+    docstrings = {id(node.body[0].value)
+                  for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.FunctionDef, ast.ClassDef))
+                  and ast.get_docstring(node, clean=False) is not None}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                yield node.module.rsplit(".", 1)[-1]
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                yield from alias.name.split(".")
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier() and id(node) not in docstrings):
+            yield node.value
+
+
+def _uncalled_public_names():
+    files = ([path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+             + sorted((ROOT / "perfbench").glob("*.py")))
+    called = {name for path in files for name in _code_references(ast.parse(path.read_text()))}
+    return set(branchgroups.__all__) - called
+
+
+def test_every_public_name_has_a_caller_or_a_reason():
+    assert sorted(_uncalled_public_names() - set(ALLOWED_PUBLIC)) == []
+
+
+def test_every_allowed_public_name_is_public_and_uncalled():
+    assert sorted(set(ALLOWED_PUBLIC) - set(branchgroups.__all__)) == []
+    assert sorted(set(ALLOWED_PUBLIC) - _uncalled_public_names()) == []

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from oracles import hnn_defines_substitution, mutate_relator
+from oracles import hnn_defines_substitution, hnn_presentation_relators, mutate_relator
 
 from branchgroups import groups
 from branchgroups.decision import is_trivial
@@ -15,7 +15,6 @@ from branchgroups.presentations import (
     format_free_word,
     free_inverse,
     free_reduce,
-    hnn_presentation_relators,
     parse_free_word,
     presentation,
     translate,
@@ -86,7 +85,7 @@ def test_substitution_is_free_endomorphism():
 
 def test_gg_ascending_depth0():
     pres, gname, amap = presentation("gg_ascending")
-    assert pres.ascending
+    assert not pres.fixed
     rel = pres.expand(0)
     expected = {
         parse_free_word("a^2"),
@@ -130,7 +129,7 @@ def test_empty_iterated_gives_fixed_only():
         "onlyq", ("a",), (parse_free_word("a^2"),), (), ()
     )
     assert pres.expand(3) == [parse_free_word("a^2")]
-    assert not pres.ascending
+    assert pres.fixed
 
 
 def test_verify_presentations_shallow():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import one_sided_hausdorff
+from oracles import bareiss_determinant, one_sided_hausdorff, phi_check, phi_values
 from test_groups import BUILTINS, _d6_spinal, _gg_twin
 
 from branchgroups import spectra
@@ -14,14 +14,11 @@ from branchgroups.errors import ResourceBoundExceeded
 from branchgroups.groups import _make_builtin, builtin
 from branchgroups.quotients import level_quotient
 from branchgroups.spectra import (
-    bareiss_determinant,
     bgg_reference,
     delta_matrix,
     fgg_reference,
     gg_closed_form,
-    julia_set_approx,
-    phi_check,
-    phi_values,
+    julia_set_cumulative,
     spectral_report,
     spectrum_eigenvalues,
 )
@@ -136,15 +133,13 @@ def test_identity_generators_spectrum():
 
 
 def test_julia_approx():
-    d1 = julia_set_approx(6.0, 1)
-    assert np.allclose(sorted(d1), [-np.sqrt(6), np.sqrt(6)])
-    d3 = julia_set_approx(6.0, 3)
+    d1 = julia_set_cumulative(6.0, 1)
+    assert np.allclose(d1, [-np.sqrt(6), np.sqrt(6)])
+    d3 = julia_set_cumulative(6.0, 3)
     bound = np.sqrt(6 + np.sqrt(6 + np.sqrt(6)))
     assert np.all(np.abs(d3) <= bound + 1e-12)
     with pytest.raises(ValueError):
-        julia_set_approx(6.0, 0)
-    with pytest.raises(ValueError):
-        julia_set_approx(-1.0, 2)
+        julia_set_cumulative(-1.0, 2)
 
 
 def test_fgg_eigenvalues_near_julia_reference():
