@@ -288,7 +288,7 @@ def _dispatch(args) -> int:
 
     if cmd == "eval":
         word = group.parse_word(args.word)
-        if args.vertex:
+        if args.vertex is not None:
             v = parse_vertex(args.vertex)
             state = group.state_of_word(word)
             print(format_vertex(state.act(v)))
@@ -331,7 +331,7 @@ def _dispatch(args) -> int:
     if cmd == "quotient":
         q = quotients.level_quotient(group, args.level)
         if args.order or not any((args.ranks, args.derived, args.suborbits,
-                                  args.hausdorff, args.rist)):
+                                  args.hausdorff, args.rist is not None)):
             print(f"order: {quotients.format_order(q.order())}")
         if args.ranks:
             ranks = quotients.lower_central_ranks(group, args.level, args.ranks)
@@ -345,7 +345,7 @@ def _dispatch(args) -> int:
         if args.hausdorff:
             r = quotients.hausdorff_ratio(group, args.level)
             print(f"hausdorff ratio: {r:.6f}")
-        if args.rist:
+        if args.rist is not None:
             v = parse_vertex(args.rist)
             handle = quotients.rigid_stabilizer(group, args.level, v)
             print(f"rigid stabilizer index: {handle.index()}")

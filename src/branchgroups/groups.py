@@ -71,7 +71,11 @@ class BTable:
     """A finite group given by its multiplication table.
 
     Nontrivial elements carry names; the identity is implicit (None in
-    products).  ``mult`` maps a pair of names to a name or None.
+    products).  ``mult`` maps a pair of names to a name or None.  The table
+    must be complete, give each name a right inverse and be associative.
+    Light's test checks x(sy) = (xs)y for the generators s of `_generators`
+    and all x, y; that suffices, as the generators reach every name and
+    (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y) if a and b pass.
     """
 
     def __init__(self, names: Sequence[str], mult: Dict[Tuple[str, str], Optional[str]]):
@@ -84,6 +88,13 @@ class BTable:
         for x in self.names:
             if all(self._mult[(x, y)] is not None for y in self.names):
                 raise ValidationError("directed part", f"{x} has no inverse")
+        for s in _generators(self):
+            for x in self.names:
+                xs = self.mult(x, s)
+                for y in self.names:
+                    if self.mult(x, self.mult(s, y)) != self.mult(xs, y):
+                        raise ValidationError(
+                            "directed part", f"not associative: {x}*({s}*{y}) != ({x}*{s})*{y}")
         self._orders: Dict[str, int] = {}
         for x in self.names:
             k, y = 1, x

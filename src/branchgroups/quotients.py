@@ -9,10 +9,11 @@ The quotient G_n = G/Stab(L_n) acts on the m_1*...*m_n level-n vertices
   the generator images, when the quotient is first asked).  The level
   stabilizers then give a normal series whose factors embed linearly in
   F_p^(p^i), and a `LayeredSequence` keeps an echelon basis per factor:
-  per row its pivot, its element h, the perms h^-1, ..., h^-(p-1) and
-  one echelon row.  The order, the normal closures, the lower central and
-  derived series, the rigid stabilizers and membership are all read from
-  such sequences.
+  its pivots, its echelon rows, and one (p, r, degree) int32 stack whose
+  line 0 holds the rows' elements h and line a the perms h^-a, so one
+  flat gather multiplies a set of perms by any h^-a.  The order, the
+  normal closures, the lower central and derived series, the rigid
+  stabilizers and membership are all read from such sequences.
 * A deterministic Schreier-Sims stabilizer chain otherwise (G2, GS_m for
   a composite m, mixed arities, non-rotating generators): base points are
   the first moved point (optionally prescribed), generators are processed
@@ -383,10 +384,10 @@ class LayeredSequence:
     layer into the next one (the factor is elementary abelian).  The
     queues get these, and the perms each row strips to zero, in the order
     of a loop that adds one row at a time, so every row is that loop's.
-    The order is p to the number of rows.  Per row a layer keeps its
-    pivot, its element h (a line of the layer's `elements` array), the
-    perms h^-1, ..., h^-(p-1) and its echelon vector (a row of the layer's
-    `_dense` matrix).
+    The order is p to the number of rows.  A layer keeps its pivots, one
+    int32 stack of shape (p, r, degree) whose line 0 holds the elements h
+    and line a the perms h^-a, and its echelon vectors (the rows of its
+    `_dense` matrix); `elements[i]` is line 0 of layer i's stack.
     """
 
     def __init__(self, p: int, degree: int, layers: Sequence[Tuple[np.ndarray, int]],
@@ -395,10 +396,11 @@ class LayeredSequence:
         self.layers = list(layers)
         self.identity = np.arange(degree, dtype=np.int32)
         self.pivots: List[List[int]] = [[] for _ in self.layers]
-        # per layer, once closed: the elements h, one per line
-        self.elements: List = [[] for _ in self.layers]
-        # per row: the perms h^-1, ..., h^-(p-1), one per line
-        self._inverse_powers: List[List[np.ndarray]] = [[] for _ in self.layers]
+        # per layer: the stack of h, h^-1, ..., h^-(p-1), one line each;
+        # while the sequence closes it has room for more rows
+        self._stacks = [np.empty((p, 0, degree), dtype=np.int32) for _ in self.layers]
+        # per layer, once closed: the elements h, a view of line 0 of its stack
+        self.elements: List[np.ndarray] = []
         # per layer, once it has a row: the echelon rows R (r x k) and the
         # inverse mod p of U = R[:, pivots] (r x r, unit upper triangular);
         # float64, so products run in BLAS (every sum is an integer below
@@ -421,40 +423,33 @@ class LayeredSequence:
         leaves, width = self.layers[i]
         return (batch[:, leaves] // width - leaves // width) % self.p
 
-    def _strip(self, i: int, batch: np.ndarray, vecs: np.ndarray, first: int = 0,
+    def _times_inverse(self, i: int, perms: np.ndarray, j: int, a: np.ndarray) -> np.ndarray:
+        """perms[m] * h_j^-a[m] for row j of layer i (a[m] in 1..p-1): one
+        flat take from lines a of the layer's stack."""
+        _, cap, degree = self._stacks[i].shape
+        return self._stacks[i].take(perms + (a.astype(np.intp).reshape(-1, 1) * cap + j) * degree)
+
+    def _strip(self, i: int, batch: np.ndarray, vecs: np.ndarray,
                zero_is_identity: bool = False):
-        """Strip layer i's rows from `first` on out of the batch, in place:
-        g -> g * h_first^-a_first * h_first+1^-a_first+1 ..., for the rows'
-        elements h, and v -> v - sum a_j R_j.  The vectors must be zero at
-        the pivots before `first`.  With `zero_is_identity` (the last
-        layer), a perm whose residue vector is zero is left as it is: the
-        caller drops it."""
+        """Strip layer i's rows out of the batch, in place: g -> g *
+        h_0^-a_0 * h_1^-a_1 ..., for the rows' elements h, and v -> v -
+        sum a_j R_j.  With `zero_is_identity` (the last layer), a perm
+        whose residue vector is zero is left as it is: the caller drops
+        it."""
         p, r = self.p, len(self.pivots[i])
-        if r == first:
-            return
-        if r - first == 1:  # a lone row has pivot 1: its column holds the a's
-            a = vecs[:, self.pivots[i][first]]
-            hit = np.flatnonzero(a)
-            coeff = a[hit, None]
-            row = self._dense[i][0][first].astype(vecs.dtype)
-            vecs[hit] = (vecs[hit] - coeff * row) % p
-            if zero_is_identity:
-                keep = vecs[hit].any(axis=1)
-                hit, coeff = hit[keep], coeff[keep]
-            batch[hit] = self._inverse_powers[i][first][coeff - 1, batch[hit]]
+        if not r:
             return
         # v = sum a_j R_j gives v[pivots] = a U, so a = v[pivots] U^-1
         rows, u_inv = self._dense[i]
-        coeff = (vecs[:, self.pivots[i][first:]] @ u_inv[first:r, first:r]).astype(vecs.dtype) % p
+        coeff = (vecs[:, self.pivots[i]] @ u_inv[:r, :r]).astype(vecs.dtype) % p
         hit = np.flatnonzero(coeff.any(axis=1))
-        vecs[hit] = (vecs[hit] - (coeff[hit] @ rows[first:r]).astype(vecs.dtype)) % p
+        vecs[hit] = (vecs[hit] - (coeff[hit] @ rows[:r]).astype(vecs.dtype)) % p
         if zero_is_identity:
             hit = hit[vecs[hit].any(axis=1)]
         coeff = coeff[hit]
         for j in np.flatnonzero(coeff.any(axis=0)):
             on = coeff[:, j] != 0
-            batch[hit[on]] = self._inverse_powers[i][first + j][coeff[on, j, None] - 1,
-                                                                batch[hit[on]]]
+            batch[hit[on]] = self._times_inverse(i, batch[hit[on]], j, coeff[on, j])
 
     def sift(self, perms, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
         """The perms stripped through layers [start, stop), by default to the
@@ -518,28 +513,28 @@ class LayeredSequence:
             strips = [(hit[source[hit]], coeff[source[hit]]) for hit, coeff in strips]
         return picked, strips, dead, None
 
-    def _add_rows(self, i: int, batch: np.ndarray, picked, strips, stacks):
+    def _add_rows(self, i: int, batch: np.ndarray, picked, strips):
         """Make the picked perms of the batch rows of layer i, in order:
         h = g^scale for the source g, which the rows before it have
-        stripped, then strip h out of the perms it strips.  h and h^-1 go
-        to the layer's stack; R and U^-1 grow by block."""
-        p, degree = self.p, len(self.identity)
-        r0 = len(self.pivots[i])
+        stripped, then strip h out of the perms it strips.  h, h^-1, ...,
+        h^-(p-1) go to the layer's stack, which doubles when full; R and
+        U^-1 grow by block."""
+        p, r0 = self.p, len(self.pivots[i])
         r = r0 + len(picked)
-        if stacks[i].shape[1] < r:
-            grown = np.empty((2, max(2 * stacks[i].shape[1], r), degree), dtype=np.int32)
-            grown[:, :r0] = stacks[i][:, :r0]
-            stacks[i] = grown
+        stack = self._stacks[i]
+        if stack.shape[1] < r:
+            grown = np.empty((p, max(2 * stack.shape[1], r), len(self.identity)), np.int32)
+            grown[:, :r0] = stack[:, :r0]
+            stack = self._stacks[i] = grown
         for j, (src, _, scale, _) in enumerate(picked):
-            h, h_inv = stacks[i][:, r0 + j]
-            h[:] = batch[src] if scale == 1 else _powers(batch[src], scale)[-1]
-            h_inv[h] = self.identity
-            powers = _powers(h_inv, p - 1)
-            self._inverse_powers[i].append(powers)
+            lines = stack[:, r0 + j]
+            lines[0] = batch[src] if scale == 1 else _powers(batch[src], scale)[-1]
+            lines[1][lines[0]] = self.identity
+            for a in range(2, p):
+                lines[a] = lines[1][lines[a - 1]]
             if j < len(strips) and len(strips[j][0]):
                 hit, coeff = strips[j]
-                # h^-a is line a - 1 of the powers
-                batch[hit] = powers.take(batch[hit] + (coeff - 1) * np.intp(degree))
+                batch[hit] = self._times_inverse(i, batch[hit], r0 + j, coeff)
         pivots = [piv for _, piv, _, _ in picked]
         if not r0:
             k = len(self.layers[i][0])
@@ -554,7 +549,7 @@ class LayeredSequence:
         u_inv[:r0, r0:r] = (-(u_inv[:r0, :r0] @ rows[:r0, pivots]) % p) @ inv % p
         self.pivots[i].extend(pivots)
 
-    def _sift_batch(self, i: int, batch: np.ndarray, room: Optional[int], stacks,
+    def _sift_batch(self, i: int, batch: np.ndarray, room: Optional[int],
                     conj: np.ndarray, conj_inv: np.ndarray):
         """Sift a batch of distinct perms of K_i and add its new rows;
         yield (layer, perms) to queue, in the order of a loop that adds one
@@ -573,8 +568,8 @@ class LayeredSequence:
         r0 = len(self.pivots[i])
         r = r0 + len(picked)
         if picked:
-            self._add_rows(i, batch, picked, strips, stacks)
-            h, h_inv = stacks[i][0, :r], stacks[i][1, :r]
+            self._add_rows(i, batch, picked, strips)
+            h, h_inv = self._stacks[i][:2, :r]
             yield i, _comm_pairs(h, h_inv, conj, conj_inv,
                                  *_pair_indices(np.arange(r0, r), 0, len(conj)))
         if rest is not None:
@@ -611,9 +606,9 @@ class LayeredSequence:
         derived subgroup.
 
         A queue is worked off as one batch of its distinct perms
-        (`_sift_batch`).  While the sequence closes, each layer stacks its
-        elements and their inverses in one growing array; last, each
-        layer's elements and `_dense` pair are cut to its rows."""
+        (`_sift_batch`).  While the sequence closes, each layer's stack and
+        `_dense` pair have room for more rows; last, both are cut to the
+        layer's rows, and `elements[i]` is line 0 of the cut stack."""
         last = len(self.layers) - 1
         if last < 0:
             return
@@ -622,7 +617,6 @@ class LayeredSequence:
         conj_inv = _pinv_rows(conj)
         pending: List[List[np.ndarray]] = [[] for _ in self.layers]
         queued = [0] * len(self.layers)
-        stacks = [np.empty((2, 0, degree), dtype=np.int32) for _ in self.layers]
 
         def queue(i: int, perms: np.ndarray):
             if i <= last and len(perms):
@@ -640,10 +634,13 @@ class LayeredSequence:
             batch = self._distinct(np.concatenate(pending[i]))
             pending[i], queued[i] = [], 0
             room = _PENDING_ROWS - queued[i + 1] if i < last else None
-            for layer, perms in self._sift_batch(i, batch, room, stacks, conj, conj_inv):
+            for layer, perms in self._sift_batch(i, batch, room, conj, conj_inv):
                 queue(layer, perms)
             del batch  # before the next batch is built
-        self.elements = [stack[0, :r].copy() for stack, r in zip(stacks, map(len, self.pivots))]
+        for i, r in enumerate(map(len, self.pivots)):
+            if self._stacks[i].shape[1] > r:
+                self._stacks[i] = self._stacks[i][:, :r].copy()
+        self.elements = [stack[0] for stack in self._stacks]
         self._dense = [None if d is None else (d[0][:r].copy(), d[1][:r, :r].copy())
                        for d, r in zip(self._dense, map(len, self.pivots))]
 
@@ -662,18 +659,18 @@ class SubgroupHandle:
     `depth` on are the subgroup: the sequence it was read from, or one
     closed from the generators when first needed.  A perm is a member iff
     sifting it from layer `depth` leaves the identity.  On any other
-    quotient it is a stabilizer chain built from the generators when first
-    needed."""
+    quotient it is a stabilizer chain: the one a normal closure grew, or
+    one built from the generators when first needed."""
 
     def __init__(self, parent: LevelQuotient, gens: Sequence[np.ndarray],
                  sequence: Optional[LayeredSequence] = None, depth: int = 0,
-                 order: Optional[int] = None):
+                 order: Optional[int] = None, chain: Optional[StabilizerChain] = None):
         self.parent = parent
         self.gens = [np.asarray(g, dtype=np.int32) for g in gens]
         self._sequence = sequence
         self.depth = depth
         self._order = order
-        self._chain: Optional[StabilizerChain] = None
+        self._chain = chain
 
     def chain(self) -> StabilizerChain:
         if self._chain is None:
@@ -789,7 +786,7 @@ def _chain_closure(q: LevelQuotient, seeds: Sequence[np.ndarray]) -> SubgroupHan
         gens.append(g)
         for c, cinv in conj:
             work.append(c[g[cinv]])
-    return SubgroupHandle(q, gens, order=sub.order())
+    return SubgroupHandle(q, gens, order=sub.order(), chain=sub)
 
 
 def normal_closure(q: LevelQuotient, seeds: Sequence[np.ndarray]) -> SubgroupHandle:

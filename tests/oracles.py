@@ -417,7 +417,9 @@ class OneRowSequence(LayeredSequence):
     queue its commutators and p-th power, strip it out of the rest of the
     batch, and start over.  `LayeredSequence._close` must give the same
     pivots, elements, inverse powers, echelon rows and U^-1, bit for bit.
-    It reads `quotients._PENDING_ROWS` when it runs, as the library does."""
+    It keeps its own per-row lists, `elements` and `_inverse_powers` (the
+    perms h^-1, ..., h^-(p-1) of each row), strips one row at a time, and
+    reads `quotients._PENDING_ROWS` when it runs, as the library does."""
 
     def _add_row(self, i: int, g: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Make the residue g (vector v != 0) a row, scaled to pivot 1."""
@@ -439,7 +441,19 @@ class OneRowSequence(LayeredSequence):
         self._inverse_powers[i].append(_powers(_pinv(h), p - 1))
         return h
 
+    def _strip_row(self, i: int, batch: np.ndarray, vecs: np.ndarray, j: int):
+        """Strip row j of layer i out of the batch, in place: g -> g * h_j^-a
+        and v -> v - a R_j for a = v[pivot_j].  The vectors must be zero at
+        the pivots of the rows before j."""
+        a = vecs[:, self.pivots[i][j]]
+        hit = np.flatnonzero(a)
+        coeff = a[hit, None]
+        vecs[hit] = (vecs[hit] - coeff * self._dense[i][0][j].astype(vecs.dtype)) % self.p
+        batch[hit] = self._inverse_powers[i][j][coeff - 1, batch[hit]]
+
     def _close(self, seeds, conj):
+        self.elements = [[] for _ in self.layers]
+        self._inverse_powers = [[] for _ in self.layers]
         last = len(self.layers) - 1
         if last < 0:
             return
@@ -466,7 +480,8 @@ class OneRowSequence(LayeredSequence):
             batch = self._distinct(np.concatenate(pending[i]))
             pending[i], queued[i] = [], 0
             vecs = self._vectors(i, batch)
-            self._strip(i, batch, vecs, zero_is_identity=i == last)
+            for j in range(len(self.pivots[i])):
+                self._strip_row(i, batch, vecs, j)
             while True:
                 live = vecs.any(axis=1)
                 queue(i + 1, batch[~live])
@@ -485,7 +500,7 @@ class OneRowSequence(LayeredSequence):
                 if i < last and queued[i + 1] >= pending_rows:
                     queue(i, batch)  # the rest waits for the deeper queue
                     break
-                self._strip(i, batch, vecs, len(self.pivots[i]) - 1, i == last)
+                self._strip_row(i, batch, vecs, len(self.pivots[i]) - 1)
         self._dense = [None if d is None else (d[0][:r].copy(), d[1][:r, :r].copy())
                        for d, r in zip(self._dense, map(len, self.pivots))]
 
@@ -539,6 +554,17 @@ def check_homomorphisms_all_pairs(t: DefiningTriple) -> None:
                             "homomorphism property",
                             f"omega_{i + 1},{j + 1} is not a homomorphism at ({x},{y})",
                         )
+
+
+def associative_all_triples(names: Sequence[str], mult) -> bool:
+    """x(yz) = (xy)z over every triple of a table's elements, the identity
+    (None) included, with products read from `mult` as `BTable` reads it."""
+    def m(x, y):
+        return y if x is None else x if y is None else mult[(x, y)]
+
+    elements = [None, *names]
+    return all(m(x, m(y, z)) == m(m(x, y), z)
+               for x in elements for y in elements for z in elements)
 
 
 # -- group files -----------------------------------------------------------------

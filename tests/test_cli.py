@@ -229,6 +229,18 @@ def test_cli_impossible_rist_vertex_is_usage_error(capsys):
     assert "level >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["Gg", "G2"])
+def test_cli_empty_vertex_is_the_root(name, capsys):
+    # the empty string is the root, on a layered group and a chain group:
+    # `--rist ''` prints the root's index and `--vertex ''` its image
+    assert main(["quotient", name, "--level", "2", "--rist", ""]) == EXIT_OK
+    assert capsys.readouterr().out == "rigid stabilizer index: 1\n"
+    assert main(["quotient", name, "--level", "2", "--order", "--rist", ""]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[1:] == ["rigid stabilizer index: 1"]
+    assert main(["eval", name, "a", "--vertex", ""]) == EXIT_OK
+    assert capsys.readouterr().out == "\n"
+
+
 @pytest.mark.parametrize("module, name, argv", [
     (quotients, "level_quotient", ["quotient", "Gg", "--level", "30"]),
     (schreier, "schreier_graph", ["schreier", "Gg", "--level", "40"]),

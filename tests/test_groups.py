@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oracles import check_homomorphisms_all_pairs, random_reduced_word
+from oracles import associative_all_triples, check_homomorphisms_all_pairs, random_reduced_word
 
 from branchgroups import groups
 from branchgroups.automorphisms import build_recursive, perm_from_cycles
@@ -370,6 +370,30 @@ def test_second_grigorchuk_torsion_cross_check():
         assert res.kind == "finite"
 
 
+_D6_ELEMENTS = [(k, e) for k in range(6) for e in range(2)]
+
+
+def _d6_name(k, e):
+    """The name of r^k s^e in D_6 (None for the identity)."""
+    if e == 0:
+        return None if k == 0 else ("r" if k == 1 else f"r^{k}")
+    return "s" if k == 0 else f"r^{k}s" if k > 1 else "rs"
+
+
+def _d6_table():
+    """D_6, the dihedral group of order 12."""
+    name = _d6_name
+    mult = {}
+    for k1, e1 in _D6_ELEMENTS:
+        for k2, e2 in _D6_ELEMENTS:
+            # (r^k1 s^e1)(r^k2 s^e2): move s past r via s r = r^-1 s
+            k = (k1 + (k2 if e1 == 0 else -k2)) % 6
+            e = (e1 + e2) % 2
+            if name(k1, e1) and name(k2, e2):
+                mult[(name(k1, e1), name(k2, e2))] = name(k, e)
+    return BTable([name(k, e) for k, e in _D6_ELEMENTS if name(k, e)], mult)
+
+
 def _d6_spinal():
     """Spinal group with directed part D_6 on the mixed-arity tree.
 
@@ -379,22 +403,7 @@ def _d6_spinal():
     """
     from branchgroups.automorphisms import perm_mul, identity_perm
 
-    def name(k, e):
-        if e == 0:
-            return None if k == 0 else ("r" if k == 1 else f"r^{k}")
-        return "s" if k == 0 else f"r^{k}s" if k > 1 else "rs"
-
-    elements = [(k, e) for k in range(6) for e in range(2)]
-    mult = {}
-    for k1, e1 in elements:
-        for k2, e2 in elements:
-            # (r^k1 s^e1)(r^k2 s^e2): move s past r via s r = r^-1 s
-            k = (k1 + (k2 if e1 == 0 else -k2)) % 6
-            e = (e1 + e2) % 2
-            if name(k1, e1) and name(k2, e2):
-                mult[(name(k1, e1), name(k2, e2))] = name(k, e)
-    d6 = BTable([name(k, e) for k, e in elements if name(k, e)], mult)
-
+    d6 = _d6_table()
     flip = perm_from_cycles(2, [[0, 1]])
     sym3 = {  # quotient by the center {1, r^3}: r -> (1 2 3), s -> (2 3)
         "r": perm_from_cycles(3, [[0, 1, 2]]),
@@ -422,8 +431,8 @@ def _d6_spinal():
 
     def d3_level():
         omega = {}
-        for k, e in elements:
-            nm = name(k, e)
+        for k, e in _D6_ELEMENTS:
+            nm = _d6_name(k, e)
             if nm is None:
                 continue
             p = identity_perm(3)
@@ -601,6 +610,50 @@ def test_btable():
     ea = BTable.elementary_abelian_2(("x", "y"))
     assert ea.mult("x", "y") == "xy"
     assert len(ea) == 4
+
+
+# tables that are complete and give each name a right inverse but are no
+# group; the second one's y*y = y would keep the element orders from ending
+_NOT_ASSOCIATIVE = (
+    {("x", "x"): None, ("x", "y"): None, ("y", "x"): "x", ("y", "y"): None},
+    {("x", "x"): None, ("x", "y"): "y", ("y", "x"): None, ("y", "y"): "y"},
+)
+
+
+@pytest.mark.parametrize("mult", _NOT_ASSOCIATIVE, ids=["left-right", "idempotent"])
+def test_btable_rejects_a_table_that_is_not_associative(mult):
+    assert not associative_all_triples(["x", "y"], mult)
+    with pytest.raises(ValidationError, match="not associative"):
+        BTable(["x", "y"], mult)
+
+
+_TABLES = {"cyclic": lambda: BTable.cyclic(7), "klein": BTable.klein,
+           "elementary_abelian_2": lambda: BTable.elementary_abelian_2(("x", "y", "z")),
+           "D6": _d6_table}
+
+
+@pytest.mark.parametrize("name", sorted(_TABLES))
+def test_btable_builds_exactly_the_mutated_tables_that_are_groups(name):
+    # one to three products of a group table changed at random: the table
+    # builds iff it keeps right inverses and passes the all-triples check
+    b = _TABLES[name]()
+    mult = {(x, y): b.mult(x, y) for x in b.names for y in b.names}
+    rng = random.Random(31)
+    built = rejected = 0
+    for _ in range(300):
+        mutant = dict(mult)
+        for key in rng.sample(sorted(mult), rng.randint(1, 3)):
+            mutant[key] = rng.choice([None, *b.names])
+        inverses = all(any(mutant[(x, y)] is None for y in b.names) for x in b.names)
+        try:
+            BTable(b.names, mutant)
+            built += 1
+            assert inverses and associative_all_triples(b.names, mutant)
+        except ValidationError as e:
+            rejected += 1
+            assert not (inverses and associative_all_triples(b.names, mutant))
+            assert inverses == ("not associative" in str(e))
+    assert built and rejected
 
 
 def test_word_parse_powers_and_inverses():

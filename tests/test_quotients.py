@@ -771,22 +771,28 @@ def test_closures_that_defer_rows_match_the_default(name, level, monkeypatch):
 
 
 def _check_closed_sequence(seq):
-    """Each layer keeps r echelon rows, an r x r U^-1 and, per row, the
-    p - 1 perms h^-1, ..., h^-(p-1) in an array of their own."""
+    """Each layer keeps r echelon rows, an r x r U^-1 and one int32 stack of
+    shape (p, r, degree): line 0 the elements h, which `elements[i]` shares,
+    and line a the perms h^-a, none the identity."""
+    degree = len(seq.identity)
     for i, (leaves, _) in enumerate(seq.layers):
         r = len(seq.pivots[i])
-        assert len(seq.elements[i]) == len(seq._inverse_powers[i]) == r
+        stack = seq._stacks[i]
+        assert stack.dtype == np.int32 and stack.shape == (seq.p, r, degree)
+        assert stack.flags.c_contiguous and stack.base is None
+        assert seq.elements[i].shape == (r, degree)
         if not r:
             assert seq._dense[i] is None
             continue
+        assert np.shares_memory(seq.elements[i], stack)
+        assert np.array_equal(seq.elements[i], stack[0])
         rows, u_inv = seq._dense[i]
         assert rows.shape == (r, len(leaves)) and u_inv.shape == (r, r)
         assert rows.base is None and u_inv.base is None
-        for h, powers in zip(seq.elements[i], seq._inverse_powers[i]):
-            assert powers.shape == (seq.p - 1, len(seq.identity)) and powers.base is None
-            assert not (powers == seq.identity).all(axis=1).any()
+        assert not (stack[1:] == seq.identity).all(axis=2).any()
+        for j, h in enumerate(seq.elements[i]):
             product = h
-            for inverse in powers:
+            for inverse in stack[1:, j]:
                 assert np.array_equal(product[inverse], seq.identity)
                 product = h[product]
 
@@ -814,7 +820,7 @@ def _same_sequence(seq, oracle):
         assert seq.pivots[i] == oracle.pivots[i]
         assert len(seq.elements[i]) == len(oracle.elements[i])
         assert all(map(same, seq.elements[i], oracle.elements[i]))
-        assert all(map(same, seq._inverse_powers[i], oracle._inverse_powers[i]))
+        assert all(map(same, seq._stacks[i][1:].swapaxes(0, 1), oracle._inverse_powers[i]))
         if oracle._dense[i] is None:
             assert seq._dense[i] is None
         else:
@@ -822,7 +828,10 @@ def _same_sequence(seq, oracle):
 
 
 _ORACLE_LEVELS = (("Gg", 5), ("Gg", 6), ("Gg", 7), ("FGg", 3), ("FGg", 4), ("BGg", 4),
-                  ("Sg", 5), ("Sg", 6), ("GSg", 4))
+                  ("Sg", 5), ("Sg", 6), ("GSg", 4), ("Gg", 9), ("FGg", 6))
+# only the order: its last layers hold 160 and 162 rows, so a stack grows
+# past the 128 rows whose offsets the uint8 coefficients could reach
+_ORDER_ONLY = (("Gg", 9), ("FGg", 6))
 
 
 @pytest.mark.parametrize("pending", [quotients._PENDING_ROWS, 4], ids=["default", "pending-4"])
@@ -848,6 +857,9 @@ def test_closed_sequences_match_the_one_row_oracle(name, level, pending, monkeyp
     g = _make_builtin(name)
     q = level_quotient(g, level)
     q.order()
+    if (name, level) in _ORDER_ONLY:
+        assert layer_orders == [True]
+        return
     for _ in range(3):
         normal_closure(q, [q.perm_of_word(random_reduced_word(g, rng.randint(2, 12), rng))
                            for _ in range(2)])
@@ -881,8 +893,8 @@ def test_quotients_bundle_sequences_are_pinned(monkeypatch):
     for seq in closed:
         for i in range(len(seq.layers)):
             digest.update(repr(seq.pivots[i]).encode())
-            for h, powers in zip(seq.elements[i], seq._inverse_powers[i]):
-                digest.update(np.ascontiguousarray(h).tobytes() + powers.tobytes())
+            for lines in seq._stacks[i].swapaxes(0, 1):
+                digest.update(lines[0].tobytes() + lines[1:].tobytes())
             for dense in seq._dense[i] or ():
                 digest.update(dense.tobytes())
     assert (len(closed), digest.hexdigest()) == (
@@ -965,6 +977,21 @@ def test_deep_membership_builds_no_chain(chain_builds):
     assert all(rist.contains(h) for h in rist.gens)
     assert not rist.contains(q.perm_of_word("b"))
     assert chain_builds == [] and q._chain is None
+
+
+def test_chain_closure_keeps_the_chain_it_grew(chain_builds):
+    # G2 takes the chain path: the closure's membership reads the chain the
+    # closure grew instead of building a second one from its generators
+    g = _make_builtin("G2")
+    q = level_quotient(g, 3)
+    k = normal_closure(q, [q.perm_of_word("ab")])
+    assert len(chain_builds) == 1 and k._chain is chain_builds[0]
+    probes = [q.perm_of_word(w) for w in ("ab", "abab", "a", "b", "ba", "abba")]
+    answers = [k.contains(p) for p in probes]
+    assert len(chain_builds) == 1
+    oracle = chain_from_generators(q.degree, k.gens)
+    assert answers == [oracle.contains(p) for p in probes]
+    assert any(answers) and not all(answers)
 
 
 def test_conjugacy_stream_builds_no_chain(chain_builds, monkeypatch):
