@@ -35,11 +35,17 @@ Words are parsed by ``parse_letters``, whose grammar the free words of
 presentations and the entries of group files share: generator names
 read by longest match, ' and ^-k for inverses, ^k for powers,
 parentheses, [x,y] and x^y.  A word that would expand past
-``WORD_LENGTH_CAP`` letters raises ResourceBoundExceeded.
+``WORD_LENGTH_CAP`` letters raises ResourceBoundExceeded.  A group word
+whose whitespace-separated chunks are all names s, s' or s^-1 is read by
+one lookup per chunk in a table of what ``parse_letters`` reads from each
+such chunk, and any other text is parsed whole.  That is exact: no name
+holds whitespace and no suffix may follow whitespace, so a chunk reads
+alike alone and within a text.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -404,6 +410,7 @@ class GroupDefinition:
         self._products: Dict = {}
         self._state_names: Optional[Dict] = None  # state -> generator name
         self._alphabet: Optional[Tuple[str, ...]] = None  # generator names, from the first parse
+        self._chunks: Dict[str, TreeAutomorphism] = {}  # name text -> letter, see _read_names
 
     # -- ring plumbing --
 
@@ -532,10 +539,27 @@ class GroupDefinition:
     # -- parsing and printing (shift-0 only) --
 
     def parse_word(self, text: str) -> Word:
-        self._alphabet = self._alphabet or tuple(self.states)
-        letters = parse_letters(text, self._alphabet, self.states.__getitem__,
-                                self._inverses.__getitem__, self.letter_order)
+        if self._alphabet is None:
+            self._read_names()
+        chunks = text.split()  # read by name when each is a key of _chunks (module doc)
+        by_name = len(chunks) <= WORD_LENGTH_CAP and all(map(self._chunks.__contains__, chunks))
+        letters = map(self._chunks.__getitem__, chunks) if by_name else self._parse(text)
         return Word(self.reduce(letters), reduced=True)
+
+    def _parse(self, text: str) -> list:
+        return parse_letters(text, self._alphabet, self.states.__getitem__,
+                             self._inverses.__getitem__, self.letter_order)
+
+    def _read_names(self) -> None:
+        """Fix the generator names, and map each text s, s' and s^-1 of a
+        name s that parse_letters reads as one letter to that letter; a name
+        holding whitespace leaves the map empty (see the module doc)."""
+        self._alphabet = tuple(self.states)
+        if all(s.split() == [s] for s in self._alphabet):
+            for text in (s + mark for s in self._alphabet for mark in ("", "'", "^-1")):
+                with contextlib.suppress(ValueError):
+                    if len(letters := self._parse(text)) == 1:
+                        self._chunks[text] = letters[0]
 
     def word(self, text_or_letters) -> Word:
         if isinstance(text_or_letters, Word):

@@ -793,3 +793,49 @@ def test_readme_command_output_is_pinned(tmp_path, monkeypatch, capsys, args, co
     assert hashlib.sha1(capsys.readouterr().out.encode()).hexdigest() == stdout
     assert {path.name: hashlib.sha1(path.read_bytes()).hexdigest()
             for path in tmp_path.iterdir()} == files
+
+
+# stray characters and separators of the drawn word texts; no text starts
+# with '-', which argparse would read as an option
+_CLI_JUNK = ["q", "^", "'", "(", ")", "]", ",", "#", "-", "é", "^2", "1", "*"]
+_CLI_SEPARATORS = [" ", " ", " ", " ", "", "  ", "\t", "\n", "\u3000", " * "]
+
+
+def _cli_word_text(names, rng):
+    """Mostly names and primed names apart; some grammar, runs and junk."""
+    pieces = []
+    for _ in range(rng.randint(0, 12)):
+        r, x, y = rng.random(), rng.choice(names), rng.choice(names)
+        if r < 0.55:
+            pieces.append(x)
+        elif r < 0.85:
+            pieces.append(x + rng.choice(("'", "'", "^-1")))
+        elif r < 0.96:
+            pieces.append(rng.choice((f"({x} {y})^{rng.randint(-3, 9)}", f"[{x},{y}]", x + y,
+                                      f"{x}^{y}", f"{x}^({y}{x})", f"{x}^{rng.randint(-5, 5)}")))
+        else:
+            pieces.append(rng.choice(_CLI_JUNK))
+    text = "".join(p + rng.choice(_CLI_SEPARATORS) for p in pieces)
+    return " " + text if text.startswith("-") else text
+
+
+def test_cli_word_texts_keep_their_answers(capsys):
+    # seeded trivial, order and equal calls on word texts of five groups:
+    # exit codes in the contract, no traceback, and every (argv, code,
+    # stdout, stderr) as recorded before word texts were read by name
+    rng = random.Random(33)
+    digest = hashlib.sha1()
+    codes = set()
+    for _ in range(600):
+        group = rng.choice(["Gg", "GSg", "G2", "Sg", "BSV"])
+        names = sorted(builtin(group).states)
+        command = rng.choice(["trivial", "order", "equal"])
+        argv = [command, group] + [_cli_word_text(names, rng)
+                                   for _ in range(2 if command == "equal" else 1)]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code in (EXIT_OK, EXIT_FALSE, EXIT_USAGE, EXIT_RESOURCE) and "Traceback" not in err
+        codes.add(code)
+        digest.update(repr((argv, code, out, err)).encode())
+    assert codes == {EXIT_OK, EXIT_FALSE, EXIT_USAGE}
+    assert digest.hexdigest() == "56e3c8b8564d12a2794f7ebf94ec64922b8dc243"
