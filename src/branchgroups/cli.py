@@ -330,13 +330,13 @@ def _dispatch(args) -> int:
 
     if cmd == "quotient":
         q = quotients.level_quotient(group, args.level)
-        if args.order or not any((args.ranks, args.derived, args.suborbits,
-                                  args.hausdorff, args.rist is not None)):
+        if args.order or not any((args.ranks is not None, args.derived is not None,
+                                  args.suborbits, args.hausdorff, args.rist is not None)):
             print(f"order: {quotients.format_order(q.order())}")
-        if args.ranks:
+        if args.ranks is not None:
             ranks = quotients.lower_central_ranks(group, args.level, args.ranks)
             print(f"lower central ranks: {ranks}")
-        if args.derived:
+        if args.derived is not None:
             orders = quotients.derived_series_orders(q, args.derived)
             print("derived series orders: "
                   + " ".join(quotients.format_order(o) for o in orders))

@@ -255,7 +255,9 @@ def order(group: GroupDefinition, word, bound: int = ORDER_BOUND) -> OrderResult
         memo[key] = result
         return result, _SETTLED
 
-    return rec(group, letters, 1, (None, None))[0]
+    result = rec(group, letters, 1, (None, None))[0]
+    # the bound holds for every answer, a letter's order and the empty word's 1 too
+    return OrderResult("unknown") if result.kind == "finite" and result.value > bound else result
 
 
 def _depth_exceeded(what: str):

@@ -135,10 +135,6 @@ class StabilizerChain:
         for b in base_prescription:
             self.levels.append(_Level(int(b), self.identity))
 
-    @property
-    def base(self) -> List[int]:
-        return [lv.point for lv in self.levels]
-
     def sift(self, perm: np.ndarray, start: int = 0) -> Optional[np.ndarray]:
         """Strip through transversals; None iff membership holds."""
         g = np.asarray(perm, dtype=np.int32)

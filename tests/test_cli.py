@@ -206,6 +206,11 @@ def test_cli_quotient(capsys):
     # G2 acts on the 4-ary tree; its ranks are logarithms to the prime 2
     assert main(["quotient", "G2", "--level", "3", "--ranks", "6"]) == EXIT_OK
     assert capsys.readouterr().out == "lower central ranks: [4, 2, 2, 2, 3, 2]\n"
+    # a count of 0 asks for an empty series, not for the order
+    assert main(["quotient", "Gg", "--level", "3", "--ranks", "0"]) == EXIT_OK
+    assert capsys.readouterr().out == "lower central ranks: []\n"
+    assert main(["quotient", "Gg", "--level", "3", "--derived", "0"]) == EXIT_OK
+    assert capsys.readouterr().out == "derived series orders: 2^7\n"
 
 
 def test_cli_negative_level_is_usage_error(capsys):
@@ -578,6 +583,18 @@ def test_cli_order_names_its_bound(tmp_path, capsys):
     assert out == "Unknown(bound reached)\n"
     assert err == ("resource bound exceeded: no finite order up to the bound 3 "
                    "(raise it with --bound)\n")
+
+
+@pytest.mark.parametrize("word, order", [("1", 1), ("a", 2), ("ab", 16)])
+@pytest.mark.parametrize("bound", [0, 1, 2, 16])
+def test_cli_order_holds_every_answer_to_its_bound(capsys, word, order, bound):
+    # the empty word and one-letter words are no exception
+    code = main(["order", "Gg", word, "--bound", str(bound)])
+    out = capsys.readouterr().out
+    if order <= bound:
+        assert (code, out) == (EXIT_OK, f"Finite({order})\n")
+    else:
+        assert (code, out) == (EXIT_RESOURCE, "Unknown(bound reached)\n")
 
 
 @pytest.mark.parametrize("argv", [

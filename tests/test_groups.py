@@ -545,6 +545,31 @@ def test_generator_and_directed_states_are_pinned():
         "19aa00de354d4047f7eee5ddff0a93fedbd1d420")
 
 
+def test_spinal_constructions_are_pinned():
+    # recorded before the spinal construction read one complete table per
+    # level: every ring member keeps its name, shift index, rooted
+    # permutations, omega maps and canonical letters in order (each letter
+    # by its level-3 image, which does not depend on interning order), and
+    # every generator name of the root keeps the letter it names
+    from branchgroups.quotients import _state_images
+
+    roots = [builtin(name) for name in
+             ("Gg", "G2", "FGg", "BGg", "GSg", "Sg", "Dinf", "GS5", "GS7", "GS31")]
+    roots += [grigorchuk_2group((1, 1, 0), (2, 0, 1)), _d6_spinal()]
+    roots += [from_ggs(GGSVector(3, e)) for e in ((0, 1), (0, 2), (1, 0), (1, 1),
+                                                   (1, 2), (2, 0), (2, 1), (2, 2))]
+    digest = hashlib.sha1()
+    for root in roots:
+        for g in root._ring:
+            digest.update(repr((g.name, g.shift_index, g.a_perms,
+                                [sorted(omega.items()) for omega in g.omega_maps])).encode())
+            for letter in g.canonical_letters:
+                digest.update(_state_images(letter, 3).tobytes())
+        index = {letter: i for i, letter in enumerate(root.canonical_letters)}
+        digest.update(repr([(nm, index[st]) for nm, st in root.states.items()]).encode())
+    assert (len(roots), digest.hexdigest()) == (20, "42297e246d139c8b24c465b11dcd10e756ec90b0")
+
+
 def test_mixed_arity_word_states_act_letter_by_letter():
     # interning a word on a shape that is not shift-invariant tracks the
     # shape per section; its action must agree with the letters' actions
