@@ -497,20 +497,32 @@ class Portrait:
     def is_leaf(self):
         return self.children is None
 
-    def depth(self) -> int:
-        if self.is_leaf:
-            return 0
-        return 1 + max(c.depth() for c in self.children)
+    def _walk(self) -> Iterator[Tuple["Portrait", int]]:
+        """Every node with its level, by an explicit stack."""
+        stack = [(self, 0)]
+        while stack:
+            node, level = stack.pop()
+            yield node, level
+            if not node.is_leaf:
+                stack.extend((c, level + 1) for c in node.children)
 
-    def node_count(self) -> int:
-        if self.is_leaf:
-            return 1
-        return 1 + sum(c.node_count() for c in self.children)
+    def depth(self) -> int:
+        return max(level for node, level in self._walk() if node.is_leaf)
 
     def __repr__(self):
-        if self.is_leaf:
-            return f"Leaf({self.section!r})"
-        return f"Node({format_perm(self.perm)}, {list(self.children)!r})"
+        out, stack = [], [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+            elif item.is_leaf:
+                out.append(f"Leaf({item.section!r})")
+            else:
+                parts = [f"Node({format_perm(item.perm)}, ["]
+                for i, child in enumerate(item.children):
+                    parts += [", ", child] if i else [child]
+                stack += reversed(parts + ["])"])
+        return "".join(out)
 
 
 def portrait(
@@ -522,6 +534,8 @@ def portrait(
 
     ``profile(level, state)`` returns True where expansion stops and a
     leaf is emitted.  Exactly one of ``depth``/``profile`` must be given.
+    The tree is built by an explicit stack, each node charged to
+    PORTRAIT_NODE_CAP, so its depth is bounded only by that cap.
     """
     if (depth is None) == (profile is None):
         raise ValueError("give exactly one of depth or profile")
@@ -532,18 +546,19 @@ def portrait(
         def profile(level, state):
             return level >= depth
 
-    budget = [PORTRAIT_NODE_CAP]
-
-    def build(state, level):
-        budget[0] -= 1
-        if budget[0] < 0:
+    budget = PORTRAIT_NODE_CAP
+    root = Portrait()
+    stack = [(root, f, 0)]
+    while stack:
+        node, state, level = stack.pop()
+        budget -= 1
+        if budget < 0:
             raise ResourceBoundExceeded(f"portrait exceeded {PORTRAIT_NODE_CAP} nodes "
                                         "(automorphisms.PORTRAIT_NODE_CAP)")
         if profile(level, state):
-            return Portrait(section=state)
-        return Portrait(
-            perm=state.root_perm,
-            children=tuple(build(c, level + 1) for c in state.children),
-        )
-
-    return build(f, 0)
+            node.section = state
+        else:
+            node.perm = state.root_perm
+            node.children = tuple(Portrait() for _ in state.children)
+            stack.extend((c, s, level + 1) for c, s in zip(node.children, state.children))
+    return root

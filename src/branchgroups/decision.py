@@ -157,7 +157,6 @@ class OrderResult:
 
 # longest conjugator the one-level certificate search tries
 CONJUGATOR_LENGTH = 4
-_SETTLED = frozenset()  # no provisional value behind a result
 
 
 def order(group: GroupDefinition, word, bound: int = ORDER_BOUND) -> OrderResult:
@@ -174,34 +173,35 @@ def order(group: GroupDefinition, word, bound: int = ORDER_BOUND) -> OrderResult
     path = []  # the link into each open word, root first
 
     def rec(g: GroupDefinition, t_word, mult: int, step):
-        """(result, keys of open words whose provisional value it uses).
+        """(result, least path index of an open word whose provisional
+        value it uses, math.inf for none).
 
         ``mult`` is the product of the cycle lengths from the root down to
         this word; ``step`` is the (cycle length, vertex) it came from.
         """
         w, conj = g.cyclic_reduce(t_word)
         if not w:
-            return OrderResult("finite", 1), _SETTLED
+            return OrderResult("finite", 1), math.inf
         if len(w) == 1:
             k = g.letter_order(w[0])
             if k is not None:
-                return OrderResult("finite", k), _SETTLED
+                return OrderResult("finite", k), math.inf
         key = g.memo_key(w)
         hit = memo.get(key)
         if hit is not None:
             # a remembered order past the bound is Unknown, as a fresh
             # search of the same word finds
             if hit.kind == "finite" and hit.value > bound:
-                return OrderResult("unknown"), _SETTLED
-            return hit, _SETTLED
+                return OrderResult("unknown"), math.inf
+            return hit, math.inf
         link = step + (conj, w, g.shift_index)
         if key in active:
             opened, at = active[key]
             if mult > opened:
                 links = tuple(path[at + 1:]) + (link,)
                 cert = (mult // opened, links[0][1], 1, w, links, g.shift_index)
-                return OrderResult("infinite", certificate=cert), _SETTLED
-            return OrderResult("finite", 1), frozenset([key])
+                return OrderResult("infinite", certificate=cert), math.inf
+            return OrderResult("finite", 1), at
 
         root, sections = g.first_level_sections(w)
         child = g.shifted()
@@ -224,36 +224,35 @@ def order(group: GroupDefinition, word, bound: int = ORDER_BOUND) -> OrderResult
             if found:
                 cert = (len(cycle),) + found + (w, None, g.shift_index)
                 memo[key] = result = OrderResult("infinite", certificate=cert)
-                return result, _SETTLED
+                return result, math.inf
             reps.append((len(cycle),) + min(rotations, key=lambda r: len(r[1])))
 
         if len(path) >= ORDER_DEPTH_CAP:
             _depth_exceeded("the recursion of order")
         value = 1
-        pending = set()
-        active[key] = (mult, len(path))
+        index = pending = len(path)
+        active[key] = (mult, index)
         path.append(link)
         try:
             for length, v, t_word in reps:
                 sub, sub_pending = rec(child, t_word, mult * length, (length, v))
                 if sub.kind == "infinite":
                     memo[key] = result = OrderResult("infinite", certificate=sub.certificate)
-                    return result, _SETTLED
+                    return result, math.inf
                 if sub.kind == "unknown":
-                    return sub, _SETTLED
+                    return sub, math.inf
                 value = math.lcm(value, length * sub.value)
-                pending |= sub_pending
+                pending = min(pending, sub_pending)
         finally:
             del active[key]
             path.pop()
         if value > bound:
-            return OrderResult("unknown"), _SETTLED
+            return OrderResult("unknown"), math.inf
         result = OrderResult("finite", value)
-        pending.discard(key)
-        if pending:  # the value rests on a cycle opened above: not final yet
-            return result, frozenset(pending)
+        if pending < index:  # the value rests on a cycle opened above: not final yet
+            return result, pending
         memo[key] = result
-        return result, _SETTLED
+        return result, math.inf
 
     result = rec(group, letters, 1, (None, None))[0]
     # the bound holds for every answer, a letter's order and the empty word's 1 too

@@ -231,22 +231,18 @@ WORD_LENGTH_CAP = 1 << 20
 WORD_NESTING_CAP = 256
 
 # token kinds by regex group: a power, a suffix mark (' or ^( ), a
-# conjugating symbol, an atom mark, a run of symbols none of which takes a
-# suffix, a symbol; group 10 is anything else.  A run keeps each symbol and
-# separator as read by longest match, since a lookahead captures it, a
-# backreference consumes it and lookarounds are atomic: Sg's "bcd'" is bcd'.
-_POWER, _MARK, _CONJ, _ATOM, _RUN, _SYMBOL = 1, 2, 3, 4, 5, 9
+# conjugating symbol, an atom mark, a symbol; group 6 is anything else.
+# Symbols are read by longest match: Sg's "bcd'" is bcd'.
+_POWER, _MARK, _CONJ, _ATOM, _SYMBOL = 1, 2, 3, 4, 5
 
 
 @functools.lru_cache(maxsize=64)
 def _tokens(alphabet: Optional[Tuple[str, ...]]):
-    """The token iterator of an alphabet, and the splitter of its runs."""
+    """The token iterator of an alphabet."""
     symbol = (r"\w" if alphabet is None  # longest match first; (?!) matches nothing
               else "|".join(map(re.escape, sorted(alphabet, key=len, reverse=True))) or "(?!)")
-    run = rf"(?=({symbol}))\6(?![\^'])(?:(?=([\s*]*))\7(?![1()\[\],])(?=({symbol}))\8(?![\^']))*"
-    tokens = re.compile(rf"(\^-?\d+)|(\^\(|')|(\^(?:{symbol}))|[\s*]*(?:([1()\[\],])|({run})"
-                        rf"|({symbol})|([^\s*]))")
-    return tokens.finditer, re.compile(rf"[\s*]*({symbol})").findall
+    return re.compile(rf"(\^-?\d+)|(\^\(|')|(\^(?:{symbol}))|[\s*]*(?:([1()\[\],])|({symbol})"
+                      r"|([^\s*]))").finditer
 
 
 def check_word_length(letters: int, what: str) -> None:
@@ -265,8 +261,7 @@ def parse_letters(text: str, alphabet: Optional[Tuple[str, ...]], letter, invers
     a word or power past WORD_LENGTH_CAP is refused before it is built, and
     so is a text nesting deeper than WORD_NESTING_CAP.
     """
-    finditer, split = _tokens(alphabet)
-    tokens = [(m.lastindex, m[m.lastindex], m.start(m.lastindex)) for m in finditer(text)]
+    tokens = [(m.lastindex, m[m.lastindex], m.start(m.lastindex)) for m in _tokens(alphabet)(text)]
     tokens.append((0, "", len(text)))
     i = 0
 
@@ -288,12 +283,10 @@ def parse_letters(text: str, alphabet: Optional[Tuple[str, ...]], letter, invers
         out = []
         while True:
             kind, value, _ = tokens[i]
-            if kind != _RUN and kind != _SYMBOL and (kind != _ATOM or value in ")],"):
+            if kind != _SYMBOL and (kind != _ATOM or value in ")],"):
                 return out
             i += 1
-            if kind == _RUN:
-                part = list(map(letter, split(value)))
-            elif kind == _SYMBOL:
+            if kind == _SYMBOL:
                 part = [letter(value)]
             elif value == "(":
                 part = word(depth + 1)

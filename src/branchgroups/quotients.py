@@ -154,9 +154,9 @@ class StabilizerChain:
     def contains(self, perm: np.ndarray) -> bool:
         return self.sift(perm) is None
 
-    def _install(self, perm: np.ndarray, start: int = 0) -> int:
+    def _install(self, perm: np.ndarray, start: int = 0) -> None:
         """Attach a nontrivial permutation at its level (extending the
-        base when it fixes every current base point).  Returns the level."""
+        base when it fixes every current base point)."""
         i = start
         while i < len(self.levels) and perm[self.levels[i].point] == self.levels[i].point:
             i += 1
@@ -169,13 +169,11 @@ class StabilizerChain:
             lv.orbit_cursor.append(0)
             lv.pair_cursor.append(0)
         self._dirty = max(self._dirty, i + 1)
-        return i
 
-    def _extend_orbit(self, i: int) -> bool:
+    def _extend_orbit(self, i: int) -> None:
         """Expand the orbit of level i with any unprocessed (point, gen)
-        pairs; returns True if new points appeared."""
+        pairs."""
         lv = self.levels[i]
-        grew = False
         changed = True
         while changed:
             changed = False
@@ -189,9 +187,7 @@ class StabilizerChain:
                         lv.transversal[y] = uy
                         lv.inv_transversal[y] = _pinv(uy)
                         lv.points.append(y)
-                        grew = True
                         changed = True
-        return grew
 
     def _process_level(self, i: int) -> bool:
         """Expand the orbit, then sift unprocessed Schreier generators.
@@ -967,6 +963,8 @@ def rigid_level_stabilizer(group: GroupDefinition, level: int,
     on these blocks finds each t.  The supports are disjoint, so the
     order is the product of the vertices' orders.
     """
+    if depth < 0:
+        raise ValueError(f"depth must be non-negative, got {depth}")
     q = level_quotient(group, level)
 
     def build():

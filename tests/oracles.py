@@ -266,9 +266,9 @@ def check_reduce_confluence(cases: int, seed: int) -> int:
 
 # -- the per-letter word kernels -------------------------------------------------
 #
-# The parser and the reduction fold the package used before a run of symbols
-# became one token and reduce one seam-merge loop: one token per symbol, and
-# one _merge call per letter pushed.
+# The parser with one token per symbol, and the reduction fold the package
+# used before reduce became one seam-merge loop: one _merge call per letter
+# pushed.
 
 
 def _push_reference(group: GroupDefinition, out: list, letter) -> None:

@@ -179,6 +179,10 @@ def test_powers_by_repeated_squaring():
     assert tau ** -3 is intern_word(tau.shape, [(tau, -3)])
 
 
+def _node_count(p):
+    return sum(1 for _ in p._walk())
+
+
 def test_portrait(gg, monkeypatch):
     one = identity_state(gg.shape)
     p = portrait(one, depth=0)
@@ -188,7 +192,7 @@ def test_portrait(gg, monkeypatch):
     assert p.perm == (1, 0)
     assert p.children[0].section is gg.state_of_word(gg.parse_word("cabab"))
     assert p.children[1].section is gg.state_of_word(gg.parse_word("ba"))
-    assert p.depth() == 1 and p.node_count() == 3
+    assert p.depth() == 1 and _node_count(p) == 3
     # canonical profile: stop at generators and the identity
     S = set(gg.states.values()) | {one}
     canonical = portrait(g, profile=lambda lvl, s: s in S)
@@ -198,6 +202,17 @@ def test_portrait(gg, monkeypatch):
     monkeypatch.setattr(automorphisms, "PORTRAIT_NODE_CAP", 2)
     with pytest.raises(ResourceBoundExceeded, match=r"\(automorphisms\.PORTRAIT_NODE_CAP\)"):
         portrait(g, depth=3)
+
+
+def test_deep_portraits_are_built_without_recursion(gg):
+    b = gg.states["b"]
+    with pytest.raises(ResourceBoundExceeded, match=r"\(automorphisms\.PORTRAIT_NODE_CAP\)"):
+        portrait(b, depth=3000)
+    # b, c and d each keep one nontrivial child; a's children are trivial
+    p = portrait(b, profile=lambda level, s: level >= 600 or all(c.is_identity for c in s.children))
+    assert p.depth() == 600 and _node_count(p) == 1201
+    text = repr(p)
+    assert text.count("Node(") == 600 and text.count("Leaf(") == 601
 
 
 def test_reachable_sections(gg, monkeypatch):

@@ -276,6 +276,13 @@ def test_rigid_stabilizer_rejects_impossible_vertices(gg):
     assert rigid_stabilizer(gg, 3, ()).index() == 1
 
 
+@pytest.mark.parametrize("depth", [-1, -2])
+def test_rigid_level_stabilizer_rejects_a_negative_depth(gg, depth):
+    with pytest.raises(ValueError, match=f"depth must be non-negative, got {depth}"):
+        rigid_level_stabilizer(gg, 2, depth)
+    assert ("rigid level stabilizer", depth) not in level_quotient(gg, 2)._kept
+
+
 def _random_products(degree, gens, rng, count=8, length=12):
     """Seeded products of the generators (the identity when there are none)."""
     out = []

@@ -238,5 +238,6 @@ def test_a_text_of_more_names_than_the_word_bound_is_refused(monkeypatch):
     monkeypatch.setattr(groups, "WORD_LENGTH_CAP", 4)
     gg = builtin("Gg")
     assert gg.format_word(gg.parse_word("a b a c")) == "abac"
-    with pytest.raises(ResourceBoundExceeded, match="a word expands to 5 letters"):
-        gg.parse_word("a b a c d")
+    for text in ("a b a c d", "a b a c d b", "abacdb"):
+        with pytest.raises(ResourceBoundExceeded, match="a word expands to 5 letters"):
+            gg.parse_word(text)
