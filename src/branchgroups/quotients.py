@@ -11,9 +11,11 @@ The quotient G_n = G/Stab(L_n) acts on the m_1*...*m_n level-n vertices
   F_p^(p^i), and a `LayeredSequence` keeps an echelon basis per factor:
   its pivots, its echelon rows, and one (p, r, degree) int32 stack whose
   line 0 holds the rows' elements h and line a the perms h^-a, so one
-  flat gather multiplies a set of perms by any h^-a.  The order, the
-  normal closures, the lower central and derived series, the rigid
-  stabilizers and membership are all read from such sequences.
+  flat gather multiplies a set of perms by any h^-a.  A sequence is
+  closed by working off one queue per layer, each as one batch of its
+  non-identity perms; the last layer's rows are built from their vectors.
+  The order, the normal closures, the lower central and derived series,
+  the rigid stabilizers and membership are all read from such sequences.
 * A deterministic Schreier-Sims stabilizer chain otherwise (G2, GS_m for
   a composite m, mixed arities, non-rotating generators): base points are
   the first moved point (optionally prescribed), generators are processed
@@ -48,7 +50,7 @@ Python integers.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate
 from math import factorial, log
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -335,6 +337,22 @@ def _comm_pairs(h: np.ndarray, h_inv: np.ndarray, xs: np.ndarray, xs_inv: np.nda
     return out
 
 
+def _row_blocks(seeds, degree: int):
+    """The rows of the seeds, each a perm or a 2-D block of perms, in order
+    and `_PENDING_ROWS` at a time."""
+    held, count = [], 0
+    for block in seeds:
+        block = np.asarray(block, dtype=np.int32).reshape(-1, degree)
+        while count + len(block) >= _PENDING_ROWS:
+            cut = _PENDING_ROWS - count
+            yield np.concatenate(held + [block[:cut]])
+            held, count, block = [], 0, block[cut:]
+        held.append(block)
+        count += len(block)
+    if count:
+        yield np.concatenate(held)
+
+
 def _unit_upper_inverse(u: np.ndarray, p: int) -> np.ndarray:
     """The inverse mod p of a unit upper triangular float64 matrix I + N:
     (I - N)(I + N^2)(I + N^4)..., until the power of the nilpotent N is 0."""
@@ -379,7 +397,10 @@ class LayeredSequence:
     The order is p to the number of rows.  A layer keeps its pivots, one
     int32 stack of shape (p, r, degree) whose line 0 holds the elements h
     and line a the perms h^-a, and its echelon vectors (the rows of its
-    `_dense` matrix); `elements[i]` is line 0 of layer i's stack.
+    `_dense` matrix); `elements[i]` is line 0 of layer i's stack.  The
+    last layer reads the rotations just above the leaves, so its perms
+    are fixed by their vectors: its batches strip only the vectors, and
+    its lines are built from the echelon rows.
     """
 
     def __init__(self, p: int, degree: int, layers: Sequence[Tuple[np.ndarray, int]],
@@ -421,13 +442,11 @@ class LayeredSequence:
         _, cap, degree = self._stacks[i].shape
         return self._stacks[i].take(perms + (a.astype(np.intp).reshape(-1, 1) * cap + j) * degree)
 
-    def _strip(self, i: int, batch: np.ndarray, vecs: np.ndarray,
-               zero_is_identity: bool = False):
+    def _strip(self, i: int, batch: Optional[np.ndarray], vecs: np.ndarray):
         """Strip layer i's rows out of the batch, in place: g -> g *
         h_0^-a_0 * h_1^-a_1 ..., for the rows' elements h, and v -> v -
-        sum a_j R_j.  With `zero_is_identity` (the last layer), a perm
-        whose residue vector is zero is left as it is: the caller drops
-        it."""
+        sum a_j R_j.  With no batch only the vectors are stripped: the
+        last layer's perms are read from their vectors (see `_add_rows`)."""
         p, r = self.p, len(self.pivots[i])
         if not r:
             return
@@ -436,8 +455,8 @@ class LayeredSequence:
         coeff = (vecs[:, self.pivots[i]] @ u_inv[:r, :r]).astype(vecs.dtype) % p
         hit = np.flatnonzero(coeff.any(axis=1))
         vecs[hit] = (vecs[hit] - (coeff[hit] @ rows[:r]).astype(vecs.dtype)) % p
-        if zero_is_identity:
-            hit = hit[vecs[hit].any(axis=1)]
+        if batch is None:
+            return
         coeff = coeff[hit]
         for j in np.flatnonzero(coeff.any(axis=0)):
             on = coeff[:, j] != 0
@@ -465,8 +484,7 @@ class LayeredSequence:
         the start, then per row those it leaves zero.  Once these and each
         row's p-th power and commutators with the earlier rows reach `room`
         (the free part of the next layer's queue, None on the last layer),
-        it stops after picking that row: `rest` lists the perms still live.
-        The last layer drops its dead perms, so it strips the sources only."""
+        it stops after picking that row: `rest` lists the perms still live."""
         p, r = self.p, len(self.pivots[i])
         vecs = vecs.astype(np.min_scalar_type(p * p))  # a + c (p - x) < p^2
         nonzero = vecs.any(axis=1)
@@ -499,10 +517,6 @@ class LayeredSequence:
                 keep = np.ones(len(live), dtype=bool)
                 keep[gone] = False
                 live = live[keep]
-        if room is None:
-            source = np.zeros(len(vecs), dtype=bool)
-            source[[src for src, _, _, _ in picked]] = True
-            strips = [(hit[source[hit]], coeff[source[hit]]) for hit, coeff in strips]
         return picked, strips, dead, None
 
     def _add_rows(self, i: int, batch: np.ndarray, picked, strips):
@@ -510,7 +524,12 @@ class LayeredSequence:
         h = g^scale for the source g, which the rows before it have
         stripped, then strip h out of the perms it strips.  h, h^-1, ...,
         h^-(p-1) go to the layer's stack, which doubles when full; R and
-        U^-1 grow by block."""
+        U^-1 grow by block.
+
+        On the last layer a perm only rotates the p leaves below each of
+        the layer's vertices, so it is fixed by its vector and products add
+        vectors: the lines are built at once from the rows, as the vectors
+        R_j and -a R_j, and the batch and the strips are not read."""
         p, r0 = self.p, len(self.pivots[i])
         r = r0 + len(picked)
         stack = self._stacks[i]
@@ -518,15 +537,28 @@ class LayeredSequence:
             grown = np.empty((p, max(2 * stack.shape[1], r), len(self.identity)), np.int32)
             grown[:, :r0] = stack[:, :r0]
             stack = self._stacks[i] = grown
-        for j, (src, _, scale, _) in enumerate(picked):
-            lines = stack[:, r0 + j]
-            lines[0] = batch[src] if scale == 1 else _powers(batch[src], scale)[-1]
-            lines[1][lines[0]] = self.identity
-            for a in range(2, p):
-                lines[a] = lines[1][lines[a - 1]]
-            if j < len(strips) and len(strips[j][0]):
-                hit, coeff = strips[j]
-                batch[hit] = self._times_inverse(i, batch[hit], r0 + j, coeff)
+        if i == len(self.layers) - 1:
+            leaves, width = self.layers[i]
+            if width != 1:
+                raise ValueError(f"the last layer reads rotations {width} leaves wide, not 1")
+            times = -np.arange(p, dtype=np.int32)
+            times[0] = 1  # line 0 holds h, line a holds h^-a
+            shift = times[:, None, None] * np.array([row for _, _, _, row in picked], np.int32)
+            y = np.arange(p, dtype=np.int32)
+            base = leaves.astype(np.int32)[:, None]
+            lines = stack[:, r0:r]
+            lines[:] = self.identity
+            lines[:, :, base + y] = base + (y + shift[..., None]) % p
+        else:
+            for j, (src, _, scale, _) in enumerate(picked):
+                lines = stack[:, r0 + j]
+                lines[0] = batch[src] if scale == 1 else _powers(batch[src], scale)[-1]
+                lines[1][lines[0]] = self.identity
+                for a in range(2, p):
+                    lines[a] = lines[1][lines[a - 1]]
+                if j < len(strips) and len(strips[j][0]):
+                    hit, coeff = strips[j]
+                    batch[hit] = self._times_inverse(i, batch[hit], r0 + j, coeff)
         pivots = [piv for _, piv, _, _ in picked]
         if not r0:
             k = len(self.layers[i][0])
@@ -543,7 +575,7 @@ class LayeredSequence:
 
     def _sift_batch(self, i: int, batch: np.ndarray, room: Optional[int],
                     conj: np.ndarray, conj_inv: np.ndarray):
-        """Sift a batch of distinct perms of K_i and add its new rows;
+        """Sift a batch of non-identity perms of K_i and add its new rows;
         yield (layer, perms) to queue, in the order of a loop that adds one
         row at a time.  That loop queues the perms zero from the start into
         layer i + 1; then per row h_j it queues [h_j, s] for s in conj into
@@ -555,7 +587,7 @@ class LayeredSequence:
         whose last nonzero coefficient is row j's, are gathered last."""
         last = len(self.layers) - 1
         vecs = self._vectors(i, batch)
-        self._strip(i, batch, vecs, zero_is_identity=i == last)
+        self._strip(i, None if i == last else batch, vecs)
         picked, strips, dead, rest = self._eliminate(i, vecs, room)
         r0 = len(self.pivots[i])
         r = r0 + len(picked)
@@ -586,9 +618,10 @@ class LayeredSequence:
             yield i + 1, zero[z[-2]:]
 
     def _close(self, seeds, conj):
-        """Close the empty sequence to the normal closure of the seeds (any
-        iterable of perms) under conjugation by `conj`; each seed must lie
-        in K_0, and conj must normalize every K_i.  A queued element is a
+        """Close the empty sequence to the normal closure of the seeds (an
+        iterable of perms or 2-D blocks of perms) under conjugation by
+        `conj`; each seed must lie in K_0, and conj must normalize every
+        K_i.  Identity conjugators are dropped first.  A queued element is a
         member once sifted, whatever is added later, so the order in which
         the layers' queues are worked off does not matter.  The shallowest
         queue goes first, unless a deeper one holds `_PENDING_ROWS` perms:
@@ -597,15 +630,17 @@ class LayeredSequence:
         waiting perms, such as the same-layer commutators or the pairs of a
         derived subgroup.
 
-        A queue is worked off as one batch of its distinct perms
-        (`_sift_batch`).  While the sequence closes, each layer's stack and
-        `_dense` pair have room for more rows; last, both are cut to the
-        layer's rows, and `elements[i]` is line 0 of the cut stack."""
+        A queue is worked off as one batch of its non-identity perms
+        (`_sift_batch`); on the last layer only their vectors are read.
+        While the sequence closes, each layer's stack and `_dense` pair
+        have room for more rows; last, both are cut to the layer's rows,
+        and `elements[i]` is line 0 of the cut stack."""
         last = len(self.layers) - 1
         if last < 0:
             return
         degree = len(self.identity)
         conj = _stack(conj, degree)
+        conj = conj[(conj != self.identity).any(axis=1)]
         conj_inv = _pinv_rows(conj)
         pending: List[List[np.ndarray]] = [[] for _ in self.layers]
         queued = [0] * len(self.layers)
@@ -615,15 +650,15 @@ class LayeredSequence:
                 pending[i].append(perms)
                 queued[i] += len(perms)
 
-        seeds = iter(seeds)
+        seeds = _row_blocks(seeds, degree)
         while True:
             if not any(queued):
-                queue(0, _stack(list(islice(seeds, _PENDING_ROWS)), degree))
+                queue(0, next(seeds, ()))
                 if not queued[0]:
                     break
             full = [i for i in range(last + 1) if queued[i] >= _PENDING_ROWS]
             i = full[-1] if full else next(i for i in range(last + 1) if queued[i])
-            batch = self._distinct(np.concatenate(pending[i]))
+            batch = self._nontrivial(np.concatenate(pending[i]))
             pending[i], queued[i] = [], 0
             room = _PENDING_ROWS - queued[i + 1] if i < last else None
             for layer, perms in self._sift_batch(i, batch, room, conj, conj_inv):
@@ -636,11 +671,10 @@ class LayeredSequence:
         self._dense = [None if d is None else (d[0][:r].copy(), d[1][:r, :r].copy())
                        for d, r in zip(self._dense, map(len, self.pivots))]
 
-    def _distinct(self, batch: np.ndarray) -> np.ndarray:
-        """The distinct non-identity rows of the batch, in first-seen order."""
-        batch = np.ascontiguousarray(batch[(batch != self.identity).any(axis=1)])
-        rows = batch.view(np.dtype((np.void, batch.shape[1] * batch.itemsize))).ravel()
-        return batch[np.sort(np.unique(rows, return_index=True)[1])]
+    def _nontrivial(self, batch: np.ndarray) -> np.ndarray:
+        """The non-identity rows of the batch, in order.  A repeated perm
+        stays: the rows before it strip it to zero."""
+        return batch[(batch != self.identity).any(axis=1)]
 
 
 class SubgroupHandle:
@@ -769,7 +803,7 @@ def _chain_closure(q: LevelQuotient, seeds: Sequence[np.ndarray]) -> SubgroupHan
     """Normal closure by growing a stabilizer chain, one conjugate at a time."""
     sub = StabilizerChain(q.degree)
     gens: List[np.ndarray] = []
-    work = [np.asarray(s, dtype=np.int32) for s in seeds]
+    work = [g for s in seeds for g in np.asarray(s, dtype=np.int32).reshape(-1, q.degree)]
     conj = [(c, _pinv(c)) for c in q.gens]
     while work:
         g = work.pop()
@@ -808,8 +842,8 @@ def commutator_subgroup(q: LevelQuotient, h1_gens: Sequence[np.ndarray],
             js = np.arange(len(xs))
             # one generating set: [x, x] = 1 and [y, x] = [x, y]^-1, so one
             # commutator per pair
-            yield from _comm_pairs(xs, xs_inv, ys, ys_inv,
-                                   *_pair_indices(js, js + a + 1 if same else 0, len(ys)))
+            yield _comm_pairs(xs, xs_inv, ys, ys_inv,
+                              *_pair_indices(js, js + a + 1 if same else 0, len(ys)))
 
     return normal_closure(q, seeds())
 
@@ -844,7 +878,7 @@ def lower_central_ranks(group: GroupDefinition, level: int, kmax: int) -> List[i
     of order 2^4 has rank 2.
     """
     p = least_prime(group.shape.branching(0))
-    series = _series(level_quotient(group, level), kmax + 1, derived=False)
+    series = _series(level_quotient(group, level), kmax, derived=False)
     ranks = [p_exponent(series[k].order() // series[k + 1].order(), p,
                         f"gamma_{k + 1}/gamma_{k + 2} is not a {p}-group")
              for k in range(min(kmax, len(series) - 1))]
@@ -919,6 +953,9 @@ def _layered_rist(q: LevelQuotient, vertex: Tuple[int, ...]) -> SubgroupHandle:
     the terms past the outside layers fix every leaf outside the subtree.
     """
     p, n, d = q.layered_prime(), q.level, len(vertex)
+    if not d:  # the root's rist is the quotient, with the quotient's sequence
+        seq = q.sequence()
+        return SubgroupHandle(q, seq.perms(), seq)
     v = _vertex_index(q.group.shape, d, vertex)
     outside, inside = [], []
     for j in range(d, n):

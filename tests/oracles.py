@@ -11,7 +11,6 @@ failures (zero on a healthy build).
 from __future__ import annotations
 
 import random
-import re
 from fractions import Fraction
 from itertools import islice
 from typing import List, Optional, Sequence, Tuple
@@ -316,21 +315,70 @@ def first_level_sections_reference(group: GroupDefinition, letters):
     return tuple(root), [reduce_reference(group.shifted(), w) for w in out]
 
 
-_POWER, _MARK, _CONJ, _ATOM, _SYMBOL = range(1, 6)
+_POWER, _MARK, _CONJ, _ATOM, _SYMBOL, _OTHER = range(1, 7)
 
 
 def _tokens_reference(alphabet: Optional[Tuple[str, ...]]):
-    symbol = (r"\w" if alphabet is None
-              else "|".join(map(re.escape, sorted(alphabet, key=len, reverse=True))) or "(?!)")
-    return re.compile(rf"(\^-?\d+)|(\^\(|')|(\^(?:{symbol}))|[\s*]*(?:([1()\[\],])|({symbol})"
-                      r"|([^\s*]))").finditer
+    """The (kind, value, column) tokens of a text, read by a character
+    scanner with no regex: at each position a power ^-?digits, a mark ' or
+    ^(, or ^ and a symbol; else, past any whitespace and '*', an atom mark,
+    the longest symbol, or any other character.  Symbols are the non-empty
+    names of the alphabet, or single word characters when there is none."""
+    def symbol(text, i):
+        if alphabet is None:
+            return text[i:i + 1] if i < len(text) and (text[i].isalnum() or text[i] == "_") else ""
+        return max((x for x in alphabet if x and text.startswith(x, i)), key=len, default="")
+
+    def suffix(text, i):
+        """(kind, length) of a power, a mark or a conjugating symbol at i."""
+        if text.startswith("'", i):
+            return _MARK, 1
+        if not text.startswith("^", i):
+            return None
+        j = k = i + 1 + text.startswith("-", i + 1)
+        while k < len(text) and text[k].isdecimal():
+            k += 1
+        if k > j:
+            return _POWER, k - i
+        if text.startswith("(", i + 1):
+            return _MARK, 2
+        name = symbol(text, i + 1)
+        return (_CONJ, 1 + len(name)) if name else None
+
+    def scan(text):
+        i, n = 0, len(text)
+        while i < n:
+            found = suffix(text, i)
+            if found:
+                kind, length = found
+                yield kind, text[i:i + length], i
+                i += length
+                continue
+            j = i
+            while j < n and (text[j].isspace() or text[j] == "*"):
+                j += 1
+            if j == n:  # only separators are left: a symbol may start with one
+                j = next((k for k in range(n - 1, i - 1, -1) if symbol(text, k)), n)
+                if j == n:
+                    return
+            name = symbol(text, j)
+            if text[j] in "1()[],":
+                yield _ATOM, text[j], j
+                i = j + 1
+            elif name:
+                yield _SYMBOL, name, j
+                i = j + len(name)
+            else:
+                yield _OTHER, text[j], j
+                i = j + 1
+
+    return scan
 
 
 def parse_letters_reference(text: str, alphabet, letter, inverse, order) -> list:
-    """``groups.parse_letters`` with one token per symbol; it reads the
-    caps from ``groups`` when it runs, as the package does."""
-    tokens = [(m.lastindex, m[m.lastindex], m.start(m.lastindex))
-              for m in _tokens_reference(alphabet)(text)]
+    """``groups.parse_letters`` over the scanner `_tokens_reference`; it
+    reads the caps from ``groups`` when it runs, as the package does."""
+    tokens = list(_tokens_reference(alphabet)(text))
     tokens.append((0, "", len(text)))
     i = 0
 
@@ -460,6 +508,7 @@ class OneRowSequence(LayeredSequence):
         pending_rows = quotients._PENDING_ROWS
         degree = len(self.identity)
         conj = _stack(conj, degree)
+        conj = conj[(conj != self.identity).any(axis=1)]
         conj_inv = _pinv_rows(conj)
         pending: List[List[np.ndarray]] = [[] for _ in self.layers]
         queued = [0] * len(self.layers)
@@ -477,7 +526,7 @@ class OneRowSequence(LayeredSequence):
                     break
             full = [i for i in range(last + 1) if queued[i] >= pending_rows]
             i = full[-1] if full else next(i for i in range(last + 1) if queued[i])
-            batch = self._distinct(np.concatenate(pending[i]))
+            batch = self._nontrivial(np.concatenate(pending[i]))
             pending[i], queued[i] = [], 0
             vecs = self._vectors(i, batch)
             for j in range(len(self.pivots[i])):

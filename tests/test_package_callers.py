@@ -2,9 +2,9 @@
 
 Every module-level function or class of ``src/branchgroups`` that is not
 a public name, and every method that is not a dunder, must be named
-somewhere in the package or in ``perfbench`` other than on its own
-``def``/``class`` line: in a call, an import, an attribute string or a
-docstring that points a reader to it.
+somewhere in the package or in ``perfbench`` outside its own definition
+(so a function's calls to itself do not count): in a call, an import, an
+attribute string or a docstring that points a reader to it.
 
 Every public name (``branchgroups.__all__``) must be referenced in code
 by a package module other than ``__init__.py`` or by a ``perfbench``
@@ -54,21 +54,41 @@ def _definitions(tree):
                     yield member, f"{node.name}.{member.name}"
 
 
-def test_every_private_name_has_a_caller_outside_the_tests():
-    files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
-    lines = {path: path.read_text().splitlines() for path in files}
+def _uncalled_private_names(package, others):
+    """'file: label' for each private definition of the package texts
+    (file name -> source) named nowhere in the package or the other texts
+    outside the lines of its own definition."""
+    lines = {name: text.splitlines() for name, text in {**package, **others}.items()}
     unused = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node, label in _definitions(ast.parse(path.read_text())):
+    for path, text in package.items():
+        for node, label in _definitions(ast.parse(text)):
             if label in ALLOWED:
                 continue
             name = re.compile(rf"(?<!\w){re.escape(node.name)}(?!\w)")
+            own = range(node.lineno, node.end_lineno + 1)
             if not any(name.search(line)
-                       for other in files
+                       for other in lines
                        for number, line in enumerate(lines[other], 1)
-                       if (other, number) != (path, node.lineno)):
-                unused.append(f"{path.name}: {label}")
-    assert unused == []
+                       if other != path or number not in own):
+                unused.append(f"{path}: {label}")
+    return unused
+
+
+def test_every_private_name_has_a_caller_outside_the_tests():
+    package = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    others = {f"perfbench/{path.name}": path.read_text()
+              for path in sorted((ROOT / "perfbench").glob("*.py"))}
+    assert _uncalled_private_names(package, others) == []
+
+
+def test_a_function_calling_only_itself_has_no_caller():
+    module = ("def _walk(n):\n"
+              "    return _walk(n - 1) + _step(n) if n else 0\n"
+              "\n"
+              "\n"
+              "def _step(n):\n"
+              "    return n\n")
+    assert _uncalled_private_names({"synthetic.py": module}, {}) == ["synthetic.py: _walk"]
 
 
 def _code_references(tree):

@@ -276,6 +276,28 @@ def test_rigid_stabilizer_rejects_impossible_vertices(gg):
     assert rigid_stabilizer(gg, 3, ()).index() == 1
 
 
+_ROOT_RIST_LEVELS = (("Gg", 5), ("FGg", 4), ("Sg", 5), ("BSV", 6), ("Dinf", 4))
+
+
+@pytest.mark.parametrize("name, level", _ROOT_RIST_LEVELS,
+                         ids=[f"{n}@{level}" for n, level in _ROOT_RIST_LEVELS])
+def test_the_roots_rigid_stabilizer_reads_the_quotients_sequence(name, level, monkeypatch):
+    # rist of the root is the whole quotient: it is read from the sequence
+    # the order closed, and neither it nor the depth-0 rigid level
+    # stabilizer closes another
+    g = _make_builtin(name)
+    q = level_quotient(g, level)
+    q.order()
+    closures = []
+    closed_sequence = quotients.LevelQuotient.closed_sequence
+    monkeypatch.setattr(quotients.LevelQuotient, "closed_sequence",
+                        lambda q, *args: closures.append(1) or closed_sequence(q, *args))
+    rist = rigid_stabilizer(g, level, ())
+    assert rist.sequence() is q.sequence() and rist.order() == q.order()
+    assert rigid_level_stabilizer(g, level, 0).order() == q.order()
+    assert closures == []
+
+
 @pytest.mark.parametrize("depth", [-1, -2])
 def test_rigid_level_stabilizer_rejects_a_negative_depth(gg, depth):
     with pytest.raises(ValueError, match=f"depth must be non-negative, got {depth}"):
@@ -428,6 +450,22 @@ def test_series_are_built_once_per_quotient(monkeypatch):
                        derived_series_orders(level_quotient(fresh[1], 5), 3),
                        nilpotency_class(fresh[2], 5))
     assert answers[1] == [2**22, 2**19, 2**15, 2**8]
+
+
+@pytest.mark.parametrize("kmax", [0, 1, 6])
+def test_lower_central_ranks_close_no_unread_term(kmax, monkeypatch):
+    # the ranks up to gamma_k / gamma_{k+1} close gamma_2, ..., gamma_{k+1}
+    # and no further term; k = 0 closes nothing, not even the quotient's
+    commutators, closures = [], []
+    build = quotients.commutator_subgroup
+    closed_sequence = quotients.LevelQuotient.closed_sequence
+    monkeypatch.setattr(quotients, "commutator_subgroup",
+                        lambda *args: commutators.append(1) or build(*args))
+    monkeypatch.setattr(quotients.LevelQuotient, "closed_sequence",
+                        lambda q, *args: closures.append(1) or closed_sequence(q, *args))
+    assert lower_central_ranks(_make_builtin("Gg"), 5, kmax) == [3, 2, 2, 1, 2, 2][:kmax]
+    assert len(commutators) == kmax
+    assert len(closures) == (kmax + 1 if kmax else 0)
 
 
 def test_rozhkov_ranks_and_stability(gg):
@@ -853,9 +891,10 @@ def test_closed_sequences_match_the_one_row_oracle(name, level, pending, monkeyp
     layer_orders = []
 
     def both(q, seeds, conj, layers=None):
-        seeds = list(seeds)
+        seeds = list(seeds)  # perms or 2-D blocks of perms
         seq = closed_sequence(q, seeds, conj, layers)
-        _same_sequence(seq, OneRowSequence(seq.p, q.degree, seq.layers, seeds, conj))
+        rows = [g for s in seeds for g in np.reshape(s, (-1, q.degree))]
+        _same_sequence(seq, OneRowSequence(seq.p, q.degree, seq.layers, rows, conj))
         layer_orders.append(layers is None)
         return seq
 
@@ -880,8 +919,8 @@ def test_closed_sequences_match_the_one_row_oracle(name, level, pending, monkeyp
 def test_quotients_bundle_sequences_are_pinned(monkeypatch):
     # sha1 over every sequence the benchmark's quotient analyses close on
     # fresh groups: per layer the pivots and the bytes of the elements,
-    # inverse powers, echelon rows and U^-1 (recorded before the rows of a
-    # batch were picked by one elimination)
+    # inverse powers, echelon rows and U^-1 (the ranks up to k = 6 close
+    # gamma_2, ..., gamma_7 and no further term)
     closed_sequence = quotients.LevelQuotient.closed_sequence
     closed = []
     monkeypatch.setattr(quotients.LevelQuotient, "closed_sequence",
@@ -905,7 +944,7 @@ def test_quotients_bundle_sequences_are_pinned(monkeypatch):
             for dense in seq._dense[i] or ():
                 digest.update(dense.tobytes())
     assert (len(closed), digest.hexdigest()) == (
-        88, "aa59e1217d2f4296830c558936e1bb48a82b773f")
+        80, "9f6ec70219156da7244f2b3a2ffecbb50d99adad")
 
 
 @pytest.mark.parametrize("name", ["G2", "GS4"])
